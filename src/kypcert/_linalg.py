@@ -8,13 +8,10 @@ __all__ = [
     "herm",
     "is_hermitian",
     "min_eig",
-    "max_eig",
     "spectral_norm",
     "sigma_min",
     "eig_clip",
-    "hermitian_basis",
-    "vec_hermitian",
-    "unvec_hermitian",
+    "HermitianCoords",
 ]
 
 
@@ -35,12 +32,6 @@ def min_eig(x: np.ndarray) -> float:
     if x.size == 0:
         return np.inf
     return float(np.linalg.eigvalsh(herm(x))[0])
-
-
-def max_eig(x: np.ndarray) -> float:
-    if x.size == 0:
-        return -np.inf
-    return float(np.linalg.eigvalsh(herm(x))[-1])
 
 
 def spectral_norm(x: np.ndarray) -> float:
@@ -65,38 +56,28 @@ def eig_clip(x: np.ndarray, floor: float) -> np.ndarray:
     return herm((v * w) @ v.conj().T)
 
 
-def hermitian_basis(n: int) -> list[np.ndarray]:
-    """Orthonormal basis of the real vector space of n x n Hermitian matrices.
-
-    Orthonormal under <X, Y> = Re tr(X* Y); dimension n^2.
+class HermitianCoords:
+    """Packed real coordinates of k x k Hermitian matrices: the real diagonal,
+    then sqrt(2) (Re, Im) of each strict-upper-triangle entry in row-major
+    order. Orthonormal under <X, Y> = Re tr(X* Y); dimension k^2. `vec` reads
+    only the upper triangle of its (Hermitian) input. Both maps act on the
+    last axes, so stacks of matrices map to stacks of coordinates.
     """
-    basis: list[np.ndarray] = []
-    s = 1.0 / np.sqrt(2.0)
-    for i in range(n):
-        e = np.zeros((n, n), dtype=complex)
-        e[i, i] = 1.0
-        basis.append(e)
-    for i in range(n):
-        for j in range(i + 1, n):
-            e = np.zeros((n, n), dtype=complex)
-            e[i, j] = s
-            e[j, i] = s
-            basis.append(e)
-            e = np.zeros((n, n), dtype=complex)
-            e[i, j] = 1j * s
-            e[j, i] = -1j * s
-            basis.append(e)
-    return basis
 
+    def __init__(self, k: int):
+        self.k = k
+        self.diag = np.arange(k)
+        self.rows, self.cols = np.triu_indices(k, 1)
 
-def vec_hermitian(x: np.ndarray, basis: list[np.ndarray]) -> np.ndarray:
-    """Real coordinates of a Hermitian matrix in an orthonormal basis."""
-    return np.array([np.real(np.vdot(e, x)) for e in basis])
+    def vec(self, x: np.ndarray) -> np.ndarray:
+        # a contiguous complex array viewed as float is its (Re, Im) pairs
+        pairs = np.ascontiguousarray(np.sqrt(2.0) * x[..., self.rows, self.cols]).view(float)
+        return np.concatenate([x[..., self.diag, self.diag].real, pairs], axis=-1)
 
-
-def unvec_hermitian(coords: np.ndarray, basis: list[np.ndarray]) -> np.ndarray:
-    n = basis[0].shape[0] if basis else 0
-    out = np.zeros((n, n), dtype=complex)
-    for c, e in zip(coords, basis):
-        out += c * e
-    return out
+    def unvec(self, coords: np.ndarray) -> np.ndarray:
+        out = np.zeros(coords.shape[:-1] + (self.k, self.k), dtype=complex)
+        out[..., self.diag, self.diag] = coords[..., : self.k]
+        upper = np.ascontiguousarray(coords[..., self.k :] / np.sqrt(2.0)).view(complex)
+        out[..., self.rows, self.cols] = upper
+        out[..., self.cols, self.rows] = upper.conj()
+        return out

@@ -19,18 +19,10 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from ._linalg import (
-    eig_clip,
-    herm,
-    hermitian_basis,
-    is_hermitian,
-    min_eig,
-    spectral_norm,
-    unvec_hermitian,
-    vec_hermitian,
-)
+from ._linalg import HermitianCoords, eig_clip, herm, is_hermitian, min_eig, spectral_norm
 from .exceptions import (
     BadFamily,
+    BadParams,
     CertificateNotVerified,
     DimensionMismatch,
     EtaOutOfRange,
@@ -314,8 +306,18 @@ def verify_kyp(r: Realization, p, family, tol_psd: float | None = None) -> Certi
 # ---------------------------------------------------------------------------
 # Certificate search: alternating projections with Dykstra correction over the
 # pair (P, Q), alternating between the PSD product cone
-# {P >= margin*I, Q >= 0} and the affine graph {Q = Q(P)}.
+# {P >= margin*I, Q >= 0} and the affine graph {Q = Q(P)} = {Q = K + L(P)}.
+# With E = [I 0] and F = [A B], L(P) = -(F* P E + E* P F) for the continuous
+# weights and E* P E - F* P F for the discrete ones. In packed Hermitian
+# coordinates, orthonormal under Re tr(X* Y), L is a real matrix M, built by
+# mapping blocks of unit vectors through L in batched matmuls. The
+# projection solves (I + M^T M) p = p0 + M^T (q0 - K) by a dense Cholesky of
+# the n^2 x n^2 Gram: O(n^6) time and O(n^4) memory, so n of about 32 is the
+# practical limit.
 # ---------------------------------------------------------------------------
+
+#: unit coordinate vectors mapped through L per batch when building M
+_BUILD_BLOCK = 64
 
 
 class _AffineProjector:
@@ -323,30 +325,38 @@ class _AffineProjector:
 
     def __init__(self, r: Realization, tag: FamilyTag):
         n, m = r.n, r.m
-        self.basis_p = hermitian_basis(n)
-        self.basis_q = hermitian_basis(n + m)
-        self.k_mat = assemble_q(r, _weight_entries(tag, np.zeros((n, n)), m))
-        self.k_vec = vec_hermitian(self.k_mat, self.basis_q)
-        cols = []
-        for e in self.basis_p:
-            q_e = assemble_q(r, _weight_entries(tag, e, m)) - self.k_mat
-            cols.append(vec_hermitian(q_e, self.basis_q))
-        self.m_op = np.column_stack(cols) if cols else np.zeros((len(self.basis_q), 0))
-        gram = np.eye(self.m_op.shape[1]) + self.m_op.T @ self.m_op
-        self.cho = scipy.linalg.cho_factor(gram)
+        self.coords_p = HermitianCoords(n)
+        self.coords_q = HermitianCoords(n + m)
+        self.k_vec = self.coords_q.vec(assemble_q(r, _weight_entries(tag, np.zeros((n, n)), m)))
+        f = r.array[:n]
+        dim = n * n
+        self.m_op = np.empty((self.k_vec.size, dim))
+        for lo in range(0, dim, _BUILD_BLOCK):
+            units = self.coords_p.unvec(np.eye(min(_BUILD_BLOCK, dim - lo), dim, lo))
+            pf = units @ f
+            if tag.family.is_discrete:
+                l_units = -(f.conj().T @ pf)
+                l_units[:, :n, :n] += units
+            else:
+                l_units = np.zeros((len(units), n + m, n + m), dtype=complex)
+                l_units[:, :n] = -pf
+                l_units += l_units.conj().swapaxes(1, 2)
+            self.m_op[:, lo:lo + len(units)] = self.coords_q.vec(l_units).T
+        self.cho = scipy.linalg.cho_factor(np.eye(dim) + self.m_op.T @ self.m_op)
 
     def q_of(self, p: np.ndarray) -> np.ndarray:
-        coords = vec_hermitian(p, self.basis_p)
-        return unvec_hermitian(self.k_vec + self.m_op @ coords, self.basis_q)
+        return self.coords_q.unvec(self.k_vec + self.m_op @ self.coords_p.vec(p))
 
     def project(self, p0: np.ndarray, q0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        rhs = vec_hermitian(p0, self.basis_p) + self.m_op.T @ (
-            vec_hermitian(q0, self.basis_q) - self.k_vec
-        )
+        rhs = self.coords_p.vec(p0) + self.m_op.T @ (self.coords_q.vec(q0) - self.k_vec)
         coords = scipy.linalg.cho_solve(self.cho, rhs)
-        p = unvec_hermitian(coords, self.basis_p)
-        q = unvec_hermitian(self.k_vec + self.m_op @ coords, self.basis_q)
-        return p, q
+        return self.coords_p.unvec(coords), self.coords_q.unvec(self.k_vec + self.m_op @ coords)
+
+
+def _min_eig_and_norm(x: np.ndarray) -> tuple[float, float]:
+    """Smallest eigenvalue and spectral norm of an exactly Hermitian matrix."""
+    w = np.linalg.eigvalsh(x)
+    return float(w[0]), float(max(-w[0], w[-1]))
 
 
 def _warm_starts(r: Realization, tag: FamilyTag, margin: float) -> list[np.ndarray]:
@@ -397,11 +407,14 @@ def solve_p(
     Projects the pair (P, Q) alternately (with Dykstra correction) onto the
     cone {P >= margin*I, Q >= 0} and onto the affine graph {Q = Q(P)}.
     Returns the first verified Certificate found; on stall or iteration cap
-    returns NotFound with the best residual seen. NotFound is NOT a proof of
-    non-membership (the converse direction of the KYP lemma needs minimality,
-    and the search itself is heuristic).
+    returns NotFound with the best residual seen (with max_iter = 0, the
+    chosen warm start). NotFound is NOT a proof of non-membership (the
+    converse direction of the KYP lemma needs minimality, and the search
+    itself is heuristic). A negative max_iter raises BadParams.
     """
     tag = as_tag(family)
+    if max_iter < 0:
+        raise BadParams(f"max_iter must be >= 0, got {max_iter}")
     n, m = r.n, r.m
     if n == 0:
         cert = verify_kyp(r, np.zeros((0, 0)), tag, tol_psd)
@@ -422,6 +435,8 @@ def solve_p(
 
     p = min(_warm_starts(r, tag, margin), key=violation)
     q = proj.q_of(p)
+    if max_iter == 0:
+        return NotFound(family=tag, best_p=p, min_eig_q=min_eig(q), residual=violation(p), iterations=0)
     inc_cone_p = np.zeros_like(p)
     inc_cone_q = np.zeros_like(q)
     inc_graph_p = np.zeros_like(p)
@@ -441,9 +456,10 @@ def solve_p(
         inc_graph_p = yp + inc_graph_p - p
         inc_graph_q = yq + inc_graph_q - q
 
-        mq = min_eig(q)
-        mp = min_eig(p)
-        tol = default_psd_tol(q) if tol_psd is None else float(tol_psd)
+        # p, q and p_prev are exactly Hermitian (unpacked, or a herm'd warm start)
+        mq, norm_q = _min_eig_and_norm(q)
+        mp, norm_p = _min_eig_and_norm(p)
+        tol = PSD_TOL_SCALE * (1.0 + norm_q) if tol_psd is None else float(tol_psd)
         if mp > 0.0 and mq >= -tol:
             cert = verify_kyp(r, p, tag, tol_psd)
             if cert.verified:
@@ -456,8 +472,8 @@ def solve_p(
         # Dykstra steps oscillate near convergence and can shrink below the
         # threshold while the residual is still creeping down; a stall needs
         # both a sustained run of sub-threshold steps and a flat residual
-        dp = spectral_norm(p - p_prev)
-        small_steps = small_steps + 1 if dp <= stall_tol * max(1.0, spectral_norm(p)) else 0
+        dp = _min_eig_and_norm(p - p_prev)[1]
+        small_steps = small_steps + 1 if dp <= stall_tol * max(1.0, norm_p) else 0
         if small_steps >= 50 and it - last_improve >= 50:
             break
         p_prev = p
