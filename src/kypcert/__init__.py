@@ -10,6 +10,8 @@ realizations.
 
 __version__ = "0.1.0"
 
+import logging as _logging
+
 from .cones import (
     ConeParameter,
     IsometryTuple,
@@ -107,3 +109,7 @@ from .serialization import (
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]
+
+# the library logs to the "kypcert" logger and stays silent unless the
+# application configures logging
+_logging.getLogger(__name__).addHandler(_logging.NullHandler())

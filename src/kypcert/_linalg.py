@@ -10,6 +10,7 @@ __all__ = [
     "min_eig",
     "spectral_norm",
     "sigma_min",
+    "nearly_singular",
     "eig_clip",
     "HermitianCoords",
 ]
@@ -45,6 +46,17 @@ def sigma_min(x: np.ndarray) -> float:
     if x.size == 0:
         return np.inf
     return float(np.linalg.svd(x, compute_uv=False)[-1])
+
+
+def nearly_singular(x: np.ndarray, rtol: float):
+    """sigma_min(x) < rtol * max(||x||_2, 1e-300), with both singular values
+    from one SVD. A stack of matrices gives a boolean array; an empty matrix
+    is never singular."""
+    if x.size == 0:
+        return np.zeros(x.shape[:-2], dtype=bool) if x.ndim > 2 else False
+    sv = np.linalg.svd(x, compute_uv=False)
+    out = sv[..., -1] < rtol * np.maximum(sv[..., 0], 1e-300)
+    return out if x.ndim > 2 else bool(out)
 
 
 def eig_clip(x: np.ndarray, floor: float) -> np.ndarray:

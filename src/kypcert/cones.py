@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._linalg import herm, is_hermitian, min_eig, sigma_min, spectral_norm
+from ._linalg import herm, is_hermitian, min_eig, nearly_singular, sigma_min, spectral_norm
 from .exceptions import DimensionMismatch, MinusOneInSpectrum, NotAnIsometryFamily
 
 __all__ = [
@@ -99,7 +99,7 @@ def cayley(a) -> np.ndarray:
         a = a.reshape(1, 1)
     n = a.shape[0]
     ipa = np.eye(n) + a
-    if sigma_min(ipa) < 1e-12 * max(spectral_norm(ipa), 1e-300):
+    if nearly_singular(ipa, 1e-12):
         raise MinusOneInSpectrum("-1 is in the spectrum of A to working precision")
     return np.linalg.solve(ipa.conj().T, (np.eye(n) - a).conj().T).conj().T
 

@@ -14,16 +14,15 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.stats import qmc
 
-from ._linalg import min_eig, sigma_min, spectral_norm
+from ._linalg import nearly_singular
 from .exceptions import (
     DomainMismatch,
     EtaOutOfRange,
-    PoleAt,
     SingularIPlusA,
     SingularIPlusD,
 )
 from .qmi import Family, as_tag
-from .realization import Realization, evaluate
+from .realization import Realization, _evaluate_points
 
 __all__ = [
     "Domain",
@@ -155,23 +154,46 @@ def make_grid(
     return DomainGrid(domain=domain, boundary_points=boundary, interior_points=interior, seed=seed)
 
 
+def _ct(f: np.ndarray) -> np.ndarray:
+    """Conjugate transposes of a stack of matrices."""
+    return f.conj().swapaxes(-1, -2)
+
+
+def _norm2(f: np.ndarray) -> np.ndarray:
+    """Spectral norms of a stack of matrices."""
+    return np.linalg.svd(f, compute_uv=False)[..., 0]
+
+
+def _worst(points: np.ndarray, values: np.ndarray, keep: np.ndarray, margin_fn):
+    """Worst margin over the kept points, as (margin, point, used, skipped).
+
+    `margin_fn` maps a stack of values to their margins. `argmin` takes the
+    first of equal minima, as a scan that updates on a strict `<` does."""
+    used = int(keep.sum())
+    if not used:
+        return math.inf, None, 0, points.size
+    margins = margin_fn(values[keep])
+    i = int(np.argmin(margins))
+    return float(margins[i]), complex(points[keep][i]), used, points.size - used
+
+
 def _scan(r: Realization, points: np.ndarray, margin_fn):
     """Evaluate a margin over grid points, skipping pole-adjacent ones."""
-    worst = math.inf
-    worst_point = None
-    used = 0
-    skipped = 0
-    for z in points:
-        try:
-            f = evaluate(r, z).value
-        except PoleAt:
-            skipped += 1
-            continue
-        used += 1
-        margin = margin_fn(f)
-        if margin < worst:
-            worst, worst_point = margin, complex(z)
-    return worst, worst_point, used, skipped
+    return _worst(points, *_evaluate_points(r, points), margin_fn)
+
+
+def _family_margin(family: Family):
+    """Pointwise margin of a family: min eig(F + F*) for the positive-real
+    families, 1 - ||F||_2 for the bounded-real ones."""
+    if family.is_bounded:
+        return lambda f: 1.0 - _norm2(f)
+
+    def min_eig(f):
+        # as `_linalg.min_eig` takes it: eigvalsh of the Hermitian part
+        g = f + _ct(f)
+        return np.linalg.eigvalsh((g + _ct(g)) / 2)[..., 0]
+
+    return min_eig
 
 
 def _check_domain(grid: DomainGrid, expected: Domain, what: str):
@@ -188,11 +210,7 @@ def membership_oracle(r: Realization, family, grid: DomainGrid, tol: float = ORA
     """
     tag = as_tag(family)
     _check_domain(grid, family_domain(tag), f"{tag.family.value} oracle")
-    if tag.family.is_bounded:
-        margin_fn = lambda f: 1.0 - spectral_norm(f)  # noqa: E731
-    else:
-        margin_fn = lambda f: min_eig(f + f.conj().T)  # noqa: E731
-    worst, worst_point, used, skipped = _scan(r, grid.points, margin_fn)
+    worst, worst_point, used, skipped = _scan(r, grid.points, _family_margin(tag.family))
     verdict = "pass" if worst >= -tol else "fail"
     return MembershipReport(
         family=tag.family.value, verdict=verdict, worst_point=worst_point,
@@ -205,7 +223,9 @@ def anti_db_oracle(r: Realization, grid: DomainGrid, tol: float = ORACLE_TOL) ->
     everywhere outside the closed disk. Margin is sigma_min(F(z)) - 1 and the
     pass rule is strict (> tol)."""
     _check_domain(grid, Domain.EXTERIOR_DISK, "anti-discrete-bounded oracle")
-    worst, worst_point, used, skipped = _scan(r, grid.points, lambda f: sigma_min(f) - 1.0)
+    worst, worst_point, used, skipped = _scan(
+        r, grid.points, lambda f: np.linalg.svd(f, compute_uv=False)[..., -1] - 1.0
+    )
     verdict = "pass" if worst > tol else "fail"
     return MembershipReport(
         family="anti-discrete-bounded", verdict=verdict, worst_point=worst_point,
@@ -225,7 +245,7 @@ def hyper_bounded_oracle(r: Realization, eta: float, grid: DomainGrid, tol: floa
     if not eta > 1.0:
         raise EtaOutOfRange(f"eta must lie in (1, inf], got {eta}")
     bound = 1.0 if math.isinf(eta) else math.sqrt((eta - 1.0) / (eta + 1.0))
-    worst, worst_point, used, skipped = _scan(r, grid.points, lambda f: bound - spectral_norm(f))
+    worst, worst_point, used, skipped = _scan(r, grid.points, lambda f: bound - _norm2(f))
     verdict = "pass" if worst >= -tol else "fail"
     kind = "hyper-bounded" if grid.domain is Domain.RIGHT_HALF_PLANE else "hyper-discrete-bounded"
     return MembershipReport(
@@ -246,18 +266,23 @@ def lossless_boundary_oracle(r: Realization, kind: str, grid: DomainGrid, tol: f
         raise ValueError(f"kind must be 'LP' or 'LB', got {kind!r}")
     _check_domain(grid, Domain.RIGHT_HALF_PLANE, "lossless boundary oracle")
     if kind == "LP":
-        margin_fn = lambda f: -spectral_norm(f + f.conj().T)  # noqa: E731
+        margin_fn = lambda f: -_norm2(f + _ct(f))  # noqa: E731
         parent = Family.POSITIVE_REAL
         label = "lossless-positive"
     else:
-        margin_fn = lambda f: -spectral_norm(f.conj().T @ f - np.eye(r.m))  # noqa: E731
+        margin_fn = lambda f: -_norm2(_ct(f) @ f - np.eye(r.m))  # noqa: E731
         parent = Family.BOUNDED_REAL
         label = "lossless-bounded"
-    worst, worst_point, used, skipped = _scan(r, grid.boundary_points, margin_fn)
-    parent_report = membership_oracle(r, parent, grid, tol)
-    verdict = "pass" if worst >= -tol and parent_report.passed else "fail"
-    if not parent_report.passed and parent_report.worst_margin < worst:
-        worst, worst_point = parent_report.worst_margin, parent_report.worst_point
+    # one evaluation serves both the boundary margin and the parent family's
+    points = grid.points
+    values, keep = _evaluate_points(r, points)
+    nb = grid.boundary_points.size
+    worst, worst_point, used, skipped = _worst(points[:nb], values[:nb], keep[:nb], margin_fn)
+    parent_worst, parent_point, _, _ = _worst(points, values, keep, _family_margin(parent))
+    parent_passed = parent_worst >= -tol
+    verdict = "pass" if worst >= -tol and parent_passed else "fail"
+    if not parent_passed and parent_worst < worst:
+        worst, worst_point = parent_worst, parent_point
     return MembershipReport(
         family=label, verdict=verdict, worst_point=worst_point,
         worst_margin=worst, samples_used=used, skipped=skipped, tol=tol,
@@ -271,7 +296,7 @@ def cayley_function(r: Realization) -> Realization:
     analogues) while keeping the variable fixed. Requires I + D nonsingular.
     """
     ipd = np.eye(r.m) + r.D
-    if sigma_min(ipd) < 1e-12 * max(spectral_norm(ipd), 1e-300):
+    if nearly_singular(ipd, 1e-12):
         raise SingularIPlusD("I + D is singular; function Cayley transform undefined")
     ipd_inv = np.linalg.inv(ipd)
     return Realization(
@@ -295,7 +320,7 @@ def bilinear_substitute(r: Realization) -> Realization:
     if r.n == 0:
         return r
     ipa = np.eye(r.n) + r.A
-    if sigma_min(ipa) < 1e-12 * max(spectral_norm(ipa), 1e-300):
+    if nearly_singular(ipa, 1e-12):
         raise SingularIPlusA("I + A is singular; bilinear substitution undefined")
     ipa_inv = np.linalg.inv(ipa)
     a_new = -ipa_inv @ (np.eye(r.n) - r.A)

@@ -7,11 +7,12 @@ A realization of an m x m rational function F with no pole at infinity is the
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import sigma_min, spectral_norm
+from ._linalg import nearly_singular
 from .exceptions import (
     DimensionMismatch,
     PoleAt,
@@ -39,6 +40,16 @@ RANK_RTOL = 1e-8
 
 #: condition-number cap for coordinate-change matrices
 COND_MAX = 1e12
+
+#: entries of zI - A in one stacked block of `_evaluate_points`, which bounds
+#: the block's memory for any n
+_BLOCK_ENTRIES = 2**14
+
+#: the eigenvalue screen clears a point when its lower bound on
+#: sigma_min(zI - A) exceeds this multiple of an upper bound on ||zI - A||_2
+_SCREEN_RTOL = 1e-9
+
+_log = logging.getLogger(__name__)
 
 
 def _as_block(x, rows: int, cols: int, name: str) -> np.ndarray:
@@ -153,10 +164,75 @@ def evaluate(r: Realization, z: complex) -> TransferSample:
     if r.n == 0:
         return TransferSample(z=z, value=r.D.copy())
     zia = z * np.eye(r.n) - r.A
-    if sigma_min(zia) < POLE_RTOL * max(spectral_norm(zia), 1e-300):
+    if nearly_singular(zia, POLE_RTOL):
         raise PoleAt(z)
     value = r.C @ np.linalg.solve(zia, r.B) + r.D
     return TransferSample(z=z, value=value)
+
+
+# Pole screen of `_evaluate_points`. With A V = V diag(lam) + E for the
+# computed eigenpairs, zI - A = V (zI - diag(lam)) V^-1 - E V^-1, so
+#     sigma_min(zI - A) >= min|z - lam| / kappa(V) - ||E||_F / sigma_min(V),
+# and ||zI - A||_2 <= |z| + ||A||_2. E is the residual as computed plus the
+# rounding bound of the product A V, (n + 1) eps ||A||_F ||V||_F. A point
+# whose lower bound exceeds 1e-9 (|z| + ||A||_2) cannot fail `evaluate`'s rule
+# sigma_min < 1e-12 ||zI - A||_2: the three decades between the two cover the
+# rounding of the SVD and of the bound itself. A point not cleared gets the
+# exact rule, so the kept set is the one `evaluate` gives point by point. The
+# comparison is strict, so A = 0 at z = 0 (both sides 0) is not cleared.
+def _pole_screen(a: np.ndarray):
+    """(lam, kappa(V), delta, ||A||_2) of the screen, or None when eig fails
+    or its eigenvector matrix V is singular to working precision."""
+    try:
+        lam, v = np.linalg.eig(a)
+    except np.linalg.LinAlgError:
+        return None
+    sv = np.linalg.svd(v, compute_uv=False)
+    if not sv[-1] >= POLE_RTOL * sv[0]:
+        return None
+    rounding = (a.shape[0] + 1) * np.finfo(float).eps * np.linalg.norm(a) * np.linalg.norm(v)
+    delta = (np.linalg.norm(a @ v - v * lam) + rounding) / sv[-1]
+    return lam, sv[0] / sv[-1], delta, np.linalg.norm(a, 2)
+
+
+def _evaluate_points(r: Realization, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """F(z) at each point as an (N, m, m) stack, and the mask of points kept.
+
+    A point is kept when `evaluate` would not raise `PoleAt` there; the values
+    at kept points are those `evaluate` returns, and the rows of skipped points
+    are zero. Points go through in blocks of stacked zI - A.
+    """
+    points = np.asarray(points, dtype=complex).ravel()
+    n = r.n
+    values = np.zeros((points.size, r.m, r.m), dtype=complex)
+    keep = np.ones(points.size, dtype=bool)
+    cleared = 0
+    if n == 0:
+        values[:] = r.D
+    else:
+        screen = _pole_screen(r.A)
+        eye = np.eye(n)
+        step = max(1, _BLOCK_ENTRIES // (n * n))
+        for start in range(0, points.size, step):
+            z = points[start : start + step]
+            zia = z[:, None, None] * eye - r.A
+            if screen is None:
+                ok = np.zeros(z.size, dtype=bool)
+            else:
+                lam, kappa, delta, norm_a = screen
+                dist = np.abs(z[:, None] - lam).min(axis=1)
+                ok = dist / kappa - delta > _SCREEN_RTOL * (np.abs(z) + norm_a)
+            cleared += int(ok.sum())
+            rest = ~ok
+            ok[rest] = ~nearly_singular(zia[rest], POLE_RTOL)
+            keep[start : start + step] = ok
+            values[start : start + step][ok] = r.C @ np.linalg.solve(zia[ok], r.B) + r.D
+    _log.debug(
+        "evaluated F at %d points: %d cleared by the eigenvalue screen, "
+        "%d sent to the exact rule, %d skipped as pole-adjacent",
+        points.size, cleared, points.size - cleared if n else 0, int(points.size - keep.sum()),
+    )
+    return values, keep
 
 
 def is_minimal(r: Realization) -> tuple[bool, int, int]:
@@ -225,7 +301,7 @@ def invert_array(r: Realization) -> Realization:
     function inverse (see `invert_function`).
     """
     arr = r.array
-    if sigma_min(arr) < POLE_RTOL * max(spectral_norm(arr), 1e-300):
+    if nearly_singular(arr, POLE_RTOL):
         raise SingularArray("realization array is singular to working precision")
     return Realization.from_array(np.linalg.inv(arr), r.n, r.m)
 
@@ -237,7 +313,7 @@ def invert_function(r: Realization) -> Realization:
     admits an array of the same shape. Returns
     (A - B D^-1 C, B D^-1, -D^-1 C, D^-1).
     """
-    if sigma_min(r.D) < POLE_RTOL * max(spectral_norm(r.D), 1e-300):
+    if nearly_singular(r.D, POLE_RTOL):
         raise SingularD("feedthrough D is singular; function inverse is improper")
     dinv = np.linalg.inv(r.D)
     return Realization(
