@@ -11,6 +11,10 @@ __all__ = [
     "spectral_norm",
     "sigma_min",
     "nearly_singular",
+    "ct",
+    "min_eigs",
+    "spectral_norms",
+    "sigma_mins",
     "eig_clip",
     "HermitianCoords",
 ]
@@ -57,6 +61,26 @@ def nearly_singular(x: np.ndarray, rtol: float):
     sv = np.linalg.svd(x, compute_uv=False)
     out = sv[..., -1] < rtol * np.maximum(sv[..., 0], 1e-300)
     return out if x.ndim > 2 else bool(out)
+
+
+def ct(x: np.ndarray) -> np.ndarray:
+    """Conjugate transpose of a matrix, or of each matrix in a stack."""
+    return x.conj().swapaxes(-1, -2)
+
+
+def min_eigs(x: np.ndarray) -> np.ndarray:
+    """`min_eig` of each matrix in a stack: eigvalsh of its Hermitian part."""
+    return np.linalg.eigvalsh((x + ct(x)) / 2)[..., 0]
+
+
+def spectral_norms(x: np.ndarray) -> np.ndarray:
+    """`spectral_norm` of each matrix in a stack."""
+    return np.linalg.svd(x, compute_uv=False)[..., 0]
+
+
+def sigma_mins(x: np.ndarray) -> np.ndarray:
+    """`sigma_min` of each matrix in a stack."""
+    return np.linalg.svd(x, compute_uv=False)[..., -1]
 
 
 def eig_clip(x: np.ndarray, floor: float) -> np.ndarray:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.stats import qmc
 
-from ._linalg import nearly_singular
+from ._linalg import ct, min_eigs, nearly_singular, sigma_mins, spectral_norms
 from .exceptions import (
     DomainMismatch,
     EtaOutOfRange,
@@ -154,16 +154,6 @@ def make_grid(
     return DomainGrid(domain=domain, boundary_points=boundary, interior_points=interior, seed=seed)
 
 
-def _ct(f: np.ndarray) -> np.ndarray:
-    """Conjugate transposes of a stack of matrices."""
-    return f.conj().swapaxes(-1, -2)
-
-
-def _norm2(f: np.ndarray) -> np.ndarray:
-    """Spectral norms of a stack of matrices."""
-    return np.linalg.svd(f, compute_uv=False)[..., 0]
-
-
 def _worst(points: np.ndarray, values: np.ndarray, keep: np.ndarray, margin_fn):
     """Worst margin over the kept points, as (margin, point, used, skipped).
 
@@ -186,14 +176,8 @@ def _family_margin(family: Family):
     """Pointwise margin of a family: min eig(F + F*) for the positive-real
     families, 1 - ||F||_2 for the bounded-real ones."""
     if family.is_bounded:
-        return lambda f: 1.0 - _norm2(f)
-
-    def min_eig(f):
-        # as `_linalg.min_eig` takes it: eigvalsh of the Hermitian part
-        g = f + _ct(f)
-        return np.linalg.eigvalsh((g + _ct(g)) / 2)[..., 0]
-
-    return min_eig
+        return lambda f: 1.0 - spectral_norms(f)
+    return lambda f: min_eigs(f + ct(f))
 
 
 def _check_domain(grid: DomainGrid, expected: Domain, what: str):
@@ -223,9 +207,7 @@ def anti_db_oracle(r: Realization, grid: DomainGrid, tol: float = ORACLE_TOL) ->
     everywhere outside the closed disk. Margin is sigma_min(F(z)) - 1 and the
     pass rule is strict (> tol)."""
     _check_domain(grid, Domain.EXTERIOR_DISK, "anti-discrete-bounded oracle")
-    worst, worst_point, used, skipped = _scan(
-        r, grid.points, lambda f: np.linalg.svd(f, compute_uv=False)[..., -1] - 1.0
-    )
+    worst, worst_point, used, skipped = _scan(r, grid.points, lambda f: sigma_mins(f) - 1.0)
     verdict = "pass" if worst > tol else "fail"
     return MembershipReport(
         family="anti-discrete-bounded", verdict=verdict, worst_point=worst_point,
@@ -245,7 +227,7 @@ def hyper_bounded_oracle(r: Realization, eta: float, grid: DomainGrid, tol: floa
     if not eta > 1.0:
         raise EtaOutOfRange(f"eta must lie in (1, inf], got {eta}")
     bound = 1.0 if math.isinf(eta) else math.sqrt((eta - 1.0) / (eta + 1.0))
-    worst, worst_point, used, skipped = _scan(r, grid.points, lambda f: bound - _norm2(f))
+    worst, worst_point, used, skipped = _scan(r, grid.points, lambda f: bound - spectral_norms(f))
     verdict = "pass" if worst >= -tol else "fail"
     kind = "hyper-bounded" if grid.domain is Domain.RIGHT_HALF_PLANE else "hyper-discrete-bounded"
     return MembershipReport(
@@ -266,11 +248,11 @@ def lossless_boundary_oracle(r: Realization, kind: str, grid: DomainGrid, tol: f
         raise ValueError(f"kind must be 'LP' or 'LB', got {kind!r}")
     _check_domain(grid, Domain.RIGHT_HALF_PLANE, "lossless boundary oracle")
     if kind == "LP":
-        margin_fn = lambda f: -_norm2(f + _ct(f))  # noqa: E731
+        margin_fn = lambda f: -spectral_norms(f + ct(f))  # noqa: E731
         parent = Family.POSITIVE_REAL
         label = "lossless-positive"
     else:
-        margin_fn = lambda f: -_norm2(_ct(f) @ f - np.eye(r.m))  # noqa: E731
+        margin_fn = lambda f: -spectral_norms(ct(f) @ f - np.eye(r.m))  # noqa: E731
         parent = Family.BOUNDED_REAL
         label = "lossless-bounded"
     # one evaluation serves both the boundary margin and the parent family's

@@ -226,7 +226,7 @@ def _evaluate_points(r: Realization, points: np.ndarray) -> tuple[np.ndarray, np
             rest = ~ok
             ok[rest] = ~nearly_singular(zia[rest], POLE_RTOL)
             keep[start : start + step] = ok
-            values[start : start + step][ok] = r.C @ np.linalg.solve(zia[ok], r.B) + r.D
+            values[start : start + step][ok] = r.C @ np.linalg.solve(zia[ok], r.B[None]) + r.D
     _log.debug(
         "evaluated F at %d points: %d cleared by the eigenvalue screen, "
         "%d sent to the exact rule, %d skipped as pole-adjacent",

@@ -185,6 +185,9 @@ def cases():
     out["zero-A"] = (_random(rng, 3, 2, a=np.zeros((3, 3))), _grids(5))
     for name in ("f", "g", "F1", "F2", "F3"):
         out[f"fixture-{name}"] = (fixture(name), _grids(6))
+    # m = n, and with the 32-entry budget blocks of n points: the shapes where
+    # a stacked solve could read B as a stack of vectors instead of a matrix
+    out["random-n3-m3"] = (_random(np.random.default_rng(20261), 3, 3), _grids(7))
     return out
 
 
@@ -289,7 +292,7 @@ def test_nearly_singular_edges():
     assert nearly_singular(np.stack([np.eye(2), np.zeros((2, 2))]), POLE_RTOL).tolist() == [False, True]
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(
     seed=st.integers(0, 2**32 - 1),
     n=st.integers(1, 6),
@@ -306,7 +309,7 @@ def test_nearly_singular_agrees_with_two_svds(seed, n, offset):
     assert nearly_singular(stack, POLE_RTOL).tolist() == old
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
 @given(
     seed=st.integers(0, 2**32 - 1),
     n=st.integers(1, 7),
