@@ -20,11 +20,11 @@ from .convexity import random_isometry_family, verify_preservation
 from .exceptions import PassivityError
 from .families import (
     MembershipReport,
+    _hyper_bounded_report,
+    _lossless_report,
+    _membership_report,
     family_domain,
-    hyper_bounded_oracle,
-    lossless_boundary_oracle,
     make_grid,
-    membership_oracle,
 )
 from .fixtures import FIXTURE_NAMES, fixture
 from .qmi import (
@@ -40,6 +40,7 @@ from .qmi import (
     verify_kyp,
 )
 from .realization import (
+    _evaluate_points,
     change_coordinates,
     evaluate,
     invert_array,
@@ -145,10 +146,12 @@ def cmd_check(args, argv) -> int:
         "seed": grid.seed,
     }
 
+    # one evaluation of F over the grid serves every oracle of this check
+    evaluated = _evaluate_points(r, grid.points)
     if args.eta is not None and math.isfinite(args.eta):
-        oracle = hyper_bounded_oracle(r, args.eta, grid, args.tol_oracle)
+        oracle = _hyper_bounded_report(args.eta, grid, evaluated, args.tol_oracle)
     else:
-        oracle = membership_oracle(r, tag, grid, args.tol_oracle)
+        oracle = _membership_report(tag, grid, evaluated, args.tol_oracle)
     report["oracle"] = _report_oracle(oracle)
 
     if args.lossless:
@@ -156,7 +159,7 @@ def cmd_check(args, argv) -> int:
             print("error: --lossless needs --family p or b", file=sys.stderr)
             return EXIT_ERROR
         kind = "LP" if tag.family is Family.POSITIVE_REAL else "LB"
-        report["lossless_oracle"] = _report_oracle(lossless_boundary_oracle(r, kind, grid, args.tol_oracle))
+        report["lossless_oracle"] = _report_oracle(_lossless_report(kind, grid, evaluated, args.tol_oracle))
 
     cert = None
     if args.p_matrix:
@@ -170,6 +173,7 @@ def cmd_check(args, argv) -> int:
                 "status": "not-found",
                 "iterations": found.iterations,
                 "residual": found.residual,
+                "stop": found.stop,
                 "note": "not a proof of non-membership",
             }
         else:
@@ -323,6 +327,16 @@ def cmd_fixtures(args, argv) -> int:
     return EXIT_OK
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
+    return value
+
+
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--tol-psd", type=float, default=None, help="PSD slack for certificates")
     p.add_argument("--tol-oracle", type=float, default=1e-8, help="margin tolerance for oracles")
@@ -341,7 +355,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lossless", action="store_true", help="also run the lossless boundary checks")
     p.add_argument("--p-matrix", default=None, help="verify this certificate P (matrix document)")
     p.add_argument("--solve", action="store_true", help="search for a certificate P")
-    p.add_argument("--grid", type=int, default=64, help="boundary/interior sample counts")
+    p.add_argument("--grid", type=_positive_int, default=64, help="boundary/interior sample counts")
     p.add_argument("file")
     _add_common(p)
     p.set_defaults(func=cmd_check)

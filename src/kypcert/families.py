@@ -167,11 +167,6 @@ def _worst(points: np.ndarray, values: np.ndarray, keep: np.ndarray, margin_fn):
     return float(margins[i]), complex(points[keep][i]), used, points.size - used
 
 
-def _scan(r: Realization, points: np.ndarray, margin_fn):
-    """Evaluate a margin over grid points, skipping pole-adjacent ones."""
-    return _worst(points, *_evaluate_points(r, points), margin_fn)
-
-
 def _family_margin(family: Family):
     """Pointwise margin of a family: min eig(F + F*) for the positive-real
     families, 1 - ||F||_2 for the bounded-real ones."""
@@ -192,9 +187,14 @@ def membership_oracle(r: Realization, family, grid: DomainGrid, tol: float = ORA
     families and 1 - ||F(z)||_2 for the bounded-real ones; the verdict is the
     worst margin over the grid. Pole-adjacent points are skipped and counted.
     """
+    return _membership_report(family, grid, _evaluate_points(r, grid.points), tol)
+
+
+def _membership_report(family, grid: DomainGrid, evaluated, tol: float) -> MembershipReport:
+    """`membership_oracle` from `_evaluate_points` over `grid.points`."""
     tag = as_tag(family)
     _check_domain(grid, family_domain(tag), f"{tag.family.value} oracle")
-    worst, worst_point, used, skipped = _scan(r, grid.points, _family_margin(tag.family))
+    worst, worst_point, used, skipped = _worst(grid.points, *evaluated, _family_margin(tag.family))
     verdict = "pass" if worst >= -tol else "fail"
     return MembershipReport(
         family=tag.family.value, verdict=verdict, worst_point=worst_point,
@@ -207,7 +207,8 @@ def anti_db_oracle(r: Realization, grid: DomainGrid, tol: float = ORACLE_TOL) ->
     everywhere outside the closed disk. Margin is sigma_min(F(z)) - 1 and the
     pass rule is strict (> tol)."""
     _check_domain(grid, Domain.EXTERIOR_DISK, "anti-discrete-bounded oracle")
-    worst, worst_point, used, skipped = _scan(r, grid.points, lambda f: sigma_mins(f) - 1.0)
+    evaluated = _evaluate_points(r, grid.points)
+    worst, worst_point, used, skipped = _worst(grid.points, *evaluated, lambda f: sigma_mins(f) - 1.0)
     verdict = "pass" if worst > tol else "fail"
     return MembershipReport(
         family="anti-discrete-bounded", verdict=verdict, worst_point=worst_point,
@@ -223,11 +224,16 @@ def hyper_bounded_oracle(r: Realization, eta: float, grid: DomainGrid, tol: floa
     discrete one (which has no KYP weight here, the oracle is the only
     exposed check for it).
     """
+    return _hyper_bounded_report(eta, grid, _evaluate_points(r, grid.points), tol)
+
+
+def _hyper_bounded_report(eta: float, grid: DomainGrid, evaluated, tol: float) -> MembershipReport:
+    """`hyper_bounded_oracle` from `_evaluate_points` over `grid.points`."""
     eta = float(eta)
     if not eta > 1.0:
         raise EtaOutOfRange(f"eta must lie in (1, inf], got {eta}")
     bound = 1.0 if math.isinf(eta) else math.sqrt((eta - 1.0) / (eta + 1.0))
-    worst, worst_point, used, skipped = _scan(r, grid.points, lambda f: bound - spectral_norms(f))
+    worst, worst_point, used, skipped = _worst(grid.points, *evaluated, lambda f: bound - spectral_norms(f))
     verdict = "pass" if worst >= -tol else "fail"
     kind = "hyper-bounded" if grid.domain is Domain.RIGHT_HALF_PLANE else "hyper-discrete-bounded"
     return MembershipReport(
@@ -244,6 +250,12 @@ def lossless_boundary_oracle(r: Realization, kind: str, grid: DomainGrid, tol: f
     requires the parent family oracle (positive- resp. bounded-real) to pass
     on the same grid.
     """
+    return _lossless_report(kind, grid, _evaluate_points(r, grid.points), tol)
+
+
+def _lossless_report(kind: str, grid: DomainGrid, evaluated, tol: float) -> MembershipReport:
+    """`lossless_boundary_oracle` from `_evaluate_points` over `grid.points`;
+    one evaluation serves both the boundary margin and the parent family's."""
     if kind not in ("LP", "LB"):
         raise ValueError(f"kind must be 'LP' or 'LB', got {kind!r}")
     _check_domain(grid, Domain.RIGHT_HALF_PLANE, "lossless boundary oracle")
@@ -252,12 +264,11 @@ def lossless_boundary_oracle(r: Realization, kind: str, grid: DomainGrid, tol: f
         parent = Family.POSITIVE_REAL
         label = "lossless-positive"
     else:
-        margin_fn = lambda f: -spectral_norms(ct(f) @ f - np.eye(r.m))  # noqa: E731
+        margin_fn = lambda f: -spectral_norms(ct(f) @ f - np.eye(f.shape[-1]))  # noqa: E731
         parent = Family.BOUNDED_REAL
         label = "lossless-bounded"
-    # one evaluation serves both the boundary margin and the parent family's
     points = grid.points
-    values, keep = _evaluate_points(r, points)
+    values, keep = evaluated
     nb = grid.boundary_points.size
     worst, worst_point, used, skipped = _worst(points[:nb], values[:nb], keep[:nb], margin_fn)
     parent_worst, parent_point, _, _ = _worst(points, values, keep, _family_margin(parent))

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from ._linalg import HermitianCoords, eig_clip, herm, is_hermitian, min_eig, spectral_norm
+from ._linalg import HermitianCoords, ct, eig_clip, herm, is_hermitian, min_eig, spectral_norm
 from .exceptions import (
     BadFamily,
     BadParams,
@@ -28,7 +28,7 @@ from .exceptions import (
     EtaOutOfRange,
     NotPositiveDefinite,
 )
-from .realization import Realization, change_coordinates
+from .realization import Realization, _evaluate_points, change_coordinates
 
 __all__ = [
     "Family",
@@ -162,13 +162,18 @@ class Certificate:
 @dataclass(frozen=True)
 class NotFound:
     """solve_p gave up: best iterate and residual. Not a proof of
-    non-membership."""
+    non-membership.
+
+    `stop` says why: "witness" when a domain point shows that no P >= 0
+    can reach the PSD tolerance, "stall" when the iterates stopped moving,
+    "max-iter" at the iteration cap (max_iter = 0 included)."""
 
     family: FamilyTag
     best_p: np.ndarray
     min_eig_q: float
     residual: float
     iterations: int
+    stop: str
 
 
 def _eta_coefficient(tag: FamilyTag) -> float:
@@ -393,6 +398,63 @@ def _warm_starts(r: Realization, tag: FamilyTag, margin: float) -> list[np.ndarr
     return starts
 
 
+# Frequency-witness screen: the easy direction of the KYP lemma (Willems
+# 1971). Take z in the closed domain, not a pole, and a unit vector u. With
+# x = (zI - A)^-1 B u and v = [x; u], [R; I] v = [z x; F(z) u; x; u], so
+#     v* Q(P) v = sigma(z) x* P x + u* Phi(F(z)) u,
+# where sigma(z) = -2 Re z for the continuous families and 1 - |z|^2 for the
+# discrete ones (sigma <= 0 on the closed domain), and
+# Phi(F) = [F; I]* W_io [F; I] with W_io the P-free io block of the weight
+# (rows and columns i2, i4). Hence, for every P >= 0,
+#     min eig Q(P) <= v* Q(P) v / |v|^2 <= beta(z) = lambda_min(Phi(F(z))) / (1 + |x|^2)
+# with u the eigenvector of lambda_min. At z = infinity, x = 0 and F = D.
+# Any beta < 0 rules out an exact certificate. The search stops once some
+# beta < -REFUTE_FACTOR * tol, with tol the PSD tolerance of the current
+# iterate: the margin at which verify_kyp refutes a certificate, far beyond
+# the rounding of beta itself.
+
+#: points of the fixed boundary sweep of the witness screen
+_WITNESS_SWEEP = 16
+
+#: a point counts as in the closed domain while sigma(z) <= this * (1 + |z|^2),
+#: which admits the rounding of points put on the unit circle
+_SIGMA_RTOL = 8 * np.finfo(float).eps
+
+
+def _witness_points(r: Realization, tag: FamilyTag) -> np.ndarray:
+    """Infinity, a boundary sweep at half-step angles, and the boundary
+    projections of eig(A) (i Im lam, or lam / |lam|)."""
+    theta = 2.0 * np.pi * (np.arange(_WITNESS_SWEEP) + 0.5) / _WITNESS_SWEEP
+    lam = r.poles()
+    if tag.family.is_discrete:
+        lam = lam[lam != 0]
+        boundary = [np.exp(1j * theta), lam / np.abs(lam)]
+    else:
+        boundary = [1j * np.tan(theta / 2.0), 1j * lam.imag]
+    return np.concatenate([[complex(np.inf)], *boundary])
+
+
+def _witness_bounds(r: Realization, tag: FamilyTag, points) -> np.ndarray:
+    """beta(z) at each point (complex infinity allowed); +inf at
+    pole-adjacent points and at points outside the closed domain."""
+    points = np.asarray(points, dtype=complex).ravel()
+    n, m = r.n, r.m
+    finite = np.isfinite(points)
+    z = points[finite]
+    values = np.broadcast_to(r.D, (points.size, m, m)).copy()
+    xs = np.zeros((points.size, n, m), dtype=complex)
+    keep = np.ones(points.size, dtype=bool)
+    values[finite], keep[finite], xs[finite] = _evaluate_points(r, z, states=True)
+    sigma = 1.0 - np.abs(z) ** 2 if tag.family.is_discrete else -2.0 * z.real
+    keep[finite] &= sigma <= _SIGMA_RTOL * (1.0 + np.abs(z) ** 2)
+    g = np.concatenate([values, np.broadcast_to(np.eye(m), values.shape)], axis=1)
+    phi = ct(g) @ _weight_entries(tag, np.zeros((0, 0)), m) @ g
+    lam, u = np.linalg.eigh((phi + ct(phi)) / 2)
+    x = xs @ u[:, :, :1]
+    beta = lam[:, 0] / (1.0 + np.sum(np.abs(x) ** 2, axis=(1, 2)))
+    return np.where(keep, beta, np.inf)
+
+
 def solve_p(
     r: Realization,
     family,
@@ -408,9 +470,14 @@ def solve_p(
     cone {P >= margin*I, Q >= 0} and onto the affine graph {Q = Q(P)}.
     Returns the first verified Certificate found; on stall or iteration cap
     returns NotFound with the best residual seen (with max_iter = 0, the
-    chosen warm start). NotFound is NOT a proof of non-membership (the
-    converse direction of the KYP lemma needs minimality, and the search
-    itself is heuristic). A negative max_iter raises BadParams.
+    chosen warm start). When the first iterate does not verify, a witness
+    screen bounds min eig Q(P) over all P >= 0 from F at a few boundary
+    points and infinity; if that bound is below the refutation threshold the
+    search stops there with stop = "witness": F then violates the family's
+    frequency-domain inequality at that point. Any other NotFound is NOT a
+    proof of non-membership (the converse direction of the KYP lemma needs
+    minimality, and the search itself is heuristic). A negative max_iter
+    raises BadParams.
     """
     tag = as_tag(family)
     if max_iter < 0:
@@ -420,9 +487,11 @@ def solve_p(
         cert = verify_kyp(r, np.zeros((0, 0)), tag, tol_psd)
         if cert.verified:
             return cert
+        # Q = Phi(D) does not depend on P: a refuted Q is the witness at infinity
         return NotFound(
             family=tag, best_p=np.zeros((0, 0)), min_eig_q=cert.min_eig_q,
             residual=max(0.0, -cert.min_eig_q), iterations=0,
+            stop="witness" if cert.status is CertificateStatus.REFUTED else "stall",
         )
 
     if margin is None:
@@ -436,7 +505,9 @@ def solve_p(
     p = min(_warm_starts(r, tag, margin), key=violation)
     q = proj.q_of(p)
     if max_iter == 0:
-        return NotFound(family=tag, best_p=p, min_eig_q=min_eig(q), residual=violation(p), iterations=0)
+        return NotFound(
+            family=tag, best_p=p, min_eig_q=min_eig(q), residual=violation(p), iterations=0, stop="max-iter",
+        )
     inc_cone_p = np.zeros_like(p)
     inc_cone_q = np.zeros_like(q)
     inc_graph_p = np.zeros_like(p)
@@ -469,15 +540,22 @@ def solve_p(
             last_improve = it
         if viol < best_viol:
             best_viol, best_p, best_mq = viol, p, mq
+        if it == 1 and _witness_bounds(r, tag, _witness_points(r, tag)).min() < -REFUTE_FACTOR * tol:
+            return NotFound(family=tag, best_p=p, min_eig_q=mq, residual=viol, iterations=1, stop="witness")
         # Dykstra steps oscillate near convergence and can shrink below the
         # threshold while the residual is still creeping down; a stall needs
         # both a sustained run of sub-threshold steps and a flat residual
         dp = _min_eig_and_norm(p - p_prev)[1]
         small_steps = small_steps + 1 if dp <= stall_tol * max(1.0, norm_p) else 0
         if small_steps >= 50 and it - last_improve >= 50:
+            stop = "stall"
             break
         p_prev = p
-    return NotFound(family=tag, best_p=best_p, min_eig_q=best_mq, residual=best_viol, iterations=it)
+    else:
+        stop = "max-iter"
+    return NotFound(
+        family=tag, best_p=best_p, min_eig_q=best_mq, residual=best_viol, iterations=it, stop=stop,
+    )
 
 
 def balance(r: Realization, cert: Certificate) -> tuple[Realization, Certificate]:

@@ -195,17 +195,19 @@ def _pole_screen(a: np.ndarray):
     return lam, sv[0] / sv[-1], delta, np.linalg.norm(a, 2)
 
 
-def _evaluate_points(r: Realization, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _evaluate_points(r: Realization, points: np.ndarray, *, states: bool = False):
     """F(z) at each point as an (N, m, m) stack, and the mask of points kept.
 
     A point is kept when `evaluate` would not raise `PoleAt` there; the values
     at kept points are those `evaluate` returns, and the rows of skipped points
-    are zero. Points go through in blocks of stacked zI - A.
+    are zero. Points go through in blocks of stacked zI - A. With `states`, a
+    third result is the (N, n, m) stack of (zI - A)^-1 B, zero where skipped.
     """
     points = np.asarray(points, dtype=complex).ravel()
     n = r.n
     values = np.zeros((points.size, r.m, r.m), dtype=complex)
     keep = np.ones(points.size, dtype=bool)
+    xs = np.zeros((points.size, n, r.m), dtype=complex) if states else None
     cleared = 0
     if n == 0:
         values[:] = r.D
@@ -226,13 +228,16 @@ def _evaluate_points(r: Realization, points: np.ndarray) -> tuple[np.ndarray, np
             rest = ~ok
             ok[rest] = ~nearly_singular(zia[rest], POLE_RTOL)
             keep[start : start + step] = ok
-            values[start : start + step][ok] = r.C @ np.linalg.solve(zia[ok], r.B[None]) + r.D
+            x = np.linalg.solve(zia[ok], r.B[None])
+            values[start : start + step][ok] = r.C @ x + r.D
+            if states:
+                xs[start : start + step][ok] = x
     _log.debug(
         "evaluated F at %d points: %d cleared by the eigenvalue screen, "
         "%d sent to the exact rule, %d skipped as pole-adjacent",
         points.size, cleared, points.size - cleared if n else 0, int(points.size - keep.sum()),
     )
-    return values, keep
+    return (values, keep, xs) if states else (values, keep)
 
 
 def is_minimal(r: Realization) -> tuple[bool, int, int]:

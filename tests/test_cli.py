@@ -274,3 +274,50 @@ def test_module_entry_point(tmp_path, f_file):
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["verdict"] == "pass"
+
+
+@pytest.mark.parametrize("value", ["0", "-3", "x"])
+def test_grid_must_be_a_positive_integer(capsys, f_file, value):
+    assert main(["check", "--family", "p", "--grid", value, f_file]) == 1
+    err = capsys.readouterr().err
+    assert "error: argument --grid" in err
+    assert "Traceback" not in err
+
+
+def test_solver_block_reports_the_stop_reason(capsys, g_file):
+    code, rep = run_cli(capsys, "check", "--family", "db", "--solve", "--deterministic", g_file)
+    assert code == 2
+    assert rep["solver"]["stop"] == "witness"
+    assert rep["solver"]["iterations"] == 1
+
+
+@pytest.mark.parametrize("family,eta", [("p", None), ("b", None), ("b", "3")])
+def test_lossless_check_evaluates_f_once(capsys, caplog, tmp_path, family, eta):
+    import logging
+
+    from kypcert import (
+        Family,
+        family_domain,
+        hyper_bounded_oracle,
+        lossless_boundary_oracle,
+        make_grid,
+        membership_oracle,
+    )
+    from kypcert.cli import _report_oracle
+
+    r = fixture("F2")
+    path = tmp_path / "F2.json"
+    save_realization(path, r)
+    argv = ["check", "--family", family, "--lossless", "--grid", "16", "--deterministic", str(path)]
+    if eta:
+        argv += ["--eta", eta]
+    with caplog.at_level(logging.DEBUG, logger="kypcert"):
+        main(argv)
+    rep = json.loads(capsys.readouterr().out)
+    assert [rec.msg.startswith("evaluated F at") for rec in caplog.records] == [True]
+    fam = Family.POSITIVE_REAL if family == "p" else Family.BOUNDED_REAL
+    grid = make_grid(family_domain(fam), 16, 16, 0)
+    oracle = hyper_bounded_oracle(r, float(eta), grid) if eta else membership_oracle(r, fam, grid)
+    lossless = lossless_boundary_oracle(r, "LP" if family == "p" else "LB", grid)
+    assert rep["oracle"] == _report_oracle(oracle)
+    assert rep["lossless_oracle"] == _report_oracle(lossless)
