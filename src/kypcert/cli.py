@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import datetime
+import functools
 import math
 import os
 import sys
@@ -20,9 +21,12 @@ from .convexity import random_isometry_family, verify_preservation
 from .exceptions import PassivityError
 from .families import (
     MembershipReport,
+    _family_margin,
     _hyper_bounded_report,
+    _hyper_margin,
     _lossless_report,
     _membership_report,
+    _with_sample,
     family_domain,
     make_grid,
 )
@@ -99,6 +103,14 @@ def _complex_pair(z: complex) -> list[float]:
     return [float(z.real), float(z.imag)]
 
 
+def _report_point(z: complex | None):
+    """A point as [re, im]; complex infinity as "infinity", so the JSON
+    stays standard."""
+    if z is None:
+        return None
+    return _complex_pair(z) if np.isfinite(z) else "infinity"
+
+
 def _report_oracle(rep: MembershipReport) -> dict:
     out = {
         "family": rep.family,
@@ -148,11 +160,11 @@ def cmd_check(args, argv) -> int:
 
     # one evaluation of F over the grid serves every oracle of this check
     evaluated = _evaluate_points(r, grid.points)
-    if args.eta is not None and math.isfinite(args.eta):
+    hyper = args.eta is not None and math.isfinite(args.eta)
+    if hyper:
         oracle = _hyper_bounded_report(args.eta, grid, evaluated, args.tol_oracle)
     else:
         oracle = _membership_report(tag, grid, evaluated, args.tol_oracle)
-    report["oracle"] = _report_oracle(oracle)
 
     if args.lossless:
         if tag.family not in (Family.POSITIVE_REAL, Family.BOUNDED_REAL):
@@ -174,10 +186,17 @@ def cmd_check(args, argv) -> int:
                 "iterations": found.iterations,
                 "residual": found.residual,
                 "stop": found.stop,
+                "witness": _report_point(found.witness),
                 "note": "not a proof of non-membership",
             }
+            if oracle.passed and found.witness is not None and np.isfinite(found.witness):
+                # the grid missed what the solver found: score its point too
+                value = _evaluate_points(r, [found.witness])[0]
+                margin_fn = _hyper_margin(args.eta) if hyper else _family_margin(tag.family)
+                oracle = _with_sample(oracle, found.witness, float(margin_fn(value)[0]))
         else:
             cert = found
+    report["oracle"] = _report_oracle(oracle)
     if cert is not None:
         report["certificate"] = _report_certificate(cert)
         if args.lossless and cert.verified:
@@ -340,11 +359,14 @@ def _positive_int(text: str) -> int:
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--tol-psd", type=float, default=None, help="PSD slack for certificates")
     p.add_argument("--tol-oracle", type=float, default=1e-8, help="margin tolerance for oracles")
-    p.add_argument("--seed", type=int, default=_default_seed(), help="grid/random seed (default $PASSIVITY_SEED or 0)")
+    p.add_argument("--seed", type=int, default=None, help="grid/random seed (default $PASSIVITY_SEED or 0)")
     p.add_argument("--deterministic", action="store_true", help="suppress the timestamp field")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; the environment is read
+    at each call of `main`, not here."""
     parser = argparse.ArgumentParser(prog="kypcert", description=__doc__)
     parser.add_argument("--version", action="version", version=f"kypcert {__version__}")
     sub = parser.add_subparsers(dest="cmd", required=True)
@@ -416,6 +438,8 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         # argparse exits 0 for --help/--version, 2 for usage errors
         return EXIT_OK if exc.code in (0, None) else EXIT_ERROR
+    if args.seed is None:
+        args.seed = _default_seed()
     try:
         return args.func(args, argv)
     except PassivityError as exc:

@@ -7,6 +7,7 @@ counterexample point, while a ``pass`` is a verdict-with-margin only.
 
 from __future__ import annotations
 
+import dataclasses
 import enum
 import math
 from dataclasses import dataclass
@@ -175,6 +176,23 @@ def _family_margin(family: Family):
     return lambda f: min_eigs(f + ct(f))
 
 
+def _hyper_margin(eta: float):
+    """Pointwise margin of the hyper-bounded test: sqrt((eta-1)/(eta+1)) -
+    ||F||_2, or 1 - ||F||_2 at eta = inf."""
+    bound = 1.0 if math.isinf(eta) else math.sqrt((eta - 1.0) / (eta + 1.0))
+    return lambda f: bound - spectral_norms(f)
+
+
+def _with_sample(rep: MembershipReport, z: complex, margin: float) -> MembershipReport:
+    """`rep` with one more sample, the point z of the given margin, under the
+    pass rule worst margin >= -tol of the membership and hyper oracles."""
+    worst, point = (margin, z) if margin < rep.worst_margin else (rep.worst_margin, rep.worst_point)
+    return dataclasses.replace(
+        rep, verdict="pass" if worst >= -rep.tol else "fail", worst_point=point,
+        worst_margin=worst, samples_used=rep.samples_used + 1,
+    )
+
+
 def _check_domain(grid: DomainGrid, expected: Domain, what: str):
     if grid.domain is not expected:
         raise DomainMismatch(f"{what} needs a {expected.value} grid, got {grid.domain.value}")
@@ -232,8 +250,7 @@ def _hyper_bounded_report(eta: float, grid: DomainGrid, evaluated, tol: float) -
     eta = float(eta)
     if not eta > 1.0:
         raise EtaOutOfRange(f"eta must lie in (1, inf], got {eta}")
-    bound = 1.0 if math.isinf(eta) else math.sqrt((eta - 1.0) / (eta + 1.0))
-    worst, worst_point, used, skipped = _worst(grid.points, *evaluated, lambda f: bound - spectral_norms(f))
+    worst, worst_point, used, skipped = _worst(grid.points, *evaluated, _hyper_margin(eta))
     verdict = "pass" if worst >= -tol else "fail"
     kind = "hyper-bounded" if grid.domain is Domain.RIGHT_HALF_PLANE else "hyper-discrete-bounded"
     return MembershipReport(

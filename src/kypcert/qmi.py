@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from ._linalg import HermitianCoords, ct, eig_clip, herm, is_hermitian, min_eig, spectral_norm
+from ._linalg import HermitianCoords, ct, eig_clip, herm, is_hermitian, min_eig, min_eigs, sigma_min, spectral_norm
 from .exceptions import (
     BadFamily,
     BadParams,
@@ -27,8 +27,9 @@ from .exceptions import (
     DimensionMismatch,
     EtaOutOfRange,
     NotPositiveDefinite,
+    SingularIPlusA,
 )
-from .realization import Realization, _evaluate_points, change_coordinates
+from .realization import POLE_RTOL, Realization, _evaluate_points, change_coordinates
 
 __all__ = [
     "Family",
@@ -166,7 +167,9 @@ class NotFound:
 
     `stop` says why: "witness" when a domain point shows that no P >= 0
     can reach the PSD tolerance, "stall" when the iterates stopped moving,
-    "max-iter" at the iteration cap (max_iter = 0 included)."""
+    "max-iter" at the iteration cap (max_iter = 0 included). `witness` is
+    that point (complex infinity included) when stop is "witness", else
+    None."""
 
     family: FamilyTag
     best_p: np.ndarray
@@ -174,6 +177,7 @@ class NotFound:
     residual: float
     iterations: int
     stop: str
+    witness: complex | None = None
 
 
 def _eta_coefficient(tag: FamilyTag) -> float:
@@ -405,13 +409,33 @@ def _warm_starts(r: Realization, tag: FamilyTag, margin: float) -> list[np.ndarr
 # where sigma(z) = -2 Re z for the continuous families and 1 - |z|^2 for the
 # discrete ones (sigma <= 0 on the closed domain), and
 # Phi(F) = [F; I]* W_io [F; I] with W_io the P-free io block of the weight
-# (rows and columns i2, i4). Hence, for every P >= 0,
-#     min eig Q(P) <= v* Q(P) v / |v|^2 <= beta(z) = lambda_min(Phi(F(z))) / (1 + |x|^2)
-# with u the eigenvector of lambda_min. At z = infinity, x = 0 and F = D.
-# Any beta < 0 rules out an exact certificate. The search stops once some
-# beta < -REFUTE_FACTOR * tol, with tol the PSD tolerance of the current
-# iterate: the margin at which verify_kyp refutes a certificate, far beyond
-# the rounding of beta itself.
+# (rows and columns i2, i4). With u the eigenvector of lambda_min(Phi(F(z))),
+# v* Q(P) v <= lambda_min(Phi(F(z))) |u|^2 for every P >= 0: one point with
+# Phi(F(z)) indefinite rules out every certificate. At z = infinity, x = 0
+# and F = D. The search stops on the point rule
+#     lambda_min(Phi(F(z))) < -REFUTE_FACTOR * tau(z),
+#     tau(z) = PSD_TOL_SCALE * (1 + ||Phi|| + ||W_io|| (1 + || |C| |X| || + ||D||)^2),
+# with X = (zI - A)^-1 B and |.| taken entrywise: tau grows with the terms
+# that cancel in F = C X + D and in Phi, so the rule sits three decades past
+# the rounding of lambda_min. With a user tol_psd, tau = tol_psd, as for n = 0.
+#
+# The points are infinity, a fixed boundary sweep and the boundary
+# projections of eig(A). When none of them meets the rule, the screen adds
+# the zero crossings of the Popov function Phi(F(i w)) (Boyd, Balakrishnan &
+# Kabamba 1989; Grivet-Talocia 2004). With
+#     M = [C D; 0 I]* W_io [C D; 0 I] = [Qx Sx; Sx* Rx]
+# and Rx = Phi(D) invertible, det Phi(F(i w)) = 0 exactly when i w is an
+# eigenvalue of
+#     H = [A - B Rx^-1 Sx*,         -B Rx^-1 B*           ]
+#         [-Qx + Sx Rx^-1 Sx*,      -(A - B Rx^-1 Sx*)*   ].
+# Between consecutive crossings and poles the inertia of Phi is constant, so
+# the crossings and the midpoints between them (sorted together with the
+# projections of eig(A), which include every pole on the axis) test every
+# interval; the intervals at both ends meet at infinity, where Phi = Rx. The
+# discrete families go through `bilinear_substitute`, G(s) = F((1+s)/(1-s)),
+# whose axis maps onto the unit circle; z = -1 stands for s = infinity. A
+# singular Rx (lossless inputs, D = 0 in p) adds no crossings. Every
+# candidate is judged by evaluating F, so extra points never stop a member.
 
 #: points of the fixed boundary sweep of the witness screen
 _WITNESS_SWEEP = 16
@@ -419,6 +443,15 @@ _WITNESS_SWEEP = 16
 #: a point counts as in the closed domain while sigma(z) <= this * (1 + |z|^2),
 #: which admits the rounding of points put on the unit circle
 _SIGMA_RTOL = 8 * np.finfo(float).eps
+
+#: an eigenvalue of H counts as a crossing while |Re lam| <= this * ||H||_F;
+#: an eigenvalue taken in excess only adds a candidate point
+_AXIS_RTOL = 1e-6
+
+
+def _io_weight(tag: FamilyTag, m: int) -> np.ndarray:
+    """W_io, the P-free io block of the weight (rows and columns i2, i4)."""
+    return _weight_entries(tag, np.zeros((0, 0)), m)
 
 
 def _witness_points(r: Realization, tag: FamilyTag) -> np.ndarray:
@@ -434,9 +467,51 @@ def _witness_points(r: Realization, tag: FamilyTag) -> np.ndarray:
     return np.concatenate([[complex(np.inf)], *boundary])
 
 
-def _witness_bounds(r: Realization, tag: FamilyTag, points) -> np.ndarray:
-    """beta(z) at each point (complex infinity allowed); +inf at
-    pole-adjacent points and at points outside the closed domain."""
+def _axis_crossings(r: Realization, w_io: np.ndarray) -> np.ndarray:
+    """The real w with i w an eigenvalue of the Hamiltonian H of Phi(F(i w));
+    empty when Rx is singular or H has no eigenvalue on the axis."""
+    n, m = r.n, r.m
+    cd = np.zeros((2 * m, n + m), dtype=complex)
+    cd[:m, :n], cd[:m, n:], cd[m:, n:] = r.C, r.D, np.eye(m)
+    mx = ct(cd) @ w_io @ cd
+    qx, sx, rx = mx[:n, :n], mx[:n, n:], mx[n:, n:]
+    if sigma_min(rx) <= POLE_RTOL * spectral_norm(mx):
+        return np.zeros(0)
+    ri_s, ri_b = np.linalg.solve(rx, ct(sx)), np.linalg.solve(rx, ct(r.B))
+    a_h = r.A - r.B @ ri_s
+    h = np.block([[a_h, -r.B @ ri_b], [-qx + sx @ ri_s, -ct(a_h)]])
+    if not np.all(np.isfinite(h)):
+        return np.zeros(0)
+    lam = np.linalg.eigvals(h)
+    return lam[np.abs(lam.real) <= _AXIS_RTOL * np.linalg.norm(h)].imag
+
+
+def _crossing_points(r: Realization, tag: FamilyTag) -> np.ndarray:
+    """The boundary points where Phi(F) can change inertia, and the midpoints
+    between them; empty when there is no crossing."""
+    g = r
+    if tag.family.is_discrete:
+        from .families import bilinear_substitute  # families imports this module
+
+        try:
+            g = bilinear_substitute(r)
+        except SingularIPlusA:
+            return np.zeros(0, dtype=complex)
+    w = _axis_crossings(g, _io_weight(tag, r.m))
+    if not w.size:
+        return np.zeros(0, dtype=complex)
+    breaks = np.sort(np.concatenate([w, g.poles().imag]))
+    s = 1j * np.concatenate([w, (breaks[1:] + breaks[:-1]) / 2.0])
+    if tag.family.is_discrete:
+        return np.concatenate([(1.0 + s) / (1.0 - s), [-1.0]])
+    return s
+
+
+def _witness_scores(r: Realization, tag: FamilyTag, points, tol_psd: float | None = None) -> np.ndarray:
+    """lambda_min(Phi(F(z))) / tau(z) at each point (complex infinity
+    allowed); +inf at pole-adjacent points, where F overflows, and at points
+    outside the closed domain. A user tol_psd is taken as tau, floored at
+    the smallest normal float."""
     points = np.asarray(points, dtype=complex).ravel()
     n, m = r.n, r.m
     finite = np.isfinite(points)
@@ -447,12 +522,34 @@ def _witness_bounds(r: Realization, tag: FamilyTag, points) -> np.ndarray:
     values[finite], keep[finite], xs[finite] = _evaluate_points(r, z, states=True)
     sigma = 1.0 - np.abs(z) ** 2 if tag.family.is_discrete else -2.0 * z.real
     keep[finite] &= sigma <= _SIGMA_RTOL * (1.0 + np.abs(z) ** 2)
+    w_io = _io_weight(tag, m)
     g = np.concatenate([values, np.broadcast_to(np.eye(m), values.shape)], axis=1)
-    phi = ct(g) @ _weight_entries(tag, np.zeros((0, 0)), m) @ g
-    lam, u = np.linalg.eigh((phi + ct(phi)) / 2)
-    x = xs @ u[:, :, :1]
-    beta = lam[:, 0] / (1.0 + np.sum(np.abs(x) ** 2, axis=(1, 2)))
-    return np.where(keep, beta, np.inf)
+    phi = ct(g) @ w_io @ g
+    keep &= np.isfinite(phi).all(axis=(1, 2))  # F overflows right next to a pole
+    phi[~keep] = 0.0
+    lam = min_eigs(phi)
+    if tol_psd is None:
+        cx = np.linalg.norm(np.abs(r.C) @ np.abs(xs), axis=(1, 2))
+        scale = 1.0 + cx + np.linalg.norm(r.D)
+        tau = PSD_TOL_SCALE * (1.0 + np.linalg.norm(phi, axis=(1, 2)) + spectral_norm(w_io) * scale**2)
+    else:
+        tau = max(float(tol_psd), np.finfo(float).tiny)
+    with np.errstate(over="ignore"):  # -inf past the floor is still a score
+        return np.where(keep, lam / tau, np.inf)
+
+
+def _find_witness(r: Realization, tag: FamilyTag, tol_psd: float | None = None) -> complex | None:
+    """The screen point with the most negative lambda_min / tau when some
+    point meets the stop rule, else None. The crossings of the Popov
+    function are computed only when the fixed points give no witness."""
+    points = _witness_points(r, tag)
+    scores = _witness_scores(r, tag, points, tol_psd)
+    if not scores.min() < -REFUTE_FACTOR:
+        extra = _crossing_points(r, tag)
+        points = np.concatenate([points, extra])
+        scores = np.concatenate([scores, _witness_scores(r, tag, extra, tol_psd)])
+    i = int(np.argmin(scores))
+    return complex(points[i]) if scores[i] < -REFUTE_FACTOR else None
 
 
 def solve_p(
@@ -471,13 +568,14 @@ def solve_p(
     Returns the first verified Certificate found; on stall or iteration cap
     returns NotFound with the best residual seen (with max_iter = 0, the
     chosen warm start). When the first iterate does not verify, a witness
-    screen bounds min eig Q(P) over all P >= 0 from F at a few boundary
-    points and infinity; if that bound is below the refutation threshold the
-    search stops there with stop = "witness": F then violates the family's
-    frequency-domain inequality at that point. Any other NotFound is NOT a
-    proof of non-membership (the converse direction of the KYP lemma needs
-    minimality, and the search itself is heuristic). A negative max_iter
-    raises BadParams.
+    screen evaluates the family's frequency-domain form Phi(F(z)) at
+    infinity, a few boundary points and, if those show nothing, at the zero
+    crossings of Phi on the boundary and the midpoints between them; if
+    lambda_min(Phi) is clearly negative at some point the search stops there
+    with stop = "witness" and that point as `witness`: no P >= 0 can then
+    certify F. Any other NotFound is NOT a proof of non-membership (the
+    converse direction of the KYP lemma needs minimality, and the search
+    itself is heuristic). A negative max_iter raises BadParams.
     """
     tag = as_tag(family)
     if max_iter < 0:
@@ -488,10 +586,11 @@ def solve_p(
         if cert.verified:
             return cert
         # Q = Phi(D) does not depend on P: a refuted Q is the witness at infinity
+        refuted = cert.status is CertificateStatus.REFUTED
         return NotFound(
             family=tag, best_p=np.zeros((0, 0)), min_eig_q=cert.min_eig_q,
             residual=max(0.0, -cert.min_eig_q), iterations=0,
-            stop="witness" if cert.status is CertificateStatus.REFUTED else "stall",
+            stop="witness" if refuted else "stall", witness=complex(np.inf) if refuted else None,
         )
 
     if margin is None:
@@ -540,8 +639,12 @@ def solve_p(
             last_improve = it
         if viol < best_viol:
             best_viol, best_p, best_mq = viol, p, mq
-        if it == 1 and _witness_bounds(r, tag, _witness_points(r, tag)).min() < -REFUTE_FACTOR * tol:
-            return NotFound(family=tag, best_p=p, min_eig_q=mq, residual=viol, iterations=1, stop="witness")
+        if it == 1:
+            witness = _find_witness(r, tag, tol_psd)
+            if witness is not None:
+                return NotFound(
+                    family=tag, best_p=p, min_eig_q=mq, residual=viol, iterations=1, stop="witness", witness=witness,
+                )
         # Dykstra steps oscillate near convergence and can shrink below the
         # threshold while the residual is still creeping down; a stall needs
         # both a sustained run of sub-threshold steps and a flat residual

@@ -42,6 +42,12 @@ def rand_coordinates(rng, n, cond_max=10.0):
             return t
 
 
+def resonance(gain: float = 1.05, zeta: float = 1e-4, w: float = 0.37) -> Realization:
+    """gain * 2 zeta w s / (s^2 + 2 zeta w s + w^2), which peaks at |F(i w)| = gain."""
+    return Realization(n=2, m=1, A=[[0.0, 1.0], [-w * w, -2 * zeta * w]], B=[[0.0], [1.0]],
+                       C=[[0.0, gain * 2 * zeta * w]], D=[[0.0]])
+
+
 def transfer_max_err(r1: Realization, r2: Realization, points) -> float:
     """Max entrywise deviation between two transfer functions on a point set."""
     return max(

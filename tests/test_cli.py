@@ -4,6 +4,7 @@ import sys
 
 import numpy as np
 import pytest
+from helpers import resonance
 
 from kypcert import evaluate, fixture, load_realization, save_matrix, save_realization
 from kypcert.cli import main
@@ -321,3 +322,94 @@ def test_lossless_check_evaluates_f_once(capsys, caplog, tmp_path, family, eta):
     lossless = lossless_boundary_oracle(r, "LP" if family == "p" else "LB", grid)
     assert rep["oracle"] == _report_oracle(oracle)
     assert rep["lossless_oracle"] == _report_oracle(lossless)
+
+
+def test_seeds_from_two_environments_in_process(capsys, monkeypatch, f_file):
+    # the parser is built once per process; the environment is read per call
+    seeds = []
+    for value in ("11", "22"):
+        monkeypatch.setenv("PASSIVITY_SEED", value)
+        code, rep = run_cli(capsys, "check", "--family", "p", "--deterministic", f_file)
+        assert code == 0
+        seeds.append(rep["seed"])
+    assert seeds == [11, 22]
+    code, rep = run_cli(capsys, "check", "--family", "p", "--seed", "5", "--deterministic", f_file)
+    assert rep["seed"] == 5
+
+
+def test_resonance_is_refuted_at_the_solver_witness(capsys, tmp_path):
+    # the 64 + 64 grid misses the peak |F(0.37 i)| = 1.05; the solver's
+    # witness is scored in the oracle report
+    path = tmp_path / "resonance.json"
+    save_realization(path, resonance())
+    code, rep = run_cli(capsys, "check", "--family", "b", "--deterministic", str(path))
+    assert code == 0 and rep["oracle"]["verdict"] == "pass"
+    used = rep["oracle"]["samples_used"]
+    code, rep = run_cli(capsys, "check", "--family", "b", "--solve", "--deterministic", str(path))
+    assert code == 2 and rep["verdict"] == "refuted-by-witness"
+    assert rep["solver"]["stop"] == "witness" and rep["solver"]["iterations"] == 1
+    assert rep["oracle"]["verdict"] == "fail" and rep["oracle"]["samples_used"] == used + 1
+    assert rep["oracle"]["worst_point"] == rep["solver"]["witness"]
+    z = complex(*rep["oracle"]["worst_point"])
+    margin = 1.0 - abs(evaluate(resonance(), z).value[0, 0])
+    assert margin < -1e-8 and margin == pytest.approx(rep["oracle"]["worst_margin"], abs=1e-12)
+
+
+def test_eta_check_scores_the_solver_witness(capsys, tmp_path):
+    # |F| peaks at 1, above the eta = 3 bound sqrt(1/2), in a window the
+    # 16 + 16 grid misses
+    path = tmp_path / "resonance.json"
+    save_realization(path, resonance(gain=1.0, zeta=1e-3))
+    argv = ["check", "--family", "b", "--eta", "3", "--grid", "16", "--deterministic", str(path)]
+    code, rep = run_cli(capsys, *argv)
+    assert code == 0
+    code, rep = run_cli(capsys, *argv, "--solve")
+    assert code == 2 and rep["oracle"]["family"] == "hyper-bounded(eta=3)"
+    z = complex(*rep["oracle"]["worst_point"])
+    assert abs(evaluate(resonance(gain=1.0, zeta=1e-3), z).value[0, 0]) > np.sqrt(0.5)
+
+
+def test_solver_witness_at_infinity_is_standard_json(capsys, tmp_path):
+    from kypcert import Realization
+
+    # F(s) = -1 + 200/(s + 100): Re F(inf) = -1, the screen's only witness
+    path = tmp_path / "inf.json"
+    save_realization(path, Realization(n=1, m=1, A=[[-100.0]], B=[[1.0]], C=[[200.0]], D=[[-1.0]]))
+    main(["check", "--family", "p", "--solve", "--deterministic", str(path)])
+    out = capsys.readouterr().out
+
+    def reject(token):
+        raise AssertionError(f"non-standard JSON token {token}")
+
+    rep = json.loads(out, parse_constant=reject)
+    assert rep["solver"]["witness"] == "infinity"
+    assert rep["oracle"]["worst_point"] != "infinity"
+
+
+def test_solver_witness_is_null_without_a_witness(capsys, tmp_path):
+    from kypcert import Realization
+
+    r = Realization(n=1, m=1, A=[[2.0]], B=[[0.0]], C=[[0.0]], D=[[1.0]])
+    path = tmp_path / "nonmin.json"
+    save_realization(path, r)
+    code, rep = run_cli(capsys, "check", "--family", "p", "--solve", "--deterministic", str(path))
+    assert code == 3 and rep["solver"]["witness"] is None and rep["solver"]["stop"] != "witness"
+
+
+@pytest.mark.parametrize("name", ["f", "g", "F1", "F2", "F3"])
+@pytest.mark.parametrize("family", ["p", "b", "dp", "db"])
+def test_fixture_oracle_blocks_are_the_grid_oracles(capsys, tmp_path, name, family):
+    # on the fixtures the solver verifies or the grid already fails, so the
+    # solver's witness never enters the oracle block
+    from kypcert import family_domain, make_grid, membership_oracle
+    from kypcert.cli import FAMILY_CODES, _report_oracle
+
+    r = fixture(name)
+    path = tmp_path / f"{name}.json"
+    save_realization(path, r)
+    code, rep = run_cli(capsys, "check", "--family", family, "--solve", "--deterministic", str(path))
+    fam = FAMILY_CODES[family]
+    assert rep["oracle"] == _report_oracle(membership_oracle(r, fam, make_grid(family_domain(fam), 64, 64, 0)))
+    assert code in (0, 2)
+    if code == 2:
+        assert rep["solver"]["stop"] == "witness" and isinstance(rep["solver"]["witness"], list)
