@@ -13,6 +13,7 @@ semidefinite is a membership certificate for the family that W encodes.
 from __future__ import annotations
 
 import enum
+import logging
 import math
 from dataclasses import dataclass
 
@@ -52,6 +53,8 @@ __all__ = [
     "array_swap",
     "random_certified_realization",
 ]
+
+_log = logging.getLogger(__name__)
 
 #: scale factor for the default PSD tolerance: tol = 1e-9 * (1 + ||Q||_2)
 PSD_TOL_SCALE = 1e-9
@@ -467,23 +470,73 @@ def _witness_points(r: Realization, tag: FamilyTag) -> np.ndarray:
     return np.concatenate([[complex(np.inf)], *boundary])
 
 
-def _axis_crossings(r: Realization, w_io: np.ndarray) -> np.ndarray:
-    """The real w with i w an eigenvalue of the Hamiltonian H of Phi(F(i w));
-    empty when Rx is singular or H has no eigenvalue on the axis."""
+# Riccati rung: the constructive KYP lemma (Willems 1971; Anderson &
+# Vongpanitlerd 1973). With Rx > 0, Q(P) (p/b) has Schur complement eps s I,
+# s = 1 + ||M||_2, exactly when X = -P solves the Riccati equation of H with
+# Qx - eps s I for Qx: A* X + X A - (X B + Sx) Rx^-1 (B* X + Sx*) + Qx = eps s I.
+# With no axis eigenvalue, the stabilizing X is U2 U1^-1 for the stable subspace
+# [U1; U2] of an ordered Schur form. eps > 0 keeps Q(P) inside the PSD cone, so
+# P survives `balance` and rounding; with eps = 0, P lies on the boundary of the
+# feasible set and often fails either. dp/db use G = `bilinear_substitute` and
+# P = P_G / 2: P - A* P A = -V* (A_G* P_G + P_G A_G) V, V = (I + A) / 2.
+_RICCATI_EPS = 1e-6
+
+
+def _hamiltonian(r: Realization, w_io: np.ndarray, eps: float = 0.0) -> tuple[np.ndarray | None, np.ndarray, float]:
+    """(H, Rx, s) for the Popov function of r with Qx - eps s I in place of
+    Qx, s = 1 + ||M||_2; H is None when Rx is singular or H is not finite."""
     n, m = r.n, r.m
     cd = np.zeros((2 * m, n + m), dtype=complex)
     cd[:m, :n], cd[:m, n:], cd[m:, n:] = r.C, r.D, np.eye(m)
     mx = ct(cd) @ w_io @ cd
-    qx, sx, rx = mx[:n, :n], mx[:n, n:], mx[n:, n:]
-    if sigma_min(rx) <= POLE_RTOL * spectral_norm(mx):
-        return np.zeros(0)
+    norm_m = spectral_norm(mx)
+    qx, sx, rx = mx[:n, :n] - eps * (1.0 + norm_m) * np.eye(n), mx[:n, n:], mx[n:, n:]
+    if sigma_min(rx) <= POLE_RTOL * norm_m:
+        return None, rx, 1.0 + norm_m
     ri_s, ri_b = np.linalg.solve(rx, ct(sx)), np.linalg.solve(rx, ct(r.B))
     a_h = r.A - r.B @ ri_s
     h = np.block([[a_h, -r.B @ ri_b], [-qx + sx @ ri_s, -ct(a_h)]])
-    if not np.all(np.isfinite(h)):
+    return (h if np.all(np.isfinite(h)) else None), rx, 1.0 + norm_m
+
+
+def _axis_crossings(r: Realization, w_io: np.ndarray) -> np.ndarray:
+    """The real w with i w an eigenvalue of the Hamiltonian H of Phi(F(i w));
+    empty when Rx is singular or H has no eigenvalue on the axis."""
+    ham = _hamiltonian(r, w_io)[0]
+    if ham is None:
         return np.zeros(0)
-    lam = np.linalg.eigvals(h)
-    return lam[np.abs(lam.real) <= _AXIS_RTOL * np.linalg.norm(h)].imag
+    lam = np.linalg.eigvals(ham)
+    return lam[np.abs(lam.real) <= _AXIS_RTOL * np.linalg.norm(ham)].imag
+
+
+def _riccati_certificate(r: Realization, tag: FamilyTag, tol_psd: float | None) -> tuple[Certificate | None, str]:
+    """The Riccati P when `verify_kyp` accepts it, else None; and why."""
+    g, scale = r, 1.0
+    if tag.family.is_discrete:
+        from .families import bilinear_substitute  # families imports this module
+
+        try:
+            g, scale = bilinear_substitute(r), 0.5
+        except SingularIPlusA:
+            return None, "I + A singular"
+    ham, rx, s = _hamiltonian(g, _io_weight(tag, r.m), _RICCATI_EPS)
+    if not min_eig(rx) > POLE_RTOL * s:
+        return None, "Rx not positive definite"
+    if ham is None:  # Rx passed the stricter test above, so H overflowed
+        return None, "H not finite"
+    try:
+        t, u, sdim = scipy.linalg.schur(ham, output="complex", sort="lhp")
+    except np.linalg.LinAlgError:  # LAPACK can fail to reorder next to the axis
+        return None, "Schur reordering failed"
+    if sdim != r.n or np.abs(np.diag(t).real).min() <= _AXIS_RTOL * np.linalg.norm(ham):
+        return None, "axis eigenvalue"
+    u1, u2 = u[:r.n, :r.n], u[r.n:, :r.n]
+    if not sigma_min(u1) > POLE_RTOL:  # ||U1||_2 <= 1: U is unitary
+        return None, "U1 singular"
+    cert = verify_kyp(r, -scale * herm(np.linalg.solve(u1.T, u2.T).T), tag, tol_psd)
+    if not cert.verified:
+        return None, "verify_kyp rejected P"
+    return cert, f"certified by the Riccati rung at eps={_RICCATI_EPS:g}"
 
 
 def _crossing_points(r: Realization, tag: FamilyTag) -> np.ndarray:
@@ -561,10 +614,12 @@ def solve_p(
     margin: float | None = None,
     stall_tol: float = 1e-10,
 ) -> Certificate | NotFound:
-    """Search for a certificate P by alternating projections.
+    """Search for a certificate P: a Riccati rung, then projections.
 
-    Projects the pair (P, Q) alternately (with Dykstra correction) onto the
-    cone {P >= margin*I, Q >= 0} and onto the affine graph {Q = Q(P)}.
+    With max_iter >= 1 and Rx = Phi(D) > 0 (Phi(F(-1)) for dp/db), the
+    stabilizing Riccati solution comes first (comment above `_RICCATI_EPS`).
+    Then the pair (P, Q) is projected alternately (with Dykstra correction)
+    onto the cone {P >= margin*I, Q >= 0} and the affine graph {Q = Q(P)}.
     Returns the first verified Certificate found; on stall or iteration cap
     returns NotFound with the best residual seen (with max_iter = 0, the
     chosen warm start). When the first iterate does not verify, a witness
@@ -583,6 +638,7 @@ def solve_p(
     n, m = r.n, r.m
     if n == 0:
         cert = verify_kyp(r, np.zeros((0, 0)), tag, tol_psd)
+        _log.debug("solve_p %s n=0 m=%d: Q = Phi(D) is %s", tag.label, m, cert.status.value)
         if cert.verified:
             return cert
         # Q = Phi(D) does not depend on P: a refuted Q is the witness at infinity
@@ -592,6 +648,10 @@ def solve_p(
             residual=max(0.0, -cert.min_eig_q), iterations=0,
             stop="witness" if refuted else "stall", witness=complex(np.inf) if refuted else None,
         )
+    cert, why = _riccati_certificate(r, tag, tol_psd) if max_iter else (None, "max_iter = 0")
+    _log.debug("solve_p %s n=%d m=%d: %s", tag.label, n, m, why if cert else f"no Riccati certificate ({why})")
+    if cert is not None:
+        return cert
 
     if margin is None:
         margin = max(1e-6 * spectral_norm(r.array), 1e-12)

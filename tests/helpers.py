@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 
+import kypcert.qmi as qmi
 from kypcert import Realization, evaluate
 
 # -- random inputs -----------------------------------------------------------
@@ -46,6 +47,11 @@ def resonance(gain: float = 1.05, zeta: float = 1e-4, w: float = 0.37) -> Realiz
     """gain * 2 zeta w s / (s^2 + 2 zeta w s + w^2), which peaks at |F(i w)| = gain."""
     return Realization(n=2, m=1, A=[[0.0, 1.0], [-w * w, -2 * zeta * w]], B=[[0.0], [1.0]],
                        C=[[0.0, gain * 2 * zeta * w]], D=[[0.0]])
+
+
+def riccati_off(monkeypatch):
+    """Send every certificate search past the Riccati rung of `solve_p`."""
+    monkeypatch.setattr(qmi, "_riccati_certificate", lambda r, tag, tol_psd: (None, "off"))
 
 
 def transfer_max_err(r1: Realization, r2: Realization, points) -> float:

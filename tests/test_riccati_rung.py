@@ -1,0 +1,285 @@
+"""The Riccati rung of `solve_p`.
+
+With Rx = Phi(D) positive definite, the stabilizing solution X of the KYP
+Riccati equation tightened by eps s I gives P = -X (P = P_G / 2 through the
+bilinear substitution for the discrete families), accepted only by
+`verify_kyp`. An eigenvalue of the Hamiltonian on the imaginary axis ends the
+rung, so near-boundary non-members never get a certificate from it.
+"""
+
+from __future__ import annotations
+
+import logging
+import math
+
+import numpy as np
+import pytest
+import scipy.linalg
+import scipy.optimize
+from helpers import resonance, riccati_off
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import kypcert.qmi as qmi
+from kypcert import (
+    Certificate,
+    Family,
+    FamilyTag,
+    NotFound,
+    Realization,
+    balance,
+    bilinear_substitute,
+    change_coordinates,
+    fixture,
+    random_certified_realization,
+    random_isometry_family,
+    solve_p,
+    verify_kyp,
+    verify_preservation,
+)
+from kypcert.qmi import _io_weight, _riccati_certificate
+
+TAGS = [FamilyTag(fam) for fam in Family] + [FamilyTag(Family.BOUNDED_REAL, eta=3.0)]
+
+
+def unitary(rng, n):
+    q, r = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def moved_member(rng, tag, n, m, contraction=0.7, cond=10.0):
+    """A member certified by P = I, in coordinates T with cond(T) <= cond."""
+    r = random_certified_realization(tag, n, m, rng, contraction=contraction)
+    s = np.exp(rng.uniform(0.0, math.log(cond), n))
+    return change_coordinates(r, (unitary(rng, n) * s) @ unitary(rng, n))
+
+
+# -- near-boundary non-members -----------------------------------------------------
+
+
+def _transfer(r, z):
+    x = np.linalg.solve(z[:, None, None] * np.eye(r.n) - r.A, np.broadcast_to(r.B, (z.size, r.n, r.m)))
+    return r.C @ x + r.D
+
+
+def _io_gain(tag):
+    """k with Phi(F) = I - k F*F for the bounded families, None for p/dp."""
+    if tag.family in (Family.POSITIVE_REAL, Family.DISCRETE_POSITIVE_REAL):
+        return None
+    return 1.0 if math.isinf(tag.eta) else (tag.eta + 1.0) / (tag.eta - 1.0)
+
+
+def _boundary_margin(r, tag, theta):
+    """lambda_min(Phi(F(z(theta)))) on the boundary, z = e^(i theta) or
+    i tan(theta / 2), written with the closed forms of Phi."""
+    z = np.exp(1j * theta) if tag.family.is_discrete else 1j * np.tan(theta / 2.0)
+    f = _transfer(r, np.atleast_1d(z))
+    k = _io_gain(tag)
+    fh = f.conj().swapaxes(1, 2)
+    phi = f + fh if k is None else np.eye(r.m) - k * fh @ f
+    return np.linalg.eigvalsh(phi)[:, 0]
+
+
+def near_boundary(r, tag, t):
+    """A non-member with Phi(F(z0)) = -t exactly at the boundary point z0
+    where the member r comes closest to the boundary: D shifted for p/dp, F
+    scaled for the bounded families. Its peak margin is -t up to how well z0
+    was found, and never above -t."""
+    theta = np.linspace(-np.pi, np.pi, 2049)[1:-1]
+    mu = _boundary_margin(r, tag, theta)
+    i, h = int(np.argmin(mu)), theta[1] - theta[0]
+    res = scipy.optimize.minimize_scalar(lambda x: _boundary_margin(r, tag, np.array([x]))[0],
+                                         bounds=(theta[i] - h, theta[i] + h), method="bounded")
+    th0 = np.array([res.x if res.fun < mu[i] else theta[i]])
+    z0 = np.exp(1j * th0) if tag.family.is_discrete else 1j * np.tan(th0 / 2.0)
+    f0 = _transfer(r, z0)[0]
+    k = _io_gain(tag)
+    if k is None:
+        shift = (np.linalg.eigvalsh(f0 + f0.conj().T)[0] + t) / 2.0
+        out = Realization(n=r.n, m=r.m, A=r.A, B=r.B, C=r.C, D=r.D - shift * np.eye(r.m))
+    else:
+        g = math.sqrt((1.0 + t) / k) / np.linalg.norm(f0, 2)
+        out = Realization(n=r.n, m=r.m, A=r.A, B=r.B, C=g * r.C, D=g * r.D)
+    assert _boundary_margin(out, tag, th0)[0] == pytest.approx(-t, rel=1e-6)
+    return out
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    tag=st.sampled_from(TAGS),
+    n=st.integers(1, 16),
+    m=st.sampled_from([1, 3]),
+    log_t=st.floats(-6.0, -2.0),
+    contraction=st.floats(0.3, 0.99),
+)
+def test_near_boundary_non_members_get_no_rung_certificate(seed, tag, n, m, log_t, contraction):
+    rng = np.random.default_rng(seed)
+    r = near_boundary(moved_member(rng, tag, n, m, contraction), tag, 10.0**log_t)
+    cert, why = _riccati_certificate(r, tag, None)
+    assert cert is None
+    assert why.startswith(("axis eigenvalue", "Rx not positive definite")), why
+
+
+def test_pinned_resonance_gets_no_rung_certificate():
+    # a peak about 2e-4 wide, 1e-3 past the bound: the Hamiltonian has axis
+    # eigenvalues
+    r = resonance(1.001, 1e-3, 0.1)
+    tag = FamilyTag(Family.BOUNDED_REAL)
+    assert _riccati_certificate(r, tag, None) == (None, "axis eigenvalue")
+    res = solve_p(r, tag)
+    assert isinstance(res, NotFound) and res.stop == "witness"
+
+
+# -- members ------------------------------------------------------------------------
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    tag=st.sampled_from(TAGS),
+    n=st.integers(1, 24),
+    m=st.sampled_from([1, 4]),
+    contraction=st.floats(0.3, 0.99),
+    log_cond=st.floats(0.0, 2.0),
+)
+def test_moved_members_get_a_rung_certificate(seed, tag, n, m, contraction, log_cond):
+    r = moved_member(np.random.default_rng(seed), tag, n, m, contraction, 10.0**log_cond)
+    cert, why = _riccati_certificate(r, tag, None)
+    assert isinstance(cert, Certificate) and cert.verified, why
+    assert verify_kyp(r, cert.p, tag).verified
+
+
+@pytest.mark.parametrize("tag", TAGS, ids=lambda t: t.label)
+def test_rung_p_is_the_riccati_solution(tag):
+    """P against scipy's Riccati solver, on r for p/b and on the bilinear
+    substitute for dp/db, where P = P_G / 2."""
+    r = moved_member(np.random.default_rng(3), tag, 6, 2)
+    cert, why = _riccati_certificate(r, tag, None)
+    assert why == "certified by the Riccati rung at eps=1e-06"
+    g = bilinear_substitute(r) if tag.family.is_discrete else r
+    cd = np.block([[g.C, g.D], [np.zeros((g.m, g.n)), np.eye(g.m)]])
+    mx = cd.conj().T @ _io_weight(tag, g.m) @ cd
+    s = 1.0 + np.linalg.norm(mx, 2)
+    x = scipy.linalg.solve_continuous_are(g.A, g.B, mx[:g.n, :g.n] - 1e-6 * s * np.eye(g.n),
+                                          mx[g.n:, g.n:], s=mx[:g.n, g.n:])
+    scale = 0.5 if tag.family.is_discrete else 1.0
+    assert np.allclose(cert.p, -scale * x, rtol=1e-6, atol=1e-9 * np.abs(x).max())
+
+
+def test_balance_reverifies_solver_certificates():
+    """The Riccati P lies strictly inside the feasible set, so the balanced
+    realization passes P = I again."""
+    for fam in Family:
+        for n in (4, 8, 12):
+            for k in range(8):
+                r = moved_member(np.random.default_rng(100 * n + k), FamilyTag(fam), n, 2)
+                cert = solve_p(r, fam)
+                assert isinstance(cert, Certificate)
+                assert balance(r, cert)[1].verified, (fam, n, k)
+
+
+@pytest.mark.parametrize("fam", list(Family), ids=lambda f: f.value)
+def test_preservation_accepts_moved_trios(fam):
+    for n in (4, 8, 12):
+        rng = np.random.default_rng(n)
+        rs = [moved_member(rng, FamilyTag(fam), n, 2) for _ in range(3)]
+        res = verify_preservation(rs, random_isometry_family(3, n, 2, rng), fam)
+        assert res.certificate.verified
+
+
+# -- when the rung does not run -----------------------------------------------------
+
+
+@pytest.mark.parametrize("name,fam", [("f", Family.POSITIVE_REAL), ("F1", Family.POSITIVE_REAL),
+                                      ("F2", Family.POSITIVE_REAL), ("F3", Family.POSITIVE_REAL),
+                                      ("g", Family.BOUNDED_REAL)])
+def test_singular_or_indefinite_rx_skips_the_rung(monkeypatch, name, fam):
+    r = fixture(name)
+    assert _riccati_certificate(r, FamilyTag(fam), None) == (None, "Rx not positive definite")
+    on = solve_p(r, fam)
+    riccati_off(monkeypatch)
+    off = solve_p(r, fam)
+    assert type(on) is type(off)
+    if isinstance(on, Certificate):
+        assert on.p.tobytes() == off.p.tobytes() and on.status is off.status
+    else:
+        assert on.best_p.tobytes() == off.best_p.tobytes() and on.stop == off.stop
+
+
+@pytest.mark.parametrize("r,fam", [
+    (moved_member(np.random.default_rng(5), FamilyTag(Family.BOUNDED_REAL), 6, 2), Family.BOUNDED_REAL),
+    (moved_member(np.random.default_rng(6), FamilyTag(Family.DISCRETE_POSITIVE_REAL), 6, 2),
+     Family.DISCRETE_POSITIVE_REAL),
+    (resonance(1.001, 1e-3, 0.1), Family.BOUNDED_REAL),
+], ids=["member-b", "member-dp", "resonance"])
+def test_failed_schur_reordering_falls_through(monkeypatch, caplog, r, fam):
+    """LAPACK's reordering raises when eigenvalues next to the axis cannot be
+    separated; solve_p then goes on exactly as without the rung."""
+    schur = scipy.linalg.schur
+
+    def failing(a, *args, sort=None, **kwargs):
+        if sort is not None:
+            raise np.linalg.LinAlgError("Eigenvalues could not be separated for reordering.")
+        return schur(a, *args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "schur", failing)
+    with caplog.at_level(logging.DEBUG, logger="kypcert"):
+        failed = solve_p(r, fam)
+    lines = [rec.getMessage() for rec in caplog.records if rec.name == "kypcert.qmi"]
+    assert lines == [f"solve_p {fam.value} n={r.n} m={r.m}: no Riccati certificate (Schur reordering failed)"]
+    riccati_off(monkeypatch)
+    off = solve_p(r, fam)
+    assert type(failed) is type(off)
+    if isinstance(off, Certificate):
+        assert failed.p.tobytes() == off.p.tobytes() and failed.status is off.status
+    else:
+        assert failed.best_p.tobytes() == off.best_p.tobytes() and failed.stop == off.stop
+        assert failed.witness == off.witness
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_non_finite_hamiltonian_skips_the_rung():
+    r = Realization(n=1, m=1, A=[[-1.0]], B=[[1e200]], C=[[1.0]], D=[[1.0]])
+    assert _riccati_certificate(r, FamilyTag(Family.POSITIVE_REAL), None) == (None, "H not finite")
+
+
+def test_max_iter_zero_never_runs_the_rung(monkeypatch):
+    calls = []
+    monkeypatch.setattr(qmi, "_riccati_certificate", lambda *args: calls.append(1))
+    r = moved_member(np.random.default_rng(0), FamilyTag(Family.POSITIVE_REAL), 4, 2)
+    res = solve_p(r, Family.POSITIVE_REAL, max_iter=0)
+    assert isinstance(res, NotFound) and res.stop == "max-iter" and not calls
+
+
+# -- one DEBUG line per call --------------------------------------------------------
+
+
+def _unstable(b):
+    """1 + 1/(s - 1) scaled: Phi(F(i w)) = 2 + 2 Re(b / (i w - 1)) >= 2 - 2|b|,
+    so positive for |b| < 1, but the pole at 1 rules out every P > 0."""
+    return Realization(n=1, m=1, A=[[1.0]], B=[[b]], C=[[1.0]], D=[[1.0]])
+
+
+@pytest.mark.parametrize("r,fam,message", [
+    (fixture("f"), Family.BOUNDED_REAL, "certified by the Riccati rung at eps=1e-06"),
+    (fixture("f"), Family.POSITIVE_REAL, "no Riccati certificate (Rx not positive definite)"),
+    (resonance(), Family.BOUNDED_REAL, "no Riccati certificate (axis eigenvalue)"),
+    (_unstable(0.5), Family.POSITIVE_REAL, "no Riccati certificate (verify_kyp rejected P)"),
+    (_unstable(0.0), Family.POSITIVE_REAL, "no Riccati certificate (U1 singular)"),
+], ids=["certified", "rx", "axis", "rejected", "u1"])
+def test_one_debug_line_names_the_rung_or_the_reason(caplog, r, fam, message):
+    with caplog.at_level(logging.DEBUG, logger="kypcert"):
+        solve_p(r, fam, max_iter=3)
+    lines = [rec.getMessage() for rec in caplog.records if rec.name == "kypcert.qmi"]
+    assert lines == [f"solve_p {fam.value} n={r.n} m={r.m}: {message}"]
+
+
+def test_debug_line_without_a_rung(caplog):
+    with caplog.at_level(logging.DEBUG, logger="kypcert"):
+        solve_p(fixture("f"), Family.BOUNDED_REAL, max_iter=0)
+        solve_p(Realization(n=0, m=1, A=np.zeros((0, 0)), B=np.zeros((0, 1)), C=np.zeros((1, 0)),
+                            D=[[0.5]]), Family.POSITIVE_REAL)
+    lines = [rec.getMessage() for rec in caplog.records if rec.name == "kypcert.qmi"]
+    assert lines == ["solve_p bounded-real n=1 m=1: no Riccati certificate (max_iter = 0)",
+                     "solve_p positive-real n=0 m=1: Q = Phi(D) is verified"]

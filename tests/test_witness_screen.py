@@ -16,7 +16,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 import scipy.linalg
-from helpers import rand_coordinates, rand_realization, resonance
+from helpers import rand_coordinates, rand_realization, resonance, riccati_off
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -462,6 +462,7 @@ def test_members_are_unchanged_by_the_screen(monkeypatch):
         for n, contraction in ((2, 0.95), (3, 0.95), (4, 0.7)):
             r = random_certified_realization(fam, n, 2, rng, contraction=contraction)
             cases.append((change_coordinates(r, rand_coordinates(rng, n)), fam))
+    riccati_off(monkeypatch)  # the rung certifies all of them before the screen
     calls = count_screens(monkeypatch)
     on = [solve_p(r, fam) for r, fam in cases]
     # some members verify after iteration 1, past the screen; the rest never reach it
