@@ -15,8 +15,6 @@ __all__ = [
     "min_eigs",
     "spectral_norms",
     "sigma_mins",
-    "eig_clip",
-    "HermitianCoords",
 ]
 
 
@@ -81,39 +79,3 @@ def spectral_norms(x: np.ndarray) -> np.ndarray:
 def sigma_mins(x: np.ndarray) -> np.ndarray:
     """`sigma_min` of each matrix in a stack."""
     return np.linalg.svd(x, compute_uv=False)[..., -1]
-
-
-def eig_clip(x: np.ndarray, floor: float) -> np.ndarray:
-    """Project a Hermitian matrix onto {X : X >= floor*I} by eigenvalue clipping."""
-    if x.size == 0:
-        return x
-    w, v = np.linalg.eigh(herm(x))
-    w = np.maximum(w, floor)
-    return herm((v * w) @ v.conj().T)
-
-
-class HermitianCoords:
-    """Packed real coordinates of k x k Hermitian matrices: the real diagonal,
-    then sqrt(2) (Re, Im) of each strict-upper-triangle entry in row-major
-    order. Orthonormal under <X, Y> = Re tr(X* Y); dimension k^2. `vec` reads
-    only the upper triangle of its (Hermitian) input. Both maps act on the
-    last axes, so stacks of matrices map to stacks of coordinates.
-    """
-
-    def __init__(self, k: int):
-        self.k = k
-        self.diag = np.arange(k)
-        self.rows, self.cols = np.triu_indices(k, 1)
-
-    def vec(self, x: np.ndarray) -> np.ndarray:
-        # a contiguous complex array viewed as float is its (Re, Im) pairs
-        pairs = np.ascontiguousarray(np.sqrt(2.0) * x[..., self.rows, self.cols]).view(float)
-        return np.concatenate([x[..., self.diag, self.diag].real, pairs], axis=-1)
-
-    def unvec(self, coords: np.ndarray) -> np.ndarray:
-        out = np.zeros(coords.shape[:-1] + (self.k, self.k), dtype=complex)
-        out[..., self.diag, self.diag] = coords[..., : self.k]
-        upper = np.ascontiguousarray(coords[..., self.k :] / np.sqrt(2.0)).view(complex)
-        out[..., self.rows, self.cols] = upper
-        out[..., self.cols, self.rows] = upper.conj()
-        return out

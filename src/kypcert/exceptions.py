@@ -78,7 +78,7 @@ class InputNotCertified(PassivityError):
 
 
 class BadParams(PassivityError):
-    """Invalid parameters: of a fixture (e.g. a = 0) or a solver (e.g. max_iter < 0)."""
+    """Invalid fixture parameters (e.g. a = 0, or an unknown name)."""
 
 
 class ParseError(PassivityError):

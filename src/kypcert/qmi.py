@@ -20,10 +20,9 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from ._linalg import HermitianCoords, ct, eig_clip, herm, is_hermitian, min_eig, min_eigs, sigma_min, spectral_norm
+from ._linalg import ct, herm, is_hermitian, min_eig, min_eigs, sigma_min, spectral_norm
 from .exceptions import (
     BadFamily,
-    BadParams,
     CertificateNotVerified,
     DimensionMismatch,
     EtaOutOfRange,
@@ -165,14 +164,14 @@ class Certificate:
 
 @dataclass(frozen=True)
 class NotFound:
-    """solve_p gave up: best iterate and residual. Not a proof of
-    non-membership.
+    """solve_p found no certificate. Not a proof of non-membership.
 
     `stop` says why: "witness" when a domain point shows that no P >= 0
-    can reach the PSD tolerance, "stall" when the iterates stopped moving,
-    "max-iter" at the iteration cap (max_iter = 0 included). `witness` is
-    that point (complex infinity included) when stop is "witness", else
-    None."""
+    can reach the PSD tolerance, else "no-certificate". `witness` is that
+    point (complex infinity included) when stop is "witness", else None.
+    `iterations` counts the candidates `verify_kyp` judged (1 at n = 0),
+    `best_p` is the judged positive-definite candidate with the largest
+    lambda_min(Q), and `residual` = max(0, -min_eig_q) for it."""
 
     family: FamilyTag
     best_p: np.ndarray
@@ -315,96 +314,6 @@ def verify_kyp(r: Realization, p, family, tol_psd: float | None = None) -> Certi
     return Certificate(family=tag, p=p, q=q, min_eig_q=mq, min_eig_p=mp, status=status)
 
 
-# ---------------------------------------------------------------------------
-# Certificate search: alternating projections with Dykstra correction over the
-# pair (P, Q), alternating between the PSD product cone
-# {P >= margin*I, Q >= 0} and the affine graph {Q = Q(P)} = {Q = K + L(P)}.
-# With E = [I 0] and F = [A B], L(P) = -(F* P E + E* P F) for the continuous
-# weights and E* P E - F* P F for the discrete ones. In packed Hermitian
-# coordinates, orthonormal under Re tr(X* Y), L is a real matrix M, built by
-# mapping blocks of unit vectors through L in batched matmuls. The
-# projection solves (I + M^T M) p = p0 + M^T (q0 - K) by a dense Cholesky of
-# the n^2 x n^2 Gram: O(n^6) time and O(n^4) memory, so n of about 32 is the
-# practical limit.
-# ---------------------------------------------------------------------------
-
-#: unit coordinate vectors mapped through L per batch when building M
-_BUILD_BLOCK = 64
-
-
-class _AffineProjector:
-    """Least-squares projector onto {(P, Q) : Q = K + L(P)}."""
-
-    def __init__(self, r: Realization, tag: FamilyTag):
-        n, m = r.n, r.m
-        self.coords_p = HermitianCoords(n)
-        self.coords_q = HermitianCoords(n + m)
-        self.k_vec = self.coords_q.vec(assemble_q(r, _weight_entries(tag, np.zeros((n, n)), m)))
-        f = r.array[:n]
-        dim = n * n
-        self.m_op = np.empty((self.k_vec.size, dim))
-        for lo in range(0, dim, _BUILD_BLOCK):
-            units = self.coords_p.unvec(np.eye(min(_BUILD_BLOCK, dim - lo), dim, lo))
-            pf = units @ f
-            if tag.family.is_discrete:
-                l_units = -(f.conj().T @ pf)
-                l_units[:, :n, :n] += units
-            else:
-                l_units = np.zeros((len(units), n + m, n + m), dtype=complex)
-                l_units[:, :n] = -pf
-                l_units += l_units.conj().swapaxes(1, 2)
-            self.m_op[:, lo:lo + len(units)] = self.coords_q.vec(l_units).T
-        self.cho = scipy.linalg.cho_factor(np.eye(dim) + self.m_op.T @ self.m_op)
-
-    def q_of(self, p: np.ndarray) -> np.ndarray:
-        return self.coords_q.unvec(self.k_vec + self.m_op @ self.coords_p.vec(p))
-
-    def project(self, p0: np.ndarray, q0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        rhs = self.coords_p.vec(p0) + self.m_op.T @ (self.coords_q.vec(q0) - self.k_vec)
-        coords = scipy.linalg.cho_solve(self.cho, rhs)
-        return self.coords_p.unvec(coords), self.coords_q.unvec(self.k_vec + self.m_op @ coords)
-
-
-def _min_eig_and_norm(x: np.ndarray) -> tuple[float, float]:
-    """Smallest eigenvalue and spectral norm of an exactly Hermitian matrix."""
-    w = np.linalg.eigvalsh(x)
-    return float(w[0]), float(max(-w[0], w[-1]))
-
-
-def _warm_starts(r: Realization, tag: FamilyTag, margin: float) -> list[np.ndarray]:
-    """Initial iterates for the certificate search.
-
-    Besides the identity, try slack observability Gramians (Lyapunov/Stein
-    solves) at a few scales; for stable realizations these sit close to the
-    feasible set and cut the projection count dramatically.
-    """
-    n = r.n
-    starts = [np.eye(n, dtype=complex)]
-    a, c = r.A, r.C
-    ctc = c.conj().T @ c
-    slack = 1e-3 * (1.0 + spectral_norm(ctc))
-    rhs = ctc + slack * np.eye(n)
-    try:
-        if tag.family.is_discrete:
-            if np.abs(np.linalg.eigvals(a)).max() < 1.0 - 1e-9:
-                g = scipy.linalg.solve_discrete_lyapunov(a.conj().T, rhs)
-            else:
-                return starts
-        else:
-            if np.linalg.eigvals(a).real.max() < -1e-9:
-                g = scipy.linalg.solve_continuous_lyapunov(a.conj().T, -rhs)
-            else:
-                return starts
-    except np.linalg.LinAlgError:  # pragma: no cover - defensive
-        return starts
-    g = herm(g)
-    if not np.all(np.isfinite(g)) or min_eig(g) <= 0.0:
-        return starts
-    for scale in (0.5, 1.0, 2.0):
-        starts.append(eig_clip(scale * g, margin))
-    return starts
-
-
 # Frequency-witness screen: the easy direction of the KYP lemma (Willems
 # 1971). Take z in the closed domain, not a pole, and a unit vector u. With
 # x = (zI - A)^-1 B u and v = [x; u], [R; I] v = [z x; F(z) u; x; u], so
@@ -470,32 +379,63 @@ def _witness_points(r: Realization, tag: FamilyTag) -> np.ndarray:
     return np.concatenate([[complex(np.inf)], *boundary])
 
 
-# Riccati rung: the constructive KYP lemma (Willems 1971; Anderson &
-# Vongpanitlerd 1973). With Rx > 0, Q(P) (p/b) has Schur complement eps s I,
+# Certificate candidates: the constructive KYP lemma (Willems 1971; Anderson &
+# Vongpanitlerd 1973). For p/b, Q(P) = [Qx - P A - A* P, Sx - P B; Sx* - B* P, Rx];
+# dp/db use G = `bilinear_substitute` and P = P_G / 2:
+# P - A* P A = -V* (A_G* P_G + P_G A_G) V, V = (I + A) / 2.
+#
+# Riccati rung: with Rx > 0, Q(P) has Schur complement eps s I,
 # s = 1 + ||M||_2, exactly when X = -P solves the Riccati equation of H with
 # Qx - eps s I for Qx: A* X + X A - (X B + Sx) Rx^-1 (B* X + Sx*) + Qx = eps s I.
 # With no axis eigenvalue, the stabilizing X is U2 U1^-1 for the stable subspace
 # [U1; U2] of an ordered Schur form. eps > 0 keeps Q(P) inside the PSD cone, so
 # P survives `balance` and rounding; with eps = 0, P lies on the boundary of the
-# feasible set and often fails either. dp/db use G = `bilinear_substitute` and
-# P = P_G / 2: P - A* P A = -V* (A_G* P_G + P_G A_G) V, V = (I + A) / 2.
+# feasible set and often fails either.
+#
+# KYP equalities: Q(P) = diag(0, Rx) asks P B = Sx and P A = Qx - A* P, so
+# P A^(k+1) B = Qx A^k B - A* (P A^k B) and P K = W on the Krylov matrix
+# K = [B, A B, ..., A^(n-1) B]: P = W K^+. This is exact for lossless members
+# (Q = 0) and for the P B = C* that a singular D + D* forces in p, where Rx is
+# singular and the rung cannot run.
 _RICCATI_EPS = 1e-6
+
+#: scales of the observability Gramian tried as candidates
+_GRAMIAN_SCALES = (0.5, 1.0, 2.0)
+
+
+def _continuous(r: Realization, tag: FamilyTag) -> tuple[Realization, float] | None:
+    """(G, k): r and 1 for p/b, the bilinear substitute G(s) = F((1+s)/(1-s))
+    and 1/2 for dp/db, so that P = k P_G; None when I + A is singular."""
+    if not tag.family.is_discrete:
+        return r, 1.0
+    from .families import bilinear_substitute  # families imports this module
+
+    try:
+        return bilinear_substitute(r), 0.5
+    except SingularIPlusA:
+        return None
+
+
+def _popov_blocks(r: Realization, w_io: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+    """(Qx, Sx, Rx, ||M||_2) of M = [C D; 0 I]* W_io [C D; 0 I] = [Qx Sx; Sx* Rx]."""
+    n, m = r.n, r.m
+    cd = np.zeros((2 * m, n + m), dtype=complex)
+    cd[:m, :n], cd[:m, n:], cd[m:, n:] = r.C, r.D, np.eye(m)
+    mx = ct(cd) @ w_io @ cd
+    return mx[:n, :n], mx[:n, n:], mx[n:, n:], spectral_norm(mx)
 
 
 def _hamiltonian(r: Realization, w_io: np.ndarray, eps: float = 0.0) -> tuple[np.ndarray | None, np.ndarray, float]:
     """(H, Rx, s) for the Popov function of r with Qx - eps s I in place of
     Qx, s = 1 + ||M||_2; H is None when Rx is singular or H is not finite."""
-    n, m = r.n, r.m
-    cd = np.zeros((2 * m, n + m), dtype=complex)
-    cd[:m, :n], cd[:m, n:], cd[m:, n:] = r.C, r.D, np.eye(m)
-    mx = ct(cd) @ w_io @ cd
-    norm_m = spectral_norm(mx)
-    qx, sx, rx = mx[:n, :n] - eps * (1.0 + norm_m) * np.eye(n), mx[:n, n:], mx[n:, n:]
+    qx, sx, rx, norm_m = _popov_blocks(r, w_io)
     if sigma_min(rx) <= POLE_RTOL * norm_m:
         return None, rx, 1.0 + norm_m
-    ri_s, ri_b = np.linalg.solve(rx, ct(sx)), np.linalg.solve(rx, ct(r.B))
-    a_h = r.A - r.B @ ri_s
-    h = np.block([[a_h, -r.B @ ri_b], [-qx + sx @ ri_s, -ct(a_h)]])
+    with np.errstate(over="ignore", invalid="ignore"):  # huge entries: H is not finite
+        ri_s, ri_b = np.linalg.solve(rx, ct(sx)), np.linalg.solve(rx, ct(r.B))
+        a_h = r.A - r.B @ ri_s
+        qx = qx - eps * (1.0 + norm_m) * np.eye(r.n)
+        h = np.block([[a_h, -r.B @ ri_b], [-qx + sx @ ri_s, -ct(a_h)]])
     return (h if np.all(np.isfinite(h)) else None), rx, 1.0 + norm_m
 
 
@@ -510,15 +450,12 @@ def _axis_crossings(r: Realization, w_io: np.ndarray) -> np.ndarray:
 
 
 def _riccati_certificate(r: Realization, tag: FamilyTag, tol_psd: float | None) -> tuple[Certificate | None, str]:
-    """The Riccati P when `verify_kyp` accepts it, else None; and why."""
-    g, scale = r, 1.0
-    if tag.family.is_discrete:
-        from .families import bilinear_substitute  # families imports this module
-
-        try:
-            g, scale = bilinear_substitute(r), 0.5
-        except SingularIPlusA:
-            return None, "I + A singular"
+    """`verify_kyp` on the Riccati P, verified or not, or None when the rung
+    cannot produce a P; and why."""
+    form = _continuous(r, tag)
+    if form is None:
+        return None, "I + A singular"
+    g, scale = form
     ham, rx, s = _hamiltonian(g, _io_weight(tag, r.m), _RICCATI_EPS)
     if not min_eig(rx) > POLE_RTOL * s:
         return None, "Rx not positive definite"
@@ -535,21 +472,75 @@ def _riccati_certificate(r: Realization, tag: FamilyTag, tol_psd: float | None) 
         return None, "U1 singular"
     cert = verify_kyp(r, -scale * herm(np.linalg.solve(u1.T, u2.T).T), tag, tol_psd)
     if not cert.verified:
-        return None, "verify_kyp rejected P"
+        return cert, "verify_kyp rejected P"
     return cert, f"certified by the Riccati rung at eps={_RICCATI_EPS:g}"
+
+
+def _equality_p(r: Realization, tag: FamilyTag) -> np.ndarray | None:
+    """P = W K^+ from the KYP equalities on the Krylov space of (A, B), each
+    block column scaled to unit norm; None when the recursion overflows."""
+    if tag.family.is_discrete:
+        # F(conj(u) z), realized by (u A, B, u C, D) with |u| = 1, has the
+        # certificates of F; u sends the middle of the widest gap between the
+        # angles of the poles to -1, so the bilinear substitute has no huge pole
+        ang = np.sort(np.angle(r.poles()))
+        gaps = np.diff(ang, append=ang[0] + 2.0 * np.pi)
+        u = -np.exp(-1j * (ang[np.argmax(gaps)] + gaps.max() / 2.0))
+        r = Realization(n=r.n, m=r.m, A=u * r.A, B=r.B, C=u * r.C, D=r.D)
+    form = _continuous(r, tag)
+    if form is None:
+        return None
+    g, scale = form
+    qx, sx = _popov_blocks(g, _io_weight(tag, r.m))[:2]
+    k, w = [g.B], [sx]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(r.n - 1):
+            ak = g.A @ k[-1]
+            c = 1.0 / (np.linalg.norm(ak) or 1.0)
+            w.append(c * (qx @ k[-1] - ct(g.A) @ w[-1]))
+            k.append(c * ak)
+        k, w = np.hstack(k), np.hstack(w)
+    if not (np.all(np.isfinite(k)) and np.all(np.isfinite(w))):
+        return None
+    return scale * herm(ct(np.linalg.lstsq(ct(k), ct(w), rcond=None)[0]))
+
+
+def _gramian(r: Realization, tag: FamilyTag) -> np.ndarray | None:
+    """The slack observability Gramian (Lyapunov or Stein solve) of a stable
+    r, which sits close to the feasible set; None otherwise."""
+    ctc = ct(r.C) @ r.C
+    rhs = ctc + 1e-3 * (1.0 + spectral_norm(ctc)) * np.eye(r.n)
+    lam = r.poles()
+    if tag.family.is_discrete:
+        if not np.abs(lam).max() < 1.0 - 1e-9:
+            return None
+        g = scipy.linalg.solve_discrete_lyapunov(ct(r.A), rhs)
+    else:
+        if not lam.real.max() < -1e-9:
+            return None
+        g = scipy.linalg.solve_continuous_lyapunov(ct(r.A), -rhs)
+    g = herm(g)
+    return g if np.all(np.isfinite(g)) and min_eig(g) > 0.0 else None
+
+
+def _candidates(r: Realization, tag: FamilyTag):
+    """(name, P) for each candidate after the rung, in the order tried."""
+    p = _equality_p(r, tag)
+    if p is not None:
+        yield "the KYP equalities", p
+    yield "the identity", np.eye(r.n, dtype=complex)
+    g = _gramian(r, tag)
+    for scale in _GRAMIAN_SCALES if g is not None else ():
+        yield f"the Gramian at scale {scale:g}", scale * g
 
 
 def _crossing_points(r: Realization, tag: FamilyTag) -> np.ndarray:
     """The boundary points where Phi(F) can change inertia, and the midpoints
     between them; empty when there is no crossing."""
-    g = r
-    if tag.family.is_discrete:
-        from .families import bilinear_substitute  # families imports this module
-
-        try:
-            g = bilinear_substitute(r)
-        except SingularIPlusA:
-            return np.zeros(0, dtype=complex)
+    form = _continuous(r, tag)
+    if form is None:
+        return np.zeros(0, dtype=complex)
+    g = form[0]
     w = _axis_crossings(g, _io_weight(tag, r.m))
     if not w.size:
         return np.zeros(0, dtype=complex)
@@ -577,17 +568,19 @@ def _witness_scores(r: Realization, tag: FamilyTag, points, tol_psd: float | Non
     keep[finite] &= sigma <= _SIGMA_RTOL * (1.0 + np.abs(z) ** 2)
     w_io = _io_weight(tag, m)
     g = np.concatenate([values, np.broadcast_to(np.eye(m), values.shape)], axis=1)
-    phi = ct(g) @ w_io @ g
-    keep &= np.isfinite(phi).all(axis=(1, 2))  # F overflows right next to a pole
-    phi[~keep] = 0.0
-    lam = min_eigs(phi)
-    if tol_psd is None:
-        cx = np.linalg.norm(np.abs(r.C) @ np.abs(xs), axis=(1, 2))
-        scale = 1.0 + cx + np.linalg.norm(r.D)
-        tau = PSD_TOL_SCALE * (1.0 + np.linalg.norm(phi, axis=(1, 2)) + spectral_norm(w_io) * scale**2)
-    else:
-        tau = max(float(tol_psd), np.finfo(float).tiny)
-    with np.errstate(over="ignore"):  # -inf past the floor is still a score
+    # Phi and tau overflow where F is huge: next to a pole or on huge entries;
+    # -inf past the floor is still a score
+    with np.errstate(over="ignore", invalid="ignore"):
+        phi = ct(g) @ w_io @ g
+        keep &= np.isfinite(phi).all(axis=(1, 2))
+        phi[~keep] = 0.0
+        lam = min_eigs(phi)
+        if tol_psd is None:
+            cx = np.linalg.norm(np.abs(r.C) @ np.abs(xs), axis=(1, 2))
+            scale = 1.0 + cx + np.linalg.norm(r.D)
+            tau = PSD_TOL_SCALE * (1.0 + np.linalg.norm(phi, axis=(1, 2)) + spectral_norm(w_io) * scale**2)
+        else:
+            tau = max(float(tol_psd), np.finfo(float).tiny)
         return np.where(keep, lam / tau, np.inf)
 
 
@@ -605,36 +598,25 @@ def _find_witness(r: Realization, tag: FamilyTag, tol_psd: float | None = None) 
     return complex(points[i]) if scores[i] < -REFUTE_FACTOR else None
 
 
-def solve_p(
-    r: Realization,
-    family,
-    *,
-    max_iter: int = 5000,
-    tol_psd: float | None = None,
-    margin: float | None = None,
-    stall_tol: float = 1e-10,
-) -> Certificate | NotFound:
-    """Search for a certificate P: a Riccati rung, then projections.
+def solve_p(r: Realization, family, *, tol_psd: float | None = None) -> Certificate | NotFound:
+    """Search for a certificate P among a fixed list of candidates.
 
-    With max_iter >= 1 and Rx = Phi(D) > 0 (Phi(F(-1)) for dp/db), the
-    stabilizing Riccati solution comes first (comment above `_RICCATI_EPS`).
-    Then the pair (P, Q) is projected alternately (with Dykstra correction)
-    onto the cone {P >= margin*I, Q >= 0} and the affine graph {Q = Q(P)}.
-    Returns the first verified Certificate found; on stall or iteration cap
-    returns NotFound with the best residual seen (with max_iter = 0, the
-    chosen warm start). When the first iterate does not verify, a witness
-    screen evaluates the family's frequency-domain form Phi(F(z)) at
-    infinity, a few boundary points and, if those show nothing, at the zero
-    crossings of Phi on the boundary and the midpoints between them; if
-    lambda_min(Phi) is clearly negative at some point the search stops there
-    with stop = "witness" and that point as `witness`: no P >= 0 can then
-    certify F. Any other NotFound is NOT a proof of non-membership (the
-    converse direction of the KYP lemma needs minimality, and the search
-    itself is heuristic). A negative max_iter raises BadParams.
+    The candidates, each judged only by `verify_kyp`, are: the stabilizing
+    solution of the tightened KYP Riccati equation (when Rx = Phi(D) > 0,
+    Phi(F(-1)) for dp/db); the P meeting the KYP equalities
+    Q(P) = diag(0, Rx) on the Krylov space of (A, B); the identity; and, for
+    a stable A, the observability Gramian at scales 1/2, 1 and 2 (comment
+    above `_RICCATI_EPS`). The first verified Certificate is returned. Else
+    a witness screen evaluates the family's frequency-domain form
+    Phi(F(z)) at infinity, a few boundary points and, if those show
+    nothing, at the zero crossings of Phi on the boundary and the midpoints
+    between them. If lambda_min(Phi) is clearly negative at some point,
+    NotFound has stop = "witness" and that point as `witness`: no P >= 0
+    can then certify F. Otherwise stop = "no-certificate", which is NOT a
+    proof of non-membership (the converse direction of the KYP lemma needs
+    minimality, and the candidates are not exhaustive).
     """
     tag = as_tag(family)
-    if max_iter < 0:
-        raise BadParams(f"max_iter must be >= 0, got {max_iter}")
     n, m = r.n, r.m
     if n == 0:
         cert = verify_kyp(r, np.zeros((0, 0)), tag, tol_psd)
@@ -645,79 +627,25 @@ def solve_p(
         refuted = cert.status is CertificateStatus.REFUTED
         return NotFound(
             family=tag, best_p=np.zeros((0, 0)), min_eig_q=cert.min_eig_q,
-            residual=max(0.0, -cert.min_eig_q), iterations=0,
-            stop="witness" if refuted else "stall", witness=complex(np.inf) if refuted else None,
+            residual=max(0.0, -cert.min_eig_q), iterations=1,
+            stop="witness" if refuted else "no-certificate", witness=complex(np.inf) if refuted else None,
         )
-    cert, why = _riccati_certificate(r, tag, tol_psd) if max_iter else (None, "max_iter = 0")
-    _log.debug("solve_p %s n=%d m=%d: %s", tag.label, n, m, why if cert else f"no Riccati certificate ({why})")
-    if cert is not None:
+    cert, why = _riccati_certificate(r, tag, tol_psd)
+    judged = [] if cert is None else [cert]
+    if cert is not None and cert.verified:
+        _log.debug("solve_p %s n=%d m=%d: %s", tag.label, n, m, why)
         return cert
-
-    if margin is None:
-        margin = max(1e-6 * spectral_norm(r.array), 1e-12)
-    proj = _AffineProjector(r, tag)
-
-    def violation(p_cand: np.ndarray) -> float:
-        q_cand = proj.q_of(p_cand)
-        return max(0.0, -min_eig(q_cand)) + max(0.0, margin - min_eig(p_cand))
-
-    p = min(_warm_starts(r, tag, margin), key=violation)
-    q = proj.q_of(p)
-    if max_iter == 0:
-        return NotFound(
-            family=tag, best_p=p, min_eig_q=min_eig(q), residual=violation(p), iterations=0, stop="max-iter",
-        )
-    inc_cone_p = np.zeros_like(p)
-    inc_cone_q = np.zeros_like(q)
-    inc_graph_p = np.zeros_like(p)
-    inc_graph_q = np.zeros_like(q)
-
-    best_p, best_viol, best_mq = p, np.inf, -np.inf
-    p_prev = p
-    small_steps = 0
-    last_improve = 0
-    for it in range(1, max_iter + 1):
-        yp = eig_clip(p + inc_cone_p, margin)
-        yq = eig_clip(q + inc_cone_q, 0.0)
-        inc_cone_p = p + inc_cone_p - yp
-        inc_cone_q = q + inc_cone_q - yq
-
-        p, q = proj.project(yp + inc_graph_p, yq + inc_graph_q)
-        inc_graph_p = yp + inc_graph_p - p
-        inc_graph_q = yq + inc_graph_q - q
-
-        # p, q and p_prev are exactly Hermitian (unpacked, or a herm'd warm start)
-        mq, norm_q = _min_eig_and_norm(q)
-        mp, norm_p = _min_eig_and_norm(p)
-        tol = PSD_TOL_SCALE * (1.0 + norm_q) if tol_psd is None else float(tol_psd)
-        if mp > 0.0 and mq >= -tol:
-            cert = verify_kyp(r, p, tag, tol_psd)
-            if cert.verified:
-                return cert
-        viol = max(0.0, -mq) + max(0.0, -mp + margin)
-        if viol < best_viol * (1.0 - 1e-3) or viol < best_viol - 1e-16:
-            last_improve = it
-        if viol < best_viol:
-            best_viol, best_p, best_mq = viol, p, mq
-        if it == 1:
-            witness = _find_witness(r, tag, tol_psd)
-            if witness is not None:
-                return NotFound(
-                    family=tag, best_p=p, min_eig_q=mq, residual=viol, iterations=1, stop="witness", witness=witness,
-                )
-        # Dykstra steps oscillate near convergence and can shrink below the
-        # threshold while the residual is still creeping down; a stall needs
-        # both a sustained run of sub-threshold steps and a flat residual
-        dp = _min_eig_and_norm(p - p_prev)[1]
-        small_steps = small_steps + 1 if dp <= stall_tol * max(1.0, norm_p) else 0
-        if small_steps >= 50 and it - last_improve >= 50:
-            stop = "stall"
-            break
-        p_prev = p
-    else:
-        stop = "max-iter"
+    for name, p in _candidates(r, tag):
+        judged.append(verify_kyp(r, p, tag, tol_psd))
+        if judged[-1].verified:
+            _log.debug("solve_p %s n=%d m=%d: %s; certified by %s", tag.label, n, m, why, name)
+            return judged[-1]
+    _log.debug("solve_p %s n=%d m=%d: %s; no certificate", tag.label, n, m, why)
+    best = max(judged, key=lambda c: (c.min_eig_p > 0.0, c.min_eig_q))
+    witness = _find_witness(r, tag, tol_psd)
     return NotFound(
-        family=tag, best_p=best_p, min_eig_q=best_mq, residual=best_viol, iterations=it, stop=stop,
+        family=tag, best_p=best.p, min_eig_q=best.min_eig_q, residual=max(0.0, -best.min_eig_q),
+        iterations=len(judged), stop="no-certificate" if witness is None else "witness", witness=witness,
     )
 
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 import numpy as np
 
 import kypcert.qmi as qmi
-from kypcert import Realization, evaluate
+from kypcert import Family, Realization, evaluate
 
 # -- random inputs -----------------------------------------------------------
 
@@ -34,13 +34,41 @@ def rand_hpd(rng, n, floor=0.5):
     return g @ g.conj().T + floor * np.eye(n)
 
 
-def rand_coordinates(rng, n, cond_max=10.0):
-    """Random invertible T with a modest condition number."""
-    while True:
+def rand_coordinates(rng, n, cond_max=10.0, max_draws=1000):
+    """Random invertible T = I + G with a modest condition number; raises
+    ValueError when none of `max_draws` draws meets `cond_max`."""
+    for _ in range(max_draws):
         t = rand_complex(rng, (n, n)) + np.eye(n)
         sv = np.linalg.svd(t, compute_uv=False)
         if sv[-1] > 0 and sv[0] / sv[-1] <= cond_max:
             return t
+    raise ValueError(f"no draw of I + G had condition number <= {cond_max} in {max_draws} draws")
+
+
+def rand_unitary(rng, n):
+    q, r = np.linalg.qr(rand_complex(rng, (n, n)))
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def lossless_member(rng, family, n, m) -> Realization:
+    """A lossless member of `family` balanced to P = I, so that Q(I) = 0:
+    p: A and D skew-Hermitian, C = B*; b: D unitary, B = -C* D,
+    A = S - C* C / 2 with S skew-Hermitian; db: [A B; C D] unitary;
+    dp: A unitary, C = B* A, D = B* B / 2 + a skew-Hermitian part."""
+    def skew(k):
+        g = rand_complex(rng, (k, k))
+        return (g - g.conj().T) / 2
+
+    if family is Family.DISCRETE_BOUNDED_REAL:
+        return Realization.from_array(rand_unitary(rng, n + m), n, m)
+    if family is Family.POSITIVE_REAL:
+        b = rand_complex(rng, (n, m))
+        return Realization(n=n, m=m, A=skew(n), B=b, C=b.conj().T, D=skew(m))
+    if family is Family.BOUNDED_REAL:
+        c, d = rand_complex(rng, (m, n)), rand_unitary(rng, m)
+        return Realization(n=n, m=m, A=skew(n) - c.conj().T @ c / 2, B=-c.conj().T @ d, C=c, D=d)
+    a, b = rand_unitary(rng, n), rand_complex(rng, (n, m))
+    return Realization(n=n, m=m, A=a, B=b, C=b.conj().T @ a, D=b.conj().T @ b / 2 + skew(m))
 
 
 def resonance(gain: float = 1.05, zeta: float = 1e-4, w: float = 0.37) -> Realization:

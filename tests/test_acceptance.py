@@ -305,7 +305,7 @@ def test_criterion_09_solver_sanity():
         r = kc.random_certified_realization(fam, n, m, rng)
         if i % 2 == 1 and n:
             r = kc.change_coordinates(r, rand_coordinates(rng, n, cond_max=5.0))
-        cert = kc.solve_p(r, fam, max_iter=5000)
+        cert = kc.solve_p(r, fam)
         ok &= isinstance(cert, kc.Certificate) and cert.verified
         solved.append((r, fam))
     worst_oracle = np.inf

@@ -276,7 +276,7 @@ def test_solve_fixture_f_both_families():
 
 def test_solve_g_discrete_bounded_not_found():
     g = fixture("g")
-    res = solve_p(g, Family.DISCRETE_BOUNDED_REAL, max_iter=800)
+    res = solve_p(g, Family.DISCRETE_BOUNDED_REAL)
     assert isinstance(res, NotFound)
     assert res.residual > 0
     # and the sampling oracle refutes membership outright

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import logging
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -20,7 +21,6 @@ from helpers import resonance, riccati_off
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import kypcert.qmi as qmi
 from kypcert import (
     Certificate,
     Family,
@@ -119,6 +119,8 @@ def test_near_boundary_non_members_get_no_rung_certificate(seed, tag, n, m, log_
     cert, why = _riccati_certificate(r, tag, None)
     assert cert is None
     assert why.startswith(("axis eigenvalue", "Rx not positive definite")), why
+    # nor from any later candidate
+    assert isinstance(solve_p(r, tag), NotFound)
 
 
 def test_pinned_resonance_gets_no_rung_certificate():
@@ -227,7 +229,8 @@ def test_failed_schur_reordering_falls_through(monkeypatch, caplog, r, fam):
     with caplog.at_level(logging.DEBUG, logger="kypcert"):
         failed = solve_p(r, fam)
     lines = [rec.getMessage() for rec in caplog.records if rec.name == "kypcert.qmi"]
-    assert lines == [f"solve_p {fam.value} n={r.n} m={r.m}: no Riccati certificate (Schur reordering failed)"]
+    assert len(lines) == 1
+    assert lines[0].startswith(f"solve_p {fam.value} n={r.n} m={r.m}: Schur reordering failed; ")
     riccati_off(monkeypatch)
     off = solve_p(r, fam)
     assert type(failed) is type(off)
@@ -238,18 +241,21 @@ def test_failed_schur_reordering_falls_through(monkeypatch, caplog, r, fam):
         assert failed.witness == off.witness
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered")
 def test_non_finite_hamiltonian_skips_the_rung():
     r = Realization(n=1, m=1, A=[[-1.0]], B=[[1e200]], C=[[1.0]], D=[[1.0]])
     assert _riccati_certificate(r, FamilyTag(Family.POSITIVE_REAL), None) == (None, "H not finite")
 
 
-def test_max_iter_zero_never_runs_the_rung(monkeypatch):
-    calls = []
-    monkeypatch.setattr(qmi, "_riccati_certificate", lambda *args: calls.append(1))
-    r = moved_member(np.random.default_rng(0), FamilyTag(Family.POSITIVE_REAL), 4, 2)
-    res = solve_p(r, Family.POSITIVE_REAL, max_iter=0)
-    assert isinstance(res, NotFound) and res.stop == "max-iter" and not calls
+@pytest.mark.parametrize("fam", [Family.POSITIVE_REAL, Family.BOUNDED_REAL], ids=lambda f: f.value)
+def test_huge_entries_give_a_typed_result_without_warnings(fam):
+    # B B* overflows in the Hamiltonian and F F* in the witness screen
+    r = Realization(n=1, m=1, A=[[-1.0]], B=[[1e200]], C=[[1.0]], D=[[1.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = solve_p(r, fam)
+    assert isinstance(res, (Certificate, NotFound))
+    if isinstance(res, Certificate):
+        assert verify_kyp(r, res.p, fam).verified
 
 
 # -- one DEBUG line per call --------------------------------------------------------
@@ -263,23 +269,36 @@ def _unstable(b):
 
 @pytest.mark.parametrize("r,fam,message", [
     (fixture("f"), Family.BOUNDED_REAL, "certified by the Riccati rung at eps=1e-06"),
-    (fixture("f"), Family.POSITIVE_REAL, "no Riccati certificate (Rx not positive definite)"),
-    (resonance(), Family.BOUNDED_REAL, "no Riccati certificate (axis eigenvalue)"),
-    (_unstable(0.5), Family.POSITIVE_REAL, "no Riccati certificate (verify_kyp rejected P)"),
-    (_unstable(0.0), Family.POSITIVE_REAL, "no Riccati certificate (U1 singular)"),
-], ids=["certified", "rx", "axis", "rejected", "u1"])
+    (fixture("f"), Family.POSITIVE_REAL, "Rx not positive definite; certified by the KYP equalities"),
+    (fixture("g"), Family.POSITIVE_REAL, "axis eigenvalue; certified by the KYP equalities"),
+    (Realization(n=2, m=1, A=np.diag([-1.0, -2.0]), B=np.ones((2, 1)), C=np.ones((1, 2)), D=[[0.0]]),
+     Family.POSITIVE_REAL, "Rx not positive definite; certified by the identity"),
+    (resonance(), Family.BOUNDED_REAL, "axis eigenvalue; no certificate"),
+    (_unstable(0.5), Family.POSITIVE_REAL, "verify_kyp rejected P; no certificate"),
+    (_unstable(0.0), Family.POSITIVE_REAL, "U1 singular; no certificate"),
+], ids=["certified", "rx", "axis", "identity", "none", "rejected", "u1"])
 def test_one_debug_line_names_the_rung_or_the_reason(caplog, r, fam, message):
     with caplog.at_level(logging.DEBUG, logger="kypcert"):
-        solve_p(r, fam, max_iter=3)
+        solve_p(r, fam)
     lines = [rec.getMessage() for rec in caplog.records if rec.name == "kypcert.qmi"]
     assert lines == [f"solve_p {fam.value} n={r.n} m={r.m}: {message}"]
 
 
+def test_debug_line_names_the_gramian_scale(monkeypatch, caplog):
+    r = moved_member(np.random.default_rng(5), FamilyTag(Family.BOUNDED_REAL), 6, 2)
+    riccati_off(monkeypatch)
+    with caplog.at_level(logging.DEBUG, logger="kypcert"):
+        cert = solve_p(r, Family.BOUNDED_REAL)
+    lines = [rec.getMessage() for rec in caplog.records if rec.name == "kypcert.qmi"]
+    assert lines == ["solve_p bounded-real n=6 m=2: off; certified by the Gramian at scale 2"]
+    assert cert.verified
+
+
 def test_debug_line_without_a_rung(caplog):
     with caplog.at_level(logging.DEBUG, logger="kypcert"):
-        solve_p(fixture("f"), Family.BOUNDED_REAL, max_iter=0)
-        solve_p(Realization(n=0, m=1, A=np.zeros((0, 0)), B=np.zeros((0, 1)), C=np.zeros((1, 0)),
-                            D=[[0.5]]), Family.POSITIVE_REAL)
+        for d in (0.5, -0.5):
+            solve_p(Realization(n=0, m=1, A=np.zeros((0, 0)), B=np.zeros((0, 1)), C=np.zeros((1, 0)),
+                                D=[[d]]), Family.POSITIVE_REAL)
     lines = [rec.getMessage() for rec in caplog.records if rec.name == "kypcert.qmi"]
-    assert lines == ["solve_p bounded-real n=1 m=1: no Riccati certificate (max_iter = 0)",
-                     "solve_p positive-real n=0 m=1: Q = Phi(D) is verified"]
+    assert lines == ["solve_p positive-real n=0 m=1: Q = Phi(D) is verified",
+                     "solve_p positive-real n=0 m=1: Q = Phi(D) is refuted"]
