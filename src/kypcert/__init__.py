@@ -41,6 +41,7 @@ from .exceptions import (
     MinusOneInSpectrum,
     NotAnIsometryFamily,
     NotPositiveDefinite,
+    NumericalFailure,
     ParseError,
     PassivityError,
     PoleAt,

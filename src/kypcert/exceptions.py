@@ -45,6 +45,10 @@ class MinusOneInSpectrum(SingularMatrixError):
     """-1 is (numerically) an eigenvalue, so the matrix Cayley transform is undefined."""
 
 
+class NumericalFailure(PassivityError):
+    """A factorization did not converge, or a result overflowed to non-finite entries."""
+
+
 class NotPositiveDefinite(PassivityError):
     """A matrix required to be Hermitian positive definite is not."""
 

@@ -27,6 +27,7 @@ from .exceptions import (
     DimensionMismatch,
     EtaOutOfRange,
     NotPositiveDefinite,
+    NumericalFailure,
     SingularIPlusA,
 )
 from .realization import POLE_RTOL, Realization, _evaluate_points, change_coordinates
@@ -274,7 +275,11 @@ def assemble_q(r: Realization, w) -> np.ndarray:
             f"weight has shape {entries.shape}, expected {(2 * nm, 2 * nm)}"
         )
     stack = np.vstack([r.array, np.eye(nm)])
-    return herm(stack.conj().T @ entries @ stack)
+    with np.errstate(over="ignore", invalid="ignore"):
+        q = herm(stack.conj().T @ entries @ stack)
+    if not np.isfinite(q).all():
+        raise NumericalFailure("Q overflows: the entries of the array are too large for the weight")
+    return q
 
 
 def default_psd_tol(q: np.ndarray) -> float:
@@ -421,7 +426,10 @@ def _popov_blocks(r: Realization, w_io: np.ndarray) -> tuple[np.ndarray, np.ndar
     n, m = r.n, r.m
     cd = np.zeros((2 * m, n + m), dtype=complex)
     cd[:m, :n], cd[:m, n:], cd[m:, n:] = r.C, r.D, np.eye(m)
-    mx = ct(cd) @ w_io @ cd
+    with np.errstate(over="ignore", invalid="ignore"):
+        mx = ct(cd) @ w_io @ cd
+    if not np.isfinite(mx).all():
+        raise NumericalFailure("Q overflows: the entries of [C D] are too large for the weight")
     return mx[:n, :n], mx[:n, n:], mx[n:, n:], spectral_norm(mx)
 
 

@@ -11,10 +11,12 @@ import logging
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg.lapack import zgees, zgesv
 
 from ._linalg import nearly_singular
 from .exceptions import (
     DimensionMismatch,
+    NumericalFailure,
     PoleAt,
     SingularArray,
     SingularD,
@@ -41,8 +43,9 @@ RANK_RTOL = 1e-8
 #: condition-number cap for coordinate-change matrices
 COND_MAX = 1e12
 
-#: entries of zI - A in one stacked block of `_evaluate_points`, which bounds
-#: the block's memory for any n
+#: entries of the work arrays of one block of `_evaluate_points` (zI - A for
+#: the exact rule, the states for the solve), which bounds their memory for
+#: any n
 _BLOCK_ENTRIES = 2**14
 
 #: the eigenvalue screen clears a point when its lower bound on
@@ -159,6 +162,8 @@ def evaluate(r: Realization, z: complex) -> TransferSample:
     PoleAt
         If zI - A is singular to working precision
         (sigma_min < 1e-12 * ||zI - A||_2).
+    NumericalFailure
+        If the Schur form of A does not converge.
     """
     z = complex(z)
     if r.n == 0:
@@ -166,42 +171,85 @@ def evaluate(r: Realization, z: complex) -> TransferSample:
     zia = z * np.eye(r.n) - r.A
     if nearly_singular(zia, POLE_RTOL):
         raise PoleAt(z)
-    value = r.C @ np.linalg.solve(zia, r.B) + r.D
+    value = _transfer(r, *_schur(r.A), np.array([z]))[0][0]
     return TransferSample(z=z, value=value)
 
 
+def _schur(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(T, U) with A = U T U*, U unitary and T upper triangular: the complex
+    Schur form from one LAPACK call."""
+    t, _, _, u, _, info = zgees(lambda x: None, a)
+    if info:
+        raise NumericalFailure(f"the Schur form of A did not converge (zgees info = {info})")
+    return t, u
+
+
+def _transfer(r: Realization, t: np.ndarray, u: np.ndarray, z: np.ndarray):
+    """(F, Y) at the points z for the Schur form A = U T U*: Y is the
+    (N, n, m) stack solving (zI - T) Y = U* B and F = (C U) Y + D.
+
+    One back substitution runs over all points, a row of T per step:
+    Y[i] = ((U* B)[i] + T[i, i+1:] Y[i+1:]) / (z - T[i, i]). The product is
+    one matrix product per point, of the same shape at every point, so the
+    values at a point do not depend on the other points. An elementwise
+    update across points would: numpy's SIMD loops may multiply complex
+    arrays with fused multiply-adds and a single element without.
+    """
+    w = u.conj().T @ r.B
+    d = z[:, None] - np.diag(t)
+    y = np.empty((z.size, r.n, r.m), dtype=complex)
+    for i in range(r.n - 1, -1, -1):
+        y[:, i] = (w[i] + t[i, i + 1 :] @ y[:, i + 1 :]) / d[:, i, None]
+    return (r.C @ u) @ y + r.D, y
+
+
 # Pole screen of `_evaluate_points`. With A V = V diag(lam) + E for the
-# computed eigenpairs, zI - A = V (zI - diag(lam)) V^-1 - E V^-1, so
+# eigenpairs, zI - A = V (zI - diag(lam)) V^-1 - E V^-1, so
 #     sigma_min(zI - A) >= min|z - lam| / kappa(V) - ||E||_F / sigma_min(V),
-# and ||zI - A||_2 <= |z| + ||A||_2. E is the residual as computed plus the
-# rounding bound of the product A V, (n + 1) eps ||A||_F ||V||_F. A point
-# whose lower bound exceeds 1e-9 (|z| + ||A||_2) cannot fail `evaluate`'s rule
+# and ||zI - A||_2 <= |z| + ||A||_2. The eigenpairs come from the Schur form
+# A = U T U*: lam = diag(T) and V = U V_T with V_T the unit upper triangular
+# eigenvectors of T, columns scaled to unit norm. The bound holds for any V:
+# E is the residual against A as computed plus the rounding bound of the
+# product A V, (n + 1) eps ||A||_F ||V||_F. A point whose lower bound exceeds
+# 1e-9 (|z| + ||A||_2) cannot fail `evaluate`'s rule
 # sigma_min < 1e-12 ||zI - A||_2: the three decades between the two cover the
 # rounding of the SVD and of the bound itself. A point not cleared gets the
 # exact rule, so the kept set is the one `evaluate` gives point by point. The
 # comparison is strict, so A = 0 at z = 0 (both sides 0) is not cleared.
-def _pole_screen(a: np.ndarray):
-    """(lam, kappa(V), delta, ||A||_2) of the screen, or None when eig fails
-    or its eigenvector matrix V is singular to working precision."""
-    try:
-        lam, v = np.linalg.eig(a)
-    except np.linalg.LinAlgError:
+def _pole_screen(a: np.ndarray, t: np.ndarray, u: np.ndarray):
+    """(lam, kappa(V), delta, ||A||_2) of the screen for the Schur form
+    A = U T U*, or None when the eigenvector matrix V is not finite (equal
+    eigenvalues in a Jordan block) or is singular to working precision."""
+    lam = np.diag(t)
+    vt = np.eye(a.shape[0], dtype=complex)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for j in range(a.shape[0] - 2, -1, -1):
+            num = t[j, j + 1 :] @ vt[j + 1 :, j + 1 :]
+            # a zero numerator gives 0, also between equal eigenvalues
+            vt[j, j + 1 :] = np.divide(num, lam[j + 1 :] - lam[j], out=np.zeros_like(num), where=num != 0)
+        v = u @ (vt / np.linalg.norm(vt, axis=0))
+    if not np.isfinite(v).all():
         return None
     sv = np.linalg.svd(v, compute_uv=False)
     if not sv[-1] >= POLE_RTOL * sv[0]:
         return None
     rounding = (a.shape[0] + 1) * np.finfo(float).eps * np.linalg.norm(a) * np.linalg.norm(v)
     delta = (np.linalg.norm(a @ v - v * lam) + rounding) / sv[-1]
-    return lam, sv[0] / sv[-1], delta, np.linalg.norm(a, 2)
+    return lam, sv[0] / sv[-1], delta, np.linalg.svd(a, compute_uv=False)[0]
 
 
 def _evaluate_points(r: Realization, points: np.ndarray, *, states: bool = False):
     """F(z) at each point as an (N, m, m) stack, and the mask of points kept.
 
     A point is kept when `evaluate` would not raise `PoleAt` there; the values
-    at kept points are those `evaluate` returns, and the rows of skipped points
-    are zero. Points go through in blocks of stacked zI - A. With `states`, a
-    third result is the (N, n, m) stack of (zI - A)^-1 B, zero where skipped.
+    at kept points are those `evaluate` returns, bit for bit, and the rows of
+    skipped points are zero. One Schur form A = U T U* serves the whole call.
+    The pole screen takes its eigenpairs from it, and zI - A is formed only
+    for the points the screen does not clear, to apply `evaluate`'s exact
+    rule. `_transfer` then solves the kept points by one back substitution
+    with zI - T, O(n^2 m) per point. Both passes go in blocks of
+    `_BLOCK_ENTRIES` entries. With `states`, a third result is the (N, n, m)
+    stack of (zI - A)^-1 B = U (zI - T)^-1 U* B, zero where skipped.
     """
     points = np.asarray(points, dtype=complex).ravel()
     n = r.n
@@ -212,26 +260,28 @@ def _evaluate_points(r: Realization, points: np.ndarray, *, states: bool = False
     if n == 0:
         values[:] = r.D
     else:
-        screen = _pole_screen(r.A)
+        t, u = _schur(r.A)
+        screen = _pole_screen(r.A, t, u)
+        if screen is None:
+            keep = np.zeros(points.size, dtype=bool)
+        else:
+            lam, kappa, delta, norm_a = screen
+            dist = np.abs(points[:, None] - lam).min(axis=1)
+            keep = dist / kappa - delta > _SCREEN_RTOL * (np.abs(points) + norm_a)
+        cleared = int(keep.sum())
+        rest = np.flatnonzero(~keep)
         eye = np.eye(n)
         step = max(1, _BLOCK_ENTRIES // (n * n))
-        for start in range(0, points.size, step):
-            z = points[start : start + step]
-            zia = z[:, None, None] * eye - r.A
-            if screen is None:
-                ok = np.zeros(z.size, dtype=bool)
-            else:
-                lam, kappa, delta, norm_a = screen
-                dist = np.abs(z[:, None] - lam).min(axis=1)
-                ok = dist / kappa - delta > _SCREEN_RTOL * (np.abs(z) + norm_a)
-            cleared += int(ok.sum())
-            rest = ~ok
-            ok[rest] = ~nearly_singular(zia[rest], POLE_RTOL)
-            keep[start : start + step] = ok
-            x = np.linalg.solve(zia[ok], r.B[None])
-            values[start : start + step][ok] = r.C @ x + r.D
+        for start in range(0, rest.size, step):
+            idx = rest[start : start + step]
+            keep[idx] = ~nearly_singular(points[idx, None, None] * eye - r.A, POLE_RTOL)
+        kept = np.flatnonzero(keep)
+        step = max(1, _BLOCK_ENTRIES // (n * r.m))
+        for start in range(0, kept.size, step):
+            idx = kept[start : start + step]
+            values[idx], y = _transfer(r, t, u, points[idx])
             if states:
-                xs[start : start + step][ok] = x
+                xs[idx] = u @ y
     _log.debug(
         "evaluated F at %d points: %d cleared by the eigenvalue screen, "
         "%d sent to the exact rule, %d skipped as pole-adjacent",
@@ -292,10 +342,8 @@ def change_coordinates(r: Realization, t) -> Realization:
     sv = np.linalg.svd(t, compute_uv=False)
     if sv[-1] <= 0.0 or sv[0] / sv[-1] > COND_MAX:
         raise SingularT("coordinate change matrix is singular or too ill conditioned")
-    a = np.linalg.solve(t, r.A @ t)
-    b = np.linalg.solve(t, r.B)
-    c = r.C @ t
-    return Realization(n=r.n, m=r.m, A=a, B=b, C=c, D=r.D)
+    x = zgesv(t, np.hstack([r.A @ t, r.B]))[2]
+    return Realization(n=r.n, m=r.m, A=x[:, : r.n], B=x[:, r.n :], C=r.C @ t, D=r.D)
 
 
 def invert_array(r: Realization) -> Realization:

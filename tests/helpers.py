@@ -77,6 +77,15 @@ def resonance(gain: float = 1.05, zeta: float = 1e-4, w: float = 0.37) -> Realiz
                        C=[[0.0, gain * 2 * zeta * w]], D=[[0.0]])
 
 
+#: (family, realization) pairs whose Q(P) overflows for every P: |C|^2 in b,
+#: |B|^2 in dp and db
+OVERFLOWING_Q = [
+    (Family.BOUNDED_REAL, Realization(n=1, m=1, A=[[-1.0]], B=[[1.0]], C=[[1e200]], D=[[0.0]])),
+    (Family.DISCRETE_POSITIVE_REAL, Realization(n=1, m=1, A=[[-0.5]], B=[[1e200]], C=[[1.0]], D=[[1.0]])),
+    (Family.DISCRETE_BOUNDED_REAL, Realization(n=1, m=1, A=[[-0.5]], B=[[1e200]], C=[[1.0]], D=[[0.0]])),
+]
+
+
 def riccati_off(monkeypatch):
     """Send every certificate search past the Riccati rung of `solve_p`."""
     monkeypatch.setattr(qmi, "_riccati_certificate", lambda r, tag, tol_psd: (None, "off"))

@@ -4,7 +4,7 @@ import sys
 
 import numpy as np
 import pytest
-from helpers import resonance
+from helpers import OVERFLOWING_Q, resonance
 
 from kypcert import evaluate, fixture, load_realization, save_matrix, save_realization
 from kypcert.cli import main
@@ -413,3 +413,15 @@ def test_fixture_oracle_blocks_are_the_grid_oracles(capsys, tmp_path, name, fami
     assert code in (0, 2)
     if code == 2:
         assert rep["solver"]["stop"] == "witness" and isinstance(rep["solver"]["witness"], list)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("fam,r", OVERFLOWING_Q, ids=[fam.value for fam, _ in OVERFLOWING_Q])
+def test_overflowing_q_is_an_error_not_a_traceback(capsys, tmp_path, fam, r):
+    path = tmp_path / "r.json"
+    save_realization(path, r)
+    flag = {"bounded-real": "b", "discrete-positive-real": "dp", "discrete-bounded-real": "db"}[fam.value]
+    code = main(["check", "--family", flag, "--solve", str(path)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: Q overflows")

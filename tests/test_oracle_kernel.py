@@ -3,7 +3,9 @@
 The reference evaluates F point by point with `evaluate` and keeps the worst
 margin under a strict `<`, as the oracles did before evaluation was batched.
 Reports must agree field for field and floats bit for bit; the kernel must
-keep and skip the same points as `evaluate` and return the same values.
+keep and skip the same points as `evaluate` and return the same values. As
+the two share their arithmetic, the states the kernel returns are also held
+to a backward-error bound that does not depend on either.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from kypcert import (
     DomainGrid,
     Family,
     MembershipReport,
+    NumericalFailure,
     PoleAt,
     Realization,
     anti_db_oracle,
@@ -261,8 +264,8 @@ def test_inputs_reach_the_paths_they_are_for():
         assert any(f is None for _, f in samples(case, "rhp") + samples(case, "disk")), case
     assert samples("zero-A", "rhp")[0] == (0j, None)
     for case in ("jordan-rhp", "jordan-disk"):
-        assert _pole_screen(c[case][0].A) is None
-    kappa = _pole_screen(c["kappa-1e8-rhp"][0].A)[1]
+        assert _pole_screen(c[case][0].A, *realization._schur(c[case][0].A)) is None
+    kappa = _pole_screen(c["kappa-1e8-rhp"][0].A, *realization._schur(c["kappa-1e8-rhp"][0].A))[1]
     assert 1e7 < kappa < 1e9
     substituted = []
     for case in CASES:
@@ -333,3 +336,59 @@ def test_screen_keeps_what_evaluate_keeps(seed, n, log_cond, log_offset):
             assert not kept, z
         else:
             assert kept and value.tobytes() == f.tobytes(), z
+
+
+#: c of the backward-error bound ||(zI - A) X - B||_F <= c n eps (||zI - A||_F ||X||_F + ||B||_F)
+RESIDUAL_C = 50
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.one_of(st.integers(1, 7), st.sampled_from([33, 64])),
+    log_cond=st.integers(0, 10),
+    log_offset=st.integers(-16, -2),
+)
+def test_states_meet_the_backward_error_bound(seed, n, log_cond, log_offset):
+    """Non-normal A with kappa(V) up to about 1e10 for n <= 7, random A for
+    n = 33 and 64; points at and near the eigenvalues, and a few others."""
+    rng = np.random.default_rng(seed)
+    if n <= 7:
+        v = _random(rng, n, 1).A @ np.diag(np.logspace(0, -log_cond, n))
+        lam = rng.normal(size=n) + 1j * rng.normal(size=n)
+        r = _random(rng, n, 2, a=v @ np.diag(lam) @ np.linalg.inv(v))
+    else:
+        r = _random(rng, n, 2)
+    eig = np.linalg.eigvals(r.A)
+    scale = 1.0 + np.abs(eig)
+    near = eig + 10.0**log_offset * scale * np.exp(2j * np.pi * rng.random(n))
+    points = np.concatenate([eig, near, [0j, 1j], rng.normal(size=4) + 1j * rng.normal(size=4)])
+    _, keep, xs = _evaluate_points(r, points, states=True)
+    eps = np.finfo(float).eps
+    for z, x in zip(points[keep], xs[keep]):
+        zia = z * np.eye(n) - r.A
+        residual = np.linalg.norm(zia @ x - r.B)
+        assert residual <= RESIDUAL_C * n * eps * (np.linalg.norm(zia) * np.linalg.norm(x) + np.linalg.norm(r.B)), z
+
+
+def test_failed_schur_form_raises_a_typed_error(monkeypatch):
+    """LAPACK reports no convergence: every path through the Schur form
+    raises NumericalFailure, and nothing falls back to another solve."""
+
+    zgees = realization.zgees
+
+    def no_convergence(select, a):
+        return zgees(select, a)[:5] + (1,)
+
+    monkeypatch.setattr(realization, "zgees", no_convergence)
+    r, (rhp, _) = cases()["random-n8-m1"]
+    for call in (
+        lambda: evaluate(r, 1.0),
+        lambda: _evaluate_points(r, rhp.points),
+        lambda: membership_oracle(r, Family.POSITIVE_REAL, rhp),
+    ):
+        with pytest.raises(NumericalFailure, match="zgees info = 1"):
+            call()
+    assert not issubclass(NumericalFailure, np.linalg.LinAlgError)
+    constant = cases()["random-n0-m1"][0]
+    assert _evaluate_points(constant, rhp.points)[1].all()  # n = 0 needs no Schur form

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.optimize
-from helpers import resonance, riccati_off
+from helpers import OVERFLOWING_Q, resonance, riccati_off
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -26,6 +26,7 @@ from kypcert import (
     Family,
     FamilyTag,
     NotFound,
+    NumericalFailure,
     Realization,
     balance,
     bilinear_substitute,
@@ -256,6 +257,16 @@ def test_huge_entries_give_a_typed_result_without_warnings(fam):
     assert isinstance(res, (Certificate, NotFound))
     if isinstance(res, Certificate):
         assert verify_kyp(r, res.p, fam).verified
+
+
+@pytest.mark.parametrize("fam,r", OVERFLOWING_Q, ids=[fam.value for fam, _ in OVERFLOWING_Q])
+def test_overflowing_q_raises_a_typed_error(fam, r):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalFailure, match="Q overflows"):
+            verify_kyp(r, np.eye(1), fam)
+        with pytest.raises(NumericalFailure, match="Q overflows"):
+            solve_p(r, fam)
 
 
 # -- one DEBUG line per call --------------------------------------------------------
