@@ -15,6 +15,7 @@ __all__ = [
     "min_eigs",
     "spectral_norms",
     "sigma_mins",
+    "frozen",
 ]
 
 
@@ -79,3 +80,10 @@ def spectral_norms(x: np.ndarray) -> np.ndarray:
 def sigma_mins(x: np.ndarray) -> np.ndarray:
     """`sigma_min` of each matrix in a stack."""
     return np.linalg.svd(x, compute_uv=False)[..., -1]
+
+
+def frozen(x) -> np.ndarray:
+    """A read-only complex copy of `x`."""
+    out = np.array(x, dtype=complex)
+    out.setflags(write=False)
+    return out

@@ -7,8 +7,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._linalg import herm, is_hermitian, min_eig, nearly_singular, sigma_min, spectral_norm
-from .exceptions import DimensionMismatch, MinusOneInSpectrum, NotAnIsometryFamily
+from ._linalg import frozen, herm, is_hermitian, min_eig, nearly_singular, sigma_min, spectral_norm
+from .exceptions import BadParams, DimensionMismatch, MinusOneInSpectrum, NotAnIsometryFamily
 
 __all__ = [
     "ConeParameter",
@@ -46,12 +46,10 @@ class ConeParameter:
         if h.ndim != 2 or h.shape[0] != h.shape[1]:
             raise DimensionMismatch("cone parameter H must be square")
         if not is_hermitian(h):
-            raise ValueError("cone parameter H must be Hermitian")
+            raise BadParams("cone parameter H must be Hermitian")
         if sigma_min(h) <= 0.0:
-            raise ValueError("cone parameter H must be nonsingular")
-        h = h.copy()
-        h.setflags(write=False)
-        object.__setattr__(self, "h", h)
+            raise BadParams("cone parameter H must be nonsingular")
+        object.__setattr__(self, "h", frozen(h))
 
     @property
     def n(self) -> int:
@@ -104,6 +102,12 @@ def cayley(a) -> np.ndarray:
     return np.linalg.solve(ipa.conj().T, (np.eye(n) - a).conj().T).conj().T
 
 
+def _gram_defect(blocks) -> float:
+    """||sum_j Y_j* Y_j - I||_2 over blocks of a common column count."""
+    nu = blocks[0].shape[1]
+    return spectral_norm(sum(b.conj().T @ b for b in blocks) - np.eye(nu))
+
+
 @dataclass(frozen=True)
 class IsometryTuple:
     """Blocks Y_j in C^(eta_j x nu) with sum(Y_j* Y_j) = I_nu.
@@ -125,16 +129,10 @@ class IsometryTuple:
                 raise DimensionMismatch(f"block {j} must have {nu} columns")
             if b.shape[0] > nu:
                 raise DimensionMismatch(f"block {j} has eta_j = {b.shape[0]} > nu = {nu}")
-        gram = sum(b.conj().T @ b for b in blocks)
-        defect = spectral_norm(gram - np.eye(nu))
-        if defect > ISOMETRY_TOL:
+        defect = _gram_defect(blocks)
+        if not defect <= ISOMETRY_TOL:
             raise NotAnIsometryFamily(f"Gram sum deviates from identity by {defect:.3e}")
-        frozen = []
-        for b in blocks:
-            b = b.copy()
-            b.setflags(write=False)
-            frozen.append(b)
-        object.__setattr__(self, "blocks", tuple(frozen))
+        object.__setattr__(self, "blocks", tuple(frozen(b) for b in blocks))
         object.__setattr__(self, "defect", defect)
 
     @property

@@ -12,10 +12,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 
-from ._linalg import spectral_norm
-from .cones import random_isometry_tuple
-from .exceptions import DimensionMismatch, InputNotCertified, NotAnIsometryFamily
+from ._linalg import frozen
+from .cones import ISOMETRY_TOL, _gram_defect, matrix_convex_combine, random_isometry_tuple
+from .exceptions import DimensionMismatch, InputNotCertified
 from .qmi import Certificate, NotFound, as_tag, balance, solve_p, verify_kyp
 from .realization import Realization
 
@@ -28,13 +29,11 @@ __all__ = [
     "random_isometry_family",
 ]
 
-#: maximum Gram-sum defect per tier
-TIER_TOL = 1e-8
-
-
 @dataclass(frozen=True)
 class IsometryFamily:
-    """Block-diagonal tiers (Y_{j,n}, Y_{j,m}) with each tier's Gram sum = I."""
+    """Block-diagonal tiers (Y_{j,n}, Y_{j,m}), each tier's Gram sum meant to be I.
+
+    Only shapes are checked here; `validate_isometry` reports the Gram sums."""
 
     state_blocks: tuple[np.ndarray, ...]
     io_blocks: tuple[np.ndarray, ...]
@@ -52,9 +51,8 @@ class IsometryFamily:
         for b in io:
             if b.shape != (m, m):
                 raise DimensionMismatch("io blocks must all be m x m")
-        freeze = lambda b: (b.setflags(write=False), b)[1]  # noqa: E731
-        object.__setattr__(self, "state_blocks", tuple(freeze(b.copy()) for b in state))
-        object.__setattr__(self, "io_blocks", tuple(freeze(b.copy()) for b in io))
+        object.__setattr__(self, "state_blocks", tuple(frozen(b) for b in state))
+        object.__setattr__(self, "io_blocks", tuple(frozen(b) for b in io))
 
     @property
     def k(self) -> int:
@@ -70,26 +68,20 @@ class IsometryFamily:
 
     def full_blocks(self) -> list[np.ndarray]:
         """The k block-diagonal (n+m) matrices diag(Y_{j,n}, Y_{j,m})."""
-        out = []
-        for yn, ym in zip(self.state_blocks, self.io_blocks):
-            y = np.zeros((self.n + self.m, self.n + self.m), dtype=complex)
-            y[: self.n, : self.n] = yn
-            y[self.n :, self.n :] = ym
-            out.append(y)
-        return out
+        return [scipy.linalg.block_diag(yn, ym) for yn, ym in zip(self.state_blocks, self.io_blocks)]
 
 
 def validate_isometry(fam: IsometryFamily) -> tuple[bool, float, float]:
-    """Gram-sum defects of the two tiers; valid iff both are <= 1e-8."""
-    gram_n = sum(b.conj().T @ b for b in fam.state_blocks)
-    gram_m = sum(b.conj().T @ b for b in fam.io_blocks)
-    defect_n = spectral_norm(gram_n - np.eye(fam.n))
-    defect_m = spectral_norm(gram_m - np.eye(fam.m))
-    return (defect_n <= TIER_TOL and defect_m <= TIER_TOL), defect_n, defect_m
+    """Gram-sum defects (state, io) of the two tiers; valid iff both are at
+    most ``cones.ISOMETRY_TOL``."""
+    defect_n, defect_m = _gram_defect(fam.state_blocks), _gram_defect(fam.io_blocks)
+    return (defect_n <= ISOMETRY_TOL and defect_m <= ISOMETRY_TOL), defect_n, defect_m
 
 
 def combine_realizations(rs, fam: IsometryFamily) -> Realization:
-    """Blockwise combination sum_j diag(Y_{j,n}, Y_{j,m})* R_j diag(Y_{j,n}, Y_{j,m})."""
+    """sum_j Y_j* R_j Y_j over the arrays R_j, with Y_j = diag(Y_{j,n}, Y_{j,m}),
+    by `matrix_convex_combine`; its Gram check raises NotAnIsometryFamily when
+    either tier's Gram-sum defect exceeds ISOMETRY_TOL."""
     rs = list(rs)
     if len(rs) != fam.k:
         raise DimensionMismatch(f"{len(rs)} realizations for {fam.k} isometry blocks")
@@ -97,19 +89,7 @@ def combine_realizations(rs, fam: IsometryFamily) -> Realization:
     for j, r in enumerate(rs):
         if (r.n, r.m) != (n, m):
             raise DimensionMismatch(f"realization #{j} has (n, m) = {(r.n, r.m)}, expected {(n, m)}")
-    ok, defect_n, defect_m = validate_isometry(fam)
-    if not ok:
-        raise NotAnIsometryFamily(f"tier defects {defect_n:.3e}, {defect_m:.3e} exceed {TIER_TOL}")
-    a = np.zeros((n, n), dtype=complex)
-    b = np.zeros((n, m), dtype=complex)
-    c = np.zeros((m, n), dtype=complex)
-    d = np.zeros((m, m), dtype=complex)
-    for r, yn, ym in zip(rs, fam.state_blocks, fam.io_blocks):
-        a += yn.conj().T @ r.A @ yn
-        b += yn.conj().T @ r.B @ ym
-        c += ym.conj().T @ r.C @ yn
-        d += ym.conj().T @ r.D @ ym
-    return Realization(n=n, m=m, A=a, B=b, C=c, D=d)
+    return Realization.from_array(matrix_convex_combine([r.array for r in rs], fam.full_blocks()), n, m)
 
 
 @dataclass(frozen=True)

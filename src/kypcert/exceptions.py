@@ -81,8 +81,9 @@ class InputNotCertified(PassivityError):
         super().__init__(message or f"input realization #{index} is not certified")
 
 
-class BadParams(PassivityError):
-    """Invalid fixture parameters (e.g. a = 0, or an unknown name)."""
+class BadParams(PassivityError, ValueError):
+    """Invalid parameters or entries (e.g. fixture a = 0, a non-Hermitian
+    weight, non-finite realization blocks)."""
 
 
 class ParseError(PassivityError):

@@ -7,7 +7,6 @@ counterexample point, while a ``pass`` is a verdict-with-margin only.
 
 from __future__ import annotations
 
-import dataclasses
 import enum
 import math
 from dataclasses import dataclass
@@ -15,8 +14,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.stats import qmc
 
-from ._linalg import ct, min_eigs, nearly_singular, sigma_mins, spectral_norms
+from ._linalg import ct, frozen, min_eigs, nearly_singular, sigma_mins, spectral_norms
 from .exceptions import (
+    BadParams,
     DomainMismatch,
     EtaOutOfRange,
     SingularIPlusA,
@@ -84,12 +84,8 @@ class DomainGrid:
                 raise DomainMismatch("boundary points must lie on the unit circle")
             if inner.size and np.abs(inner).min(initial=np.inf) <= 1.0:
                 raise DomainMismatch("interior points must lie strictly outside the closed disk")
-        bnd = bnd.copy()
-        bnd.setflags(write=False)
-        inner = inner.copy()
-        inner.setflags(write=False)
-        object.__setattr__(self, "boundary_points", bnd)
-        object.__setattr__(self, "interior_points", inner)
+        object.__setattr__(self, "boundary_points", frozen(bnd))
+        object.__setattr__(self, "interior_points", frozen(inner))
 
     @property
     def points(self) -> np.ndarray:
@@ -128,7 +124,7 @@ def make_grid(
     Interior points are scrambled-Halton samples mapped into the open domain.
     """
     if n_boundary < 1 or n_interior < 0:
-        raise ValueError("need n_boundary >= 1 and n_interior >= 0")
+        raise BadParams("need n_boundary >= 1 and n_interior >= 0")
     seed = int(seed)
     theta = 2.0 * np.pi * np.arange(n_boundary) / n_boundary
     if domain is Domain.RIGHT_HALF_PLANE:
@@ -168,6 +164,17 @@ def _worst(points: np.ndarray, values: np.ndarray, keep: np.ndarray, margin_fn):
     return float(margins[i]), complex(points[keep][i]), used, points.size - used
 
 
+def _report(family: str, worst, tol: float, strict: bool = False) -> MembershipReport:
+    """The report of a `_worst` result: pass iff the worst margin is >= -tol,
+    or > tol under the `strict` rule."""
+    margin, point, used, skipped = worst
+    passed = margin > tol if strict else margin >= -tol
+    return MembershipReport(
+        family=family, verdict="pass" if passed else "fail", worst_point=point,
+        worst_margin=margin, samples_used=used, skipped=skipped, tol=tol,
+    )
+
+
 def _family_margin(family: Family):
     """Pointwise margin of a family: min eig(F + F*) for the positive-real
     families, 1 - ||F||_2 for the bounded-real ones."""
@@ -187,10 +194,7 @@ def _with_sample(rep: MembershipReport, z: complex, margin: float) -> Membership
     """`rep` with one more sample, the point z of the given margin, under the
     pass rule worst margin >= -tol of the membership and hyper oracles."""
     worst, point = (margin, z) if margin < rep.worst_margin else (rep.worst_margin, rep.worst_point)
-    return dataclasses.replace(
-        rep, verdict="pass" if worst >= -rep.tol else "fail", worst_point=point,
-        worst_margin=worst, samples_used=rep.samples_used + 1,
-    )
+    return _report(rep.family, (worst, point, rep.samples_used + 1, rep.skipped), rep.tol)
 
 
 def _check_domain(grid: DomainGrid, expected: Domain, what: str):
@@ -212,12 +216,7 @@ def _membership_report(family, grid: DomainGrid, evaluated, tol: float) -> Membe
     """`membership_oracle` from `_evaluate_points` over `grid.points`."""
     tag = as_tag(family)
     _check_domain(grid, family_domain(tag), f"{tag.family.value} oracle")
-    worst, worst_point, used, skipped = _worst(grid.points, *evaluated, _family_margin(tag.family))
-    verdict = "pass" if worst >= -tol else "fail"
-    return MembershipReport(
-        family=tag.family.value, verdict=verdict, worst_point=worst_point,
-        worst_margin=worst, samples_used=used, skipped=skipped, tol=tol,
-    )
+    return _report(tag.family.value, _worst(grid.points, *evaluated, _family_margin(tag.family)), tol)
 
 
 def anti_db_oracle(r: Realization, grid: DomainGrid, tol: float = ORACLE_TOL) -> MembershipReport:
@@ -225,13 +224,8 @@ def anti_db_oracle(r: Realization, grid: DomainGrid, tol: float = ORACLE_TOL) ->
     everywhere outside the closed disk. Margin is sigma_min(F(z)) - 1 and the
     pass rule is strict (> tol)."""
     _check_domain(grid, Domain.EXTERIOR_DISK, "anti-discrete-bounded oracle")
-    evaluated = _evaluate_points(r, grid.points)
-    worst, worst_point, used, skipped = _worst(grid.points, *evaluated, lambda f: sigma_mins(f) - 1.0)
-    verdict = "pass" if worst > tol else "fail"
-    return MembershipReport(
-        family="anti-discrete-bounded", verdict=verdict, worst_point=worst_point,
-        worst_margin=worst, samples_used=used, skipped=skipped, tol=tol,
-    )
+    worst = _worst(grid.points, *_evaluate_points(r, grid.points), lambda f: sigma_mins(f) - 1.0)
+    return _report("anti-discrete-bounded", worst, tol, strict=True)
 
 
 def hyper_bounded_oracle(r: Realization, eta: float, grid: DomainGrid, tol: float = ORACLE_TOL) -> MembershipReport:
@@ -250,13 +244,8 @@ def _hyper_bounded_report(eta: float, grid: DomainGrid, evaluated, tol: float) -
     eta = float(eta)
     if not eta > 1.0:
         raise EtaOutOfRange(f"eta must lie in (1, inf], got {eta}")
-    worst, worst_point, used, skipped = _worst(grid.points, *evaluated, _hyper_margin(eta))
-    verdict = "pass" if worst >= -tol else "fail"
     kind = "hyper-bounded" if grid.domain is Domain.RIGHT_HALF_PLANE else "hyper-discrete-bounded"
-    return MembershipReport(
-        family=f"{kind}(eta={eta:g})", verdict=verdict, worst_point=worst_point,
-        worst_margin=worst, samples_used=used, skipped=skipped, tol=tol,
-    )
+    return _report(f"{kind}(eta={eta:g})", _worst(grid.points, *evaluated, _hyper_margin(eta)), tol)
 
 
 def lossless_boundary_oracle(r: Realization, kind: str, grid: DomainGrid, tol: float = ORACLE_TOL) -> MembershipReport:
@@ -274,7 +263,7 @@ def _lossless_report(kind: str, grid: DomainGrid, evaluated, tol: float) -> Memb
     """`lossless_boundary_oracle` from `_evaluate_points` over `grid.points`;
     one evaluation serves both the boundary margin and the parent family's."""
     if kind not in ("LP", "LB"):
-        raise ValueError(f"kind must be 'LP' or 'LB', got {kind!r}")
+        raise BadParams(f"kind must be 'LP' or 'LB', got {kind!r}")
     _check_domain(grid, Domain.RIGHT_HALF_PLANE, "lossless boundary oracle")
     if kind == "LP":
         margin_fn = lambda f: -spectral_norms(f + ct(f))  # noqa: E731

@@ -20,9 +20,10 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from ._linalg import ct, herm, is_hermitian, min_eig, min_eigs, sigma_min, spectral_norm
+from ._linalg import ct, frozen, herm, is_hermitian, min_eig, min_eigs, sigma_min, spectral_norm
 from .exceptions import (
     BadFamily,
+    BadParams,
     CertificateNotVerified,
     DimensionMismatch,
     EtaOutOfRange,
@@ -136,13 +137,9 @@ class WMatrix:
         if entries.shape != (2 * (self.n + self.m),) * 2:
             raise DimensionMismatch("weight entries have the wrong shape")
         if not is_hermitian(entries):
-            raise ValueError("weight entries must be Hermitian")
-        entries = entries.copy()
-        entries.setflags(write=False)
-        p = np.asarray(self.p_used, dtype=complex).copy()
-        p.setflags(write=False)
-        object.__setattr__(self, "entries", entries)
-        object.__setattr__(self, "p_used", p)
+            raise BadParams("weight entries must be Hermitian")
+        object.__setattr__(self, "entries", frozen(entries))
+        object.__setattr__(self, "p_used", frozen(self.p_used))
 
 
 @dataclass(frozen=True)
@@ -190,39 +187,32 @@ def _eta_coefficient(tag: FamilyTag) -> float:
     return (1.0 + tag.eta) / (1.0 - tag.eta)
 
 
+def _tiers(n: int, m: int) -> tuple[slice, slice, slice, slice]:
+    """Slices of the blocks of a 2(n+m) weight, in the order n, m, n, m."""
+    return slice(0, n), slice(n, n + m), slice(n + m, 2 * n + m), slice(2 * n + m, 2 * (n + m))
+
+
 def _weight_entries(tag: FamilyTag, p: np.ndarray, m: int) -> np.ndarray:
     """Assemble the 2(n+m) weight for family `tag` around an arbitrary
-    Hermitian P (no definiteness check; block order n, m, n, m)."""
+    Hermitian P (no definiteness check; block order n, m, n, m). The state
+    tier is diag(-P, P) in discrete time, else -P off the diagonal; the io
+    tier is diag(c, 1)·I if bounded (c from eta), else I off the diagonal."""
     n = p.shape[0]
     w = np.zeros((2 * (n + m), 2 * (n + m)), dtype=complex)
-    i1 = slice(0, n)
-    i2 = slice(n, n + m)
-    i3 = slice(n + m, 2 * n + m)
-    i4 = slice(2 * n + m, 2 * (n + m))
+    i1, i2, i3, i4 = _tiers(n, m)
     im = np.eye(m)
-    fam = tag.family
-    if fam is Family.DISCRETE_BOUNDED_REAL:
+    if tag.family.is_discrete:
         w[i1, i1] = -p
-        w[i2, i2] = -im
         w[i3, i3] = p
-        w[i4, i4] = im
-    elif fam is Family.BOUNDED_REAL:
+    else:
         w[i1, i3] = -p
         w[i3, i1] = -p
+    if tag.family.is_bounded:
         w[i2, i2] = _eta_coefficient(tag) * im
         w[i4, i4] = im
-    elif fam is Family.POSITIVE_REAL:
-        w[i1, i3] = -p
-        w[i3, i1] = -p
+    else:
         w[i2, i4] = im
         w[i4, i2] = im
-    elif fam is Family.DISCRETE_POSITIVE_REAL:
-        w[i1, i1] = -p
-        w[i3, i3] = p
-        w[i2, i4] = im
-        w[i4, i2] = im
-    else:  # pragma: no cover
-        raise BadFamily(f"unknown family {fam}")
     return w
 
 
@@ -699,10 +689,7 @@ def weight_rotation_delta_to_beta(n: int, m: int) -> np.ndarray:
     """Symmetric orthogonal U with U* W_dbr(P) U = W_br(P)."""
     s = 1.0 / np.sqrt(2.0)
     u = np.zeros((2 * (n + m), 2 * (n + m)))
-    i1 = slice(0, n)
-    i2 = slice(n, n + m)
-    i3 = slice(n + m, 2 * n + m)
-    i4 = slice(2 * n + m, 2 * (n + m))
+    i1, i2, i3, i4 = _tiers(n, m)
     u[i1, i1] = s * np.eye(n)
     u[i1, i3] = s * np.eye(n)
     u[i3, i1] = s * np.eye(n)
@@ -728,10 +715,7 @@ def weight_transfer_delta_to_alpha(n: int, m: int) -> np.ndarray:
     a plain [0, -I; I, 0] block swap flips the P block the wrong way.
     """
     u = np.zeros((2 * (n + m), 2 * (n + m)))
-    i1 = slice(0, n)
-    i2 = slice(n, n + m)
-    i3 = slice(n + m, 2 * n + m)
-    i4 = slice(2 * n + m, 2 * (n + m))
+    i1, i2, i3, i4 = _tiers(n, m)
     u[i1, i3] = np.eye(n)
     u[i2, i4] = -np.eye(m)
     u[i3, i1] = -np.eye(n)
@@ -766,14 +750,14 @@ def random_certified_realization(
     rng,
     *,
     contraction: float = 0.7,
-    max_tries: int = 100,
 ) -> Realization:
     """Sample a realization whose balanced QMI is strictly feasible (P = I).
 
     Splits the balanced weight as W = V+ L+ V+* - V- L- V-* and parametrizes
     the strictly feasible set by arbitrary strict contractions M:
     [R; I] = (V+ L+^(-1/2) + V- L-^(-1/2) M) Y with Y fixed by the identity
-    block, giving Q = Y* (I - M*M) Y > 0. Resamples on ill-conditioned draws.
+    block, giving Q = Y* (I - M*M) Y > 0. Resamples ill-conditioned or
+    uncertified draws, up to 100 draws.
     """
     tag = as_tag(family)
     rng = np.random.default_rng(rng)
@@ -785,7 +769,7 @@ def random_certified_realization(
         raise ValueError("weight does not have a balanced +/- eigenspace split")
     t_plus = vecs[:, pos] / np.sqrt(vals[pos])
     t_minus = vecs[:, neg] / np.sqrt(-vals[neg])
-    for _ in range(max_tries):
+    for _ in range(100):
         g = rng.standard_normal((nm, nm)) + 1j * rng.standard_normal((nm, nm))
         mmat = g * (contraction / spectral_norm(g))
         phi = t_plus + t_minus @ mmat

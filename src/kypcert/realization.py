@@ -13,8 +13,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg.lapack import zgees, zgesv
 
-from ._linalg import nearly_singular
+from ._linalg import frozen, nearly_singular
 from .exceptions import (
+    BadParams,
     DimensionMismatch,
     NumericalFailure,
     PoleAt,
@@ -70,10 +71,8 @@ def _as_block(x, rows: int, cols: int, name: str) -> np.ndarray:
     if arr.shape != (rows, cols):
         raise DimensionMismatch(f"block {name} has shape {arr.shape}, expected {(rows, cols)}")
     if arr.size and not np.all(np.isfinite(arr)):
-        raise ValueError(f"block {name} contains non-finite entries")
-    arr = arr.copy()
-    arr.setflags(write=False)
-    return arr
+        raise BadParams(f"block {name} contains non-finite entries")
+    return frozen(arr)
 
 
 @dataclass(frozen=True, eq=False)

@@ -127,8 +127,6 @@ def _realization_from_doc(doc: dict, context: str) -> Realization:
         return Realization(n=n, m=m, A=blocks["A"], B=blocks["B"], C=blocks["C"], D=blocks["D"])
     except PassivityError as exc:
         raise ShapeError(f"{context}: {exc}") from exc
-    except ValueError as exc:
-        raise ParseError(f"{context}: {exc}") from exc
 
 
 def load_realization(path) -> Realization:

@@ -109,6 +109,12 @@ def test_combine_rejects_bad_gram_sum():
         matrix_convex_combine([np.eye(2), np.eye(2)], [np.eye(2), np.eye(2)])
 
 
+def test_nan_gram_defect_is_rejected():
+    # inf * inf has a nan imaginary part, so the defect is nan, not large
+    with np.errstate(invalid="ignore"), pytest.raises(NotAnIsometryFamily):
+        IsometryTuple(blocks=(np.array([[np.inf]]),))
+
+
 def test_combine_rejects_mismatched_blocks():
     iso = random_isometry_tuple([2, 2], 2, np.random.default_rng(5))
     with pytest.raises(DimensionMismatch):

@@ -95,6 +95,28 @@ def test_combine_validates_inputs():
         combine_realizations([rand_realization(rng, 2, 2), rand_realization(rng, 2, 2)], bad)
 
 
+@pytest.mark.parametrize("tier", ["state", "io"])
+def test_each_tier_defect_is_caught(tier):
+    # only one tier is off by 1e-6; the combination's block-diagonal Gram sum
+    # must still miss I by that much
+    rng = np.random.default_rng(6)
+    fam = random_isometry_family(2, 3, 2, rng)
+    state, io = fam.state_blocks, fam.io_blocks
+    scale = np.sqrt(1.0 + 1e-6)
+    if tier == "state":
+        state = (scale * state[0], state[1])
+    else:
+        io = (scale * io[0], io[1])
+    bad = IsometryFamily(state_blocks=state, io_blocks=io)
+    ok, dn, dm = validate_isometry(bad)
+    off, on = (dn, dm) if tier == "state" else (dm, dn)
+    assert not ok and off > 1e-7 and on < 1e-12
+    rs = [rand_realization(rng, 3, 2) for _ in range(2)]
+    with pytest.raises(NotAnIsometryFamily):
+        combine_realizations(rs, bad)
+    combine_realizations(rs, fam)
+
+
 def test_zero_tier_drops_input():
     rng = np.random.default_rng(4)
     r1, r2 = rand_realization(rng, 2, 2), rand_realization(rng, 2, 2)

@@ -135,6 +135,30 @@ def test_weight_spectrum_law():
         assert np.abs(got - expected).max() < 1e-8
 
 
+@pytest.mark.parametrize("tag", ["p", "b", "b-eta3", "dp", "db"])
+def test_weight_entries_follow_the_block_table(tag):
+    # block order (n, m, n, m); the state tier comes from the time axis and
+    # the io tier from the positive/bounded axis, written out per family
+    p = rand_hpd(np.random.default_rng(5), 2)
+    z2, z21, z12, z1, i1 = np.zeros((2, 2)), np.zeros((2, 1)), np.zeros((1, 2)), np.zeros((1, 1)), np.eye(1)
+    family, rows = {
+        "p": (Family.POSITIVE_REAL,
+              [[z2, z21, -p, z21], [z12, z1, z12, i1], [-p, z21, z2, z21], [z12, i1, z12, z1]]),
+        "b": (Family.BOUNDED_REAL,
+              [[z2, z21, -p, z21], [z12, -i1, z12, z1], [-p, z21, z2, z21], [z12, z1, z12, i1]]),
+        # (1 + eta) / (1 - eta) = -2 at eta = 3
+        "b-eta3": (FamilyTag(Family.BOUNDED_REAL, eta=3.0),
+                   [[z2, z21, -p, z21], [z12, -2 * i1, z12, z1], [-p, z21, z2, z21], [z12, z1, z12, i1]]),
+        "dp": (Family.DISCRETE_POSITIVE_REAL,
+               [[-p, z21, z2, z21], [z12, z1, z12, i1], [z2, z21, p, z21], [z12, i1, z12, z1]]),
+        "db": (Family.DISCRETE_BOUNDED_REAL,
+               [[-p, z21, z2, z21], [z12, -i1, z12, z1], [z2, z21, p, z21], [z12, z1, z12, i1]]),
+    }[tag]
+    expected = np.block(rows)
+    assert expected.shape == (6, 6)
+    assert np.array_equal(build_weight(family, p, 1).entries, expected)
+
+
 # -- quadratic form assembly ---------------------------------------------------
 
 

@@ -11,9 +11,15 @@ from helpers import (
 )
 
 from kypcert import (
+    ConeParameter,
     DimensionMismatch,
+    Domain,
+    Family,
+    FamilyTag,
+    PassivityError,
     PoleAt,
     Realization,
+    WMatrix,
     SingularArray,
     SingularD,
     SingularT,
@@ -24,6 +30,8 @@ from kypcert import (
     invert_array,
     invert_function,
     is_minimal,
+    lossless_boundary_oracle,
+    make_grid,
 )
 
 GRID = [1.0 + 0.5j, 2.0, -2.0, 3.0 - 1.0j, 0.5 + 2.0j, -1.0 + 3.0j, 4.0, 1j * 2.5, -3.0 - 1j, 6.0 + 0.25j]
@@ -196,6 +204,24 @@ def test_minimality_invariant_under_coordinates():
         r = rand_realization(rng, 3, 2)
         t = rand_coordinates(rng, 3)
         assert is_minimal(change_coordinates(r, t))[0] == is_minimal(r)[0]
+
+
+BAD_INPUTS = {
+    "non-finite block": lambda: Realization(n=1, m=1, A=[[np.nan]], B=[[1.0]], C=[[1.0]], D=[[0.0]]),
+    "non-Hermitian H": lambda: ConeParameter(h=[[1.0, 2.0], [0.0, 1.0]]),
+    "singular H": lambda: ConeParameter(h=np.zeros((2, 2))),
+    "non-Hermitian weight": lambda: WMatrix(family=FamilyTag(Family.POSITIVE_REAL), n=1, m=1,
+                                            entries=np.triu(np.ones((4, 4))), p_used=np.eye(1)),
+    "grid size": lambda: make_grid(Domain.RIGHT_HALF_PLANE, 0, 4),
+    "lossless kind": lambda: lossless_boundary_oracle(
+        Realization.constant(np.eye(1)), "XX", make_grid(Domain.RIGHT_HALF_PLANE, 4, 4)),
+}
+
+
+@pytest.mark.parametrize("site", list(BAD_INPUTS))
+def test_bad_inputs_raise_a_typed_error(site):
+    with pytest.raises(PassivityError):
+        BAD_INPUTS[site]()
 
 
 def test_realization_validation():
