@@ -53,7 +53,7 @@ from .realization import (
 )
 from .families import bilinear_substitute, cayley_function
 from .serialization import (
-    encode_matrix,
+    _dumps,
     file_digest,
     load_isometry_family,
     load_matrix,
@@ -83,11 +83,9 @@ def _default_seed() -> int:
 
 
 def _emit(report: dict, deterministic: bool) -> None:
-    import json
-
     if not deterministic:
         report["timestamp"] = datetime.datetime.now(datetime.timezone.utc).isoformat()
-    print(json.dumps(report, indent=2, sort_keys=True))
+    print(_dumps(report), end="")
 
 
 def _base_report(args, argv: list[str], inputs: list[str]) -> dict:
@@ -131,7 +129,7 @@ def _report_certificate(cert: Certificate) -> dict:
         "status": cert.status.value,
         "min_eig_p": None if math.isinf(cert.min_eig_p) else cert.min_eig_p,
         "min_eig_q": cert.min_eig_q,
-        "p": encode_matrix(cert.p),
+        "p": cert.p,
     }
 
 
@@ -310,7 +308,7 @@ def cmd_eval(args, argv) -> int:
     sample = evaluate(r, z)
     report = _base_report(args, argv, [args.file])
     report["z"] = _complex_pair(z)
-    report["value"] = encode_matrix(sample.value)
+    report["value"] = sample.value
     _emit(report, args.deterministic)
     return EXIT_OK
 
@@ -327,7 +325,7 @@ def cmd_wmat(args, argv) -> int:
     report["family"] = tag.label
     report["n"] = w.n
     report["m"] = w.m
-    report["entries"] = encode_matrix(w.entries)
+    report["entries"] = w.entries
     _emit(report, args.deterministic)
     return EXIT_OK
 

@@ -3,6 +3,7 @@ matrix-convex combinations of square matrices."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -103,9 +104,12 @@ def cayley(a) -> np.ndarray:
 
 
 def _gram_defect(blocks) -> float:
-    """||sum_j Y_j* Y_j - I||_2 over blocks of a common column count."""
+    """||sum_j Y_j* Y_j - I||_2 over blocks of a common column count; inf
+    when the Gram sum is not finite."""
     nu = blocks[0].shape[1]
-    return spectral_norm(sum(b.conj().T @ b for b in blocks) - np.eye(nu))
+    with np.errstate(invalid="ignore", over="ignore"):
+        gram = sum(b.conj().T @ b for b in blocks) - np.eye(nu)
+    return spectral_norm(gram) if np.isfinite(gram).all() else math.inf
 
 
 @dataclass(frozen=True)

@@ -7,8 +7,12 @@ is bit-faithful and canonical documents re-serialize byte-identically.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
+import math
+from itertools import chain
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import numpy as np
@@ -33,39 +37,47 @@ __all__ = [
 ]
 
 
-def encode_matrix(mat) -> list:
-    """Nested-list encoding with complex entries as [re, im]."""
+def _complex_matrix(mat) -> np.ndarray:
     arr = np.asarray(mat, dtype=complex)
     if arr.ndim != 2:
         raise ShapeError(f"expected a 2-d matrix, got ndim={arr.ndim}")
-    return [[[float(v.real), float(v.imag)] for v in row] for row in arr]
+    return np.ascontiguousarray(arr)
+
+
+def encode_matrix(mat) -> list:
+    """Nested-list encoding with complex entries as [re, im]."""
+    arr = _complex_matrix(mat)
+    return arr.view(float).reshape(*arr.shape, 2).tolist()
 
 
 def decode_matrix(obj, rows: int | None = None, cols: int | None = None, field: str = "matrix") -> np.ndarray:
     if not isinstance(obj, list):
         raise ParseError(f"field {field!r}: expected a list of rows")
-    out_rows = []
-    width = None
-    for i, row in enumerate(obj):
-        if not isinstance(row, list):
-            raise ParseError(f"field {field!r}, row {i}: expected a list")
-        entries = []
-        for j, cell in enumerate(row):
-            if not (isinstance(cell, list) and len(cell) == 2):
-                raise ParseError(f"field {field!r}, entry ({i},{j}): expected [re, im]")
-            try:
-                entries.append(complex(float(cell[0]), float(cell[1])))
-            except (TypeError, ValueError) as exc:
-                raise ParseError(f"field {field!r}, entry ({i},{j}): not numeric") from exc
-        if width is None:
-            width = len(entries)
-        elif len(entries) != width:
-            raise ShapeError(f"field {field!r}: ragged rows ({len(entries)} vs {width})")
-        out_rows.append(entries)
-    if out_rows:
-        arr = np.array(out_rows, dtype=complex)
-    else:
-        arr = np.zeros((0, 0), dtype=complex)
+    # one structural walk, then one fromiter over the cells; a cell the walk drops makes its count short
+    arr, width = None, len(obj[0]) if obj and isinstance(obj[0], list) else 0
+    if all(isinstance(row, list) and len(row) == width for row in obj):
+        cells = [cell for row in obj for cell in row if isinstance(cell, list) and len(cell) == 2]
+        with contextlib.suppress(TypeError, ValueError, OverflowError):
+            flat = np.fromiter(chain.from_iterable(cells), float, 2 * len(obj) * width)
+            arr = flat.view(complex).reshape(len(obj), width) if np.isfinite(flat).all() else None
+    if arr is None:
+        # entry by entry, naming the first bad row or entry (fromiter reads None as NaN)
+        out_rows = []
+        for i, row in enumerate(obj):
+            if not isinstance(row, list):
+                raise ParseError(f"field {field!r}, row {i}: expected a list")
+            entries = []
+            for j, cell in enumerate(row):
+                if not (isinstance(cell, list) and len(cell) == 2):
+                    raise ParseError(f"field {field!r}, entry ({i},{j}): expected [re, im]")
+                try:
+                    entries.append(complex(float(cell[0]), float(cell[1])))
+                except (TypeError, ValueError, OverflowError) as exc:
+                    raise ParseError(f"field {field!r}, entry ({i},{j}): not numeric") from exc
+            if len(entries) != width:  # row 0 is a list here, of length width
+                raise ShapeError(f"field {field!r}: ragged rows ({len(entries)} vs {width})")
+            out_rows.append(entries)
+        arr = np.array(out_rows, dtype=complex) if out_rows else np.zeros((0, 0), dtype=complex)
     if rows is not None and cols is not None:
         # an empty dimension cannot be inferred from JSON, so trust (rows, cols)
         if arr.size == 0 and rows * cols == 0 and arr.shape[0] == rows:
@@ -77,23 +89,54 @@ def decode_matrix(obj, rows: int | None = None, cols: int | None = None, field: 
     return arr
 
 
-def realization_document(r: Realization, metadata: dict | None = None) -> dict:
-    doc = {
-        "type": "realization",
-        "n": r.n,
-        "m": r.m,
-        "A": encode_matrix(r.A),
-        "B": encode_matrix(r.B),
-        "C": encode_matrix(r.C),
-        "D": encode_matrix(r.D),
-    }
+def _realization_arrays(r: Realization, metadata: dict | None) -> dict:
+    doc = {"type": "realization", "n": r.n, "m": r.m, "A": r.A, "B": r.B, "C": r.C, "D": r.D}
     if metadata:
         doc["metadata"] = metadata
     return doc
 
 
+def realization_document(r: Realization, metadata: dict | None = None) -> dict:
+    doc = _realization_arrays(r, metadata)
+    return {k: encode_matrix(v) if isinstance(v, np.ndarray) else v for k, v in doc.items()}
+
+
+def _scalar(o) -> str:
+    """json's text for None, a bool, an int or a float."""
+    if o is None or isinstance(o, bool):
+        return "null" if o is None else "true" if o else "false"
+    if isinstance(o, int):
+        return int.__repr__(o)
+    if not isinstance(o, float):
+        raise TypeError(f"Object of type {o.__class__.__name__} is not JSON serializable")
+    return float.__repr__(o) if math.isfinite(o) else "NaN" if o != o else "Infinity" if o > 0 else "-Infinity"
+
+
+def _encode(o, nl: str) -> str:
+    if isinstance(o, str):
+        return encode_basestring_ascii(o)
+    inner = nl + "  "
+    if isinstance(o, dict):
+        items = [f"{_encode(k if isinstance(k, str) else _scalar(k), inner)}: {_encode(v, inner)}"
+                 for k, v in sorted(o.items())]
+        return "{" + inner + ("," + inner).join(items) + nl + "}" if items else "{}"
+    if isinstance(o, (list, tuple)):
+        return "[" + inner + ("," + inner).join([_encode(x, inner) for x in o]) + nl + "]" if o else "[]"
+    if not isinstance(o, np.ndarray):
+        return _scalar(o)
+    # a complex matrix in its [re, im] list form, from one format string
+    arr = _complex_matrix(o)
+    rows, cols = arr.shape
+    n2, n3 = inner + "  ", inner + "    "
+    row = "[" + n2 + ("," + n2).join([f"[{n3}%s,{n3}%s{n2}]"] * cols) + inner + "]" if cols else "[]"
+    text = map(float.__repr__ if np.isfinite(arr).all() else _scalar, arr.view(float).ravel().tolist())
+    return ("[" + inner + ("," + inner).join([row] * rows) + nl + "]") % tuple(text) if rows else "[]"
+
+
 def _dumps(doc: dict) -> str:
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    """``json.dumps(doc, indent=2, sort_keys=True) + "\\n"`` of the `encode_matrix` list
+    form; ``indent`` makes json walk every number in Python, this writes a matrix in one pass."""
+    return _encode(doc, "\n") + "\n"
 
 
 def _read_json(path) -> dict:
@@ -115,7 +158,7 @@ def _realization_from_doc(doc: dict, context: str) -> Realization:
     try:
         n = int(doc["n"])
         m = int(doc["m"])
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"{context}: fields 'n' and 'm' must be integers") from exc
     blocks = {}
     shapes = {"A": (n, n), "B": (n, m), "C": (m, n), "D": (m, m)}
@@ -137,7 +180,7 @@ def load_realization(path) -> Realization:
 
 
 def save_realization(path, r: Realization, metadata: dict | None = None) -> None:
-    Path(path).write_text(_dumps(realization_document(r, metadata)))
+    Path(path).write_text(_dumps(_realization_arrays(r, metadata)))
 
 
 def load_matrix(path) -> np.ndarray:
@@ -150,7 +193,7 @@ def load_matrix(path) -> np.ndarray:
 
 
 def save_matrix(path, mat) -> None:
-    Path(path).write_text(_dumps({"type": "matrix", "entries": encode_matrix(mat)}))
+    Path(path).write_text(_dumps({"type": "matrix", "entries": _complex_matrix(mat)}))
 
 
 def load_isometry_family(path) -> IsometryFamily:
@@ -169,12 +212,7 @@ def load_isometry_family(path) -> IsometryFamily:
 
 
 def save_isometry_family(path, fam: IsometryFamily) -> None:
-    doc = {
-        "type": "isometry_family",
-        "k": fam.k,
-        "state_blocks": [encode_matrix(b) for b in fam.state_blocks],
-        "io_blocks": [encode_matrix(b) for b in fam.io_blocks],
-    }
+    doc = {"type": "isometry_family", "k": fam.k, "state_blocks": fam.state_blocks, "io_blocks": fam.io_blocks}
     Path(path).write_text(_dumps(doc))
 
 

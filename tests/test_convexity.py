@@ -7,6 +7,7 @@ from kypcert import (
     Family,
     InputNotCertified,
     IsometryFamily,
+    IsometryTuple,
     NotAnIsometryFamily,
     Realization,
     assemble_q,
@@ -205,3 +206,14 @@ def test_preservation_rejects_uncertifiable_input():
         verify_preservation([good, fixture("g")], identity_family(1, 1, k=2),
                             Family.DISCRETE_BOUNDED_REAL)
     assert info.value.index == 1
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_isometry_blocks_are_invalid(bad):
+    fam = IsometryFamily(state_blocks=(np.array([[bad]]),), io_blocks=(np.eye(1),))
+    valid, defect_n, defect_m = validate_isometry(fam)
+    assert not valid and defect_n == np.inf and defect_m == 0.0
+    with pytest.raises(NotAnIsometryFamily):
+        IsometryTuple(blocks=fam.state_blocks)
+    with pytest.raises(NotAnIsometryFamily):
+        combine_realizations([fixture("f")], fam)

@@ -1,10 +1,12 @@
 """tools/parity.py: digests are exact and repeatable, and diff names what moved."""
 
 import importlib.util
+import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -46,6 +48,18 @@ def test_diff_names_the_moved_leaf(parity):
     assert list(out) == ["w/7/x", "w/7/y", "w/7/z"]
     assert out["w/7/x"] == ["exit: 0 -> 1"]
     assert out["w/7/y"] == ["only in A"] and out["w/7/z"] == ["only in B"]
+
+
+def test_diff_sees_a_change_of_indentation(parity, tmp_path):
+    report = {"verdict": "pass", "p": [[[1.0, 0.0]]]}
+
+    def record(indent):
+        case = SimpleNamespace(call=lambda: (0, json.dumps(report, indent=indent)), judge=lambda result: ("ok",))
+        return {"provenance": {}, "cases": {"w/7/x": parity.run_case(case, tmp_path)}}
+
+    out = parity.diff(record(2), record(1))
+    assert list(out) == ["w/7/x"]
+    assert len(out["w/7/x"]) == 1 and out["w/7/x"][0].startswith("stdout:raw: ")
 
 
 def test_records_of_one_checkout_agree(tmp_path):

@@ -9,8 +9,10 @@ seed), runs each case once with BLAS at one thread and writes OUT, a JSON
 document with one entry per case. An entry maps each leaf of the result to
 its value or digest:
 
-* ``exit`` and ``stdout.*`` for a CLI case: the exit code and the fields of
-  its JSON report (a numeric list is hashed as a whole);
+* ``exit``, ``stdout:raw`` and ``stdout.*`` for a CLI case: the exit code,
+  a digest of its stdout text, so that a change of whitespace or key order
+  shows, and the fields of its JSON report (a numeric list is hashed as a
+  whole);
 * ``file:<name>`` for each file the case wrote, hashed bytewise;
 * ``result.*`` for a library case: dataclass fields, with arrays hashed over
   their dtype, shape and bytes, and floats written exactly (``repr``);
@@ -103,10 +105,11 @@ def run_case(case, work: Path) -> dict:
         code, text = result
         entry["exit"] = int(code)
         text = text.replace(str(work), "<work>")
+        entry["stdout:raw"] = _sha(text.encode())
         try:
             leaves(json.loads(text), "stdout", entry)
         except json.JSONDecodeError:
-            entry["stdout"] = _sha(text.encode())
+            pass
     else:
         leaves(result, "result", entry)
     for path, stamp in sorted(_snapshot(work).items()):
