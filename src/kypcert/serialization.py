@@ -91,9 +91,7 @@ def decode_matrix(obj, rows: int | None = None, cols: int | None = None, field: 
 
 def _realization_arrays(r: Realization, metadata: dict | None) -> dict:
     doc = {"type": "realization", "n": r.n, "m": r.m, "A": r.A, "B": r.B, "C": r.C, "D": r.D}
-    if metadata:
-        doc["metadata"] = metadata
-    return doc
+    return {**doc, "metadata": metadata} if metadata else doc
 
 
 def realization_document(r: Realization, metadata: dict | None = None) -> dict:
@@ -134,8 +132,8 @@ def _encode(o, nl: str) -> str:
 
 
 def _dumps(doc: dict) -> str:
-    """``json.dumps(doc, indent=2, sort_keys=True) + "\\n"`` of the `encode_matrix` list
-    form; ``indent`` makes json walk every number in Python, this writes a matrix in one pass."""
+    """``json.dumps(doc, indent=2, sort_keys=True) + "\\n"`` of the `encode_matrix` list form,
+    each ndarray written as a matrix in one pass (``indent`` makes json walk every number)."""
     return _encode(doc, "\n") + "\n"
 
 
@@ -180,6 +178,7 @@ def load_realization(path) -> Realization:
 
 
 def save_realization(path, r: Realization, metadata: dict | None = None) -> None:
+    json.dumps(metadata, sort_keys=True)  # metadata keeps json's rules: an ndarray in it is a TypeError
     Path(path).write_text(_dumps(_realization_arrays(r, metadata)))
 
 

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from kypcert import ParseError, Realization, ShapeError, fixture, load_realization, save_realization
 from kypcert.cli import main
-from kypcert.serialization import _dumps, _realization_arrays, decode_matrix
+from kypcert.serialization import _dumps, _realization_arrays, decode_matrix, realization_document
 
 SPECIAL = [0.0, -0.0, 5e-324, -5e-324, 1e308, -1e308, 1.0, -3.0, 2.0**53, 1e16, 0.1, math.nan, math.inf, -math.inf]
 FLOATS = st.one_of(st.sampled_from(SPECIAL), st.floats(allow_nan=True, allow_infinity=True))
@@ -41,11 +41,14 @@ def matrices(draw, rows=st.integers(0, 3), cols=st.integers(0, 3)):
 
 
 SCALARS = st.none() | st.booleans() | st.integers(-(10**30), 10**30) | FLOATS | TEXT
-DOCUMENTS = st.recursive(
-    SCALARS | matrices(),
-    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(TEXT, inner, max_size=3),
-    max_leaves=12,
-)
+
+
+def nested(leaves):
+    return st.recursive(leaves, lambda inner: st.lists(inner, max_size=3) | st.dictionaries(TEXT, inner, max_size=3),
+                        max_leaves=12)
+
+
+DOCUMENTS = nested(SCALARS | matrices())
 REPORTS = st.fixed_dictionaries({
     "command": st.lists(TEXT, max_size=3),
     "inputs": st.dictionaries(TEXT, TEXT, max_size=2),
@@ -71,7 +74,7 @@ def test_realization_documents_match_json_dumps(n, m, data):
               for k, (rows, cols) in {"A": (n, n), "B": (n, m), "C": (m, n), "D": (m, m)}.items()}
     r = Realization(n=n, m=m, A=np.nan_to_num(blocks["A"]), B=np.nan_to_num(blocks["B"]),
                     C=np.nan_to_num(blocks["C"]), D=np.nan_to_num(blocks["D"]))
-    meta = data.draw(st.none() | st.dictionaries(TEXT, DOCUMENTS, max_size=2))
+    meta = data.draw(st.none() | st.dictionaries(TEXT, nested(SCALARS), max_size=2))
     assert _dumps(_realization_arrays(r, meta)) == reference(_realization_arrays(r, meta))
 
 
@@ -81,6 +84,23 @@ def test_empty_blocks_are_written_as_json_does(tmp_path):
     text = path.read_text()
     assert '"B": []' in text and '"C": [\n    [],\n    []\n  ]' in text
     assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("meta, message", [
+    ({"x": np.eye(2)}, "Object of type ndarray is not JSON serializable"),
+    ({"x": [1, {"y": np.zeros(3)}]}, "Object of type ndarray is not JSON serializable"),
+    ({(1, 2): 0}, "keys must be str, int, float, bool or None, not tuple"),
+])
+def test_metadata_keeps_json_rules(tmp_path, meta, message):
+    """save_realization rejects the metadata that json.dumps of realization_document
+    rejects, with json's message, and writes nothing."""
+    r, path = fixture("F1"), tmp_path / "r.json"
+    assert realization_document(r, meta)["metadata"] is meta
+    for write in (lambda: json.dumps(realization_document(r, meta)), lambda: save_realization(path, r, meta)):
+        with pytest.raises(TypeError) as info:
+            write()
+        assert str(info.value) == message
+    assert not path.exists()
 
 
 @pytest.mark.parametrize("argv", [

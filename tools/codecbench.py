@@ -1,15 +1,16 @@
 """Time the JSON codec of one checkout: CPU time per call, BLAS at one thread.
 
-    python tools/codecbench.py SRC [--n 64] [--repeats 7]
+    python tools/codecbench.py SRC
 
 Imports ``kypcert`` from ``SRC/src`` and prints, in ms per call (the median
-of ``--repeats`` timed loops):
+of ``REPEATS`` timed loops):
 
-* ``save_realization``: writing an n x n realization with m = 4 to a file;
-* ``decode_matrix``: reading its parsed n x n block ``A``;
-* ``emit check --solve``: writing the report of ``kypcert check --family p
-  --solve --deterministic`` on fixture ``F1`` (the report is built once, by
-  the checkout's own ``cli.main``, and only ``cli._emit`` is timed).
+* ``save_realization``: writing an N x N realization with M inputs to a file;
+* ``decode_matrix``: reading its parsed N x N block ``A``;
+* writing the report that ``kypcert check --family p --solve --deterministic``
+  prints for fixture ``F1``: by ``json.dumps(indent=2, sort_keys=True)`` of its
+  list form, and by ``serialization._dumps`` with the certificate's ``p`` as an
+  array, as ``kypcert`` writes it (skipped where ``_dumps`` takes lists only).
 
 Run it on two checkouts on the same machine to compare them.
 """
@@ -20,7 +21,6 @@ import os
 os.environ["OPENBLAS_NUM_THREADS"] = "1"
 os.environ["OMP_NUM_THREADS"] = "1"
 
-import argparse  # noqa: E402
 import contextlib  # noqa: E402
 import io  # noqa: E402
 import json  # noqa: E402
@@ -32,14 +32,16 @@ from pathlib import Path  # noqa: E402
 
 import numpy as np  # noqa: E402
 
+N, M, REPEATS = 64, 4, 7
 
-def per_call_ms(fn, repeats: int, budget_s: float = 0.2) -> float:
-    """Median CPU ms per call over `repeats` loops of about `budget_s` each."""
+
+def per_call_ms(fn, budget_s: float = 0.2) -> float:
+    """Median CPU ms per call over REPEATS loops of about `budget_s` each."""
     start = time.process_time()
     fn()
     loops = max(1, int(budget_s / max(time.process_time() - start, 1e-6)))
     times = []
-    for _ in range(repeats):
+    for _ in range(REPEATS):
         start = time.process_time()
         for _ in range(loops):
             fn()
@@ -48,37 +50,35 @@ def per_call_ms(fn, repeats: int, budget_s: float = 0.2) -> float:
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
-    parser.add_argument("src", type=Path, help="root of the checkout to time")
-    parser.add_argument("--n", type=int, default=64, help="state dimension of the timed realization")
-    parser.add_argument("--repeats", type=int, default=7)
-    args = parser.parse_args(argv)
-    sys.path.insert(0, str(args.src.resolve() / "src"))
-    from kypcert import Realization, cli, fixture, save_realization
-    from kypcert.serialization import decode_matrix
+    argv = sys.argv[1:] if argv is None else argv
+    if len(argv) != 1:
+        print(__doc__, file=sys.stderr)
+        return 2
+    sys.path.insert(0, str(Path(argv[0]).resolve() / "src"))
+    from kypcert import Realization, cli, fixture, save_realization, serialization
 
     rng = np.random.default_rng(0)
-    n, m = args.n, 4
-    blocks = [rng.standard_normal(s) + 1j * rng.standard_normal(s) for s in ((n, n), (n, m), (m, n), (m, m))]
-    r = Realization(n, m, *blocks)
+    blocks = [rng.standard_normal(s) + 1j * rng.standard_normal(s) for s in ((N, N), (N, M), (M, N), (M, M))]
+    r = Realization(N, M, *blocks)
     with tempfile.TemporaryDirectory(prefix="codecbench-") as tmp:
         doc_path, fixture_path = Path(tmp) / "r.json", Path(tmp) / "f1.json"
-        print(f"save_realization  n={n}  {per_call_ms(lambda: save_realization(doc_path, r), args.repeats):8.3f} ms")
+        print(f"save_realization  n={N}  {per_call_ms(lambda: save_realization(doc_path, r)):8.3f} ms")
         block = json.loads(doc_path.read_text())["A"]
-        print(f"decode_matrix     n={n}  {per_call_ms(lambda: decode_matrix(block, n, n), args.repeats):8.3f} ms")
+        print(f"decode_matrix     n={N}  {per_call_ms(lambda: serialization.decode_matrix(block, N, N)):8.3f} ms")
 
         save_realization(fixture_path, fixture("F1"))
-        emitted = []
-        emit = cli._emit
-        cli._emit = lambda report, deterministic: emitted.append((report, deterministic))
-        try:
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
             cli.main(["check", "--family", "p", "--solve", "--deterministic", str(fixture_path)])
-        finally:
-            cli._emit = emit
-        report, deterministic = emitted[0]
-        with contextlib.redirect_stdout(io.StringIO()):
-            ms = per_call_ms(lambda: emit(report, deterministic), args.repeats)
-        print(f"emit check --solve F1  {ms * 1e3:8.1f} us")
+    report = json.loads(out.getvalue())
+    ms = per_call_ms(lambda: json.dumps(report, indent=2, sort_keys=True))
+    print(f"check --solve F1 report, json.dumps  {ms * 1e3:8.1f} us")
+    report["certificate"]["p"] = serialization.decode_matrix(report["certificate"]["p"])
+    try:
+        ms = per_call_ms(lambda: serialization._dumps(report))
+    except TypeError:  # a writer of the list form only, that is json.dumps itself
+        return 0
+    print(f"check --solve F1 report, _dumps      {ms * 1e3:8.1f} us")
     return 0
 
 
