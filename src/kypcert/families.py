@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import qmc
 
 from ._linalg import ct, frozen, min_eigs, nearly_singular, sigma_mins, spectral_norms
 from .exceptions import (
@@ -23,7 +22,7 @@ from .exceptions import (
     SingularIPlusD,
 )
 from .qmi import Family, as_tag
-from .realization import Realization, _evaluate_points
+from .realization import _BLOCK_ENTRIES, Realization, _evaluate_points
 
 __all__ = [
     "Domain",
@@ -110,6 +109,27 @@ class MembershipReport:
         return self.verdict == "pass"
 
 
+def _halton(n: int, seed: int) -> np.ndarray:
+    """The (n, 2) points of ``scipy.stats.qmc.Halton(d=2, scramble=True,
+    seed=seed).random(n)``, bit for bit: one digit permutation per digit
+    position, drawn in scipy's order, and each point's terms summed in digit
+    order with weights made by repeated division, as scipy's loop does."""
+    rng = np.random.default_rng(seed)
+    points = np.empty((2, n))
+    for acc, base in zip(points, (2, 3)):
+        count = math.ceil(54 / math.log2(base)) - 1  # digits j with base**-j > 2**-54
+        perms = rng.permuted(np.repeat(np.arange(base)[None], count, 0), axis=1)
+        weights = np.divide.accumulate(np.r_[1.0, np.full(count, float(base))])[1:]
+        table = (perms * weights[:, None]).ravel()
+        powers = base ** np.arange(count, dtype=np.int64)
+        offsets = base * np.arange(count)
+        step = max(1, _BLOCK_ENTRIES // count)
+        for start in range(0, n, step):
+            index = np.arange(start, min(n, start + step))[:, None]
+            acc[start : start + step] = table[index // powers % base + offsets].cumsum(axis=1)[:, -1]
+    return points.T
+
+
 def make_grid(
     domain: Domain,
     n_boundary: int = DEFAULT_GRID,
@@ -121,11 +141,17 @@ def make_grid(
     Boundary points come from a compactified uniform sweep: theta -> i
     tan(theta/2) on the imaginary axis (the theta = pi compactification pole
     is nudged back by half a step), uniform angles on the unit circle.
-    Interior points are scrambled-Halton samples mapped into the open domain.
+    Interior points are the first `n_interior` points of Owen's scrambled
+    Halton sequence in bases 2 and 3 (A. B. Owen, "A randomized Halton
+    algorithm in R", arXiv:1706.02808, 2017), mapped into the open domain.
+    They are computed in the package (`_halton`) and equal, bit for bit,
+    those of ``scipy.stats.qmc.Halton(d=2, scramble=True, seed=seed)``.
     """
     if n_boundary < 1 or n_interior < 0:
         raise BadParams("need n_boundary >= 1 and n_interior >= 0")
     seed = int(seed)
+    if seed < 0:
+        raise BadParams(f"seed must be >= 0, got {seed}")
     theta = 2.0 * np.pi * np.arange(n_boundary) / n_boundary
     if domain is Domain.RIGHT_HALF_PLANE:
         near_pole = np.isclose(theta, np.pi, atol=1e-12)
@@ -137,8 +163,7 @@ def make_grid(
         raise DomainMismatch(f"unknown domain {domain}")
 
     if n_interior:
-        sampler = qmc.Halton(d=2, scramble=True, seed=seed)
-        u = np.clip(sampler.random(n_interior), 1e-3, 1.0 - 1e-3)
+        u = np.clip(_halton(n_interior, seed), 1e-3, 1.0 - 1e-3)
         if domain is Domain.RIGHT_HALF_PLANE:
             x = u[:, 0] / (1.0 - u[:, 0])
             y = np.tan(np.pi * (u[:, 1] - 0.5))
