@@ -11,6 +11,7 @@ realizations.
 __version__ = "0.1.0"
 
 import logging as _logging
+from types import ModuleType as _ModuleType
 
 from .cones import (
     ConeParameter,
@@ -109,7 +110,10 @@ from .serialization import (
     save_realization,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# the public names, without the submodules that the imports above bind
+__all__ = sorted(
+    name for name, value in globals().items() if not name.startswith("_") and not isinstance(value, _ModuleType)
+)
 
 # the library logs to the "kypcert" logger and stays silent unless the
 # application configures logging

@@ -1,22 +1,14 @@
-"""Small dense linear-algebra helpers shared across modules."""
+"""Small dense linear-algebra helpers shared across modules, and the two
+argument rules every public entry point reads its inputs by: `square` for a
+square matrix argument and `seeded` for a seed."""
 
 from __future__ import annotations
 
+import numbers
+
 import numpy as np
 
-__all__ = [
-    "herm",
-    "is_hermitian",
-    "min_eig",
-    "spectral_norm",
-    "sigma_min",
-    "nearly_singular",
-    "ct",
-    "min_eigs",
-    "spectral_norms",
-    "sigma_mins",
-    "frozen",
-]
+from .exceptions import BadParams, DimensionMismatch
 
 
 def herm(x: np.ndarray) -> np.ndarray:
@@ -25,30 +17,22 @@ def herm(x: np.ndarray) -> np.ndarray:
 
 
 def is_hermitian(x: np.ndarray, rtol: float = 1e-12) -> bool:
-    if x.shape[0] != x.shape[1]:
-        return False
     scale = max(1.0, float(np.abs(x).max())) if x.size else 1.0
     return bool(np.abs(x - x.conj().T).max(initial=0.0) <= rtol * scale)
 
 
 def min_eig(x: np.ndarray) -> float:
     """Smallest eigenvalue of a Hermitian matrix; +inf for the empty matrix."""
-    if x.size == 0:
-        return np.inf
-    return float(np.linalg.eigvalsh(herm(x))[0])
+    return float(min_eigs(x)) if x.size else np.inf
 
 
 def spectral_norm(x: np.ndarray) -> float:
-    if x.size == 0:
-        return 0.0
-    return float(np.linalg.norm(x, 2))
+    return float(spectral_norms(x)) if x.size else 0.0
 
 
 def sigma_min(x: np.ndarray) -> float:
     """Smallest singular value; +inf for an empty matrix (vacuously invertible)."""
-    if x.size == 0:
-        return np.inf
-    return float(np.linalg.svd(x, compute_uv=False)[-1])
+    return float(sigma_mins(x)) if x.size else np.inf
 
 
 def nearly_singular(x: np.ndarray, rtol: float):
@@ -87,3 +71,25 @@ def frozen(x) -> np.ndarray:
     out = np.array(x, dtype=complex)
     out.setflags(write=False)
     return out
+
+
+def square(x, name: str, n: int | None = None) -> np.ndarray:
+    """`x` as a complex n x n array (any square shape when n is None), a
+    scalar read as 1 x 1. A wrong shape raises DimensionMismatch, a
+    non-finite entry BadParams."""
+    arr = np.asarray(x, dtype=complex)
+    if arr.ndim == 0:
+        arr = arr.reshape(1, 1)
+    if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or n is not None and arr.shape[0] != n:
+        expected = "a square matrix" if n is None else (n, n)
+        raise DimensionMismatch(f"{name} has shape {arr.shape}, expected {expected}")
+    if not np.isfinite(arr).all():
+        raise BadParams(f"{name} has non-finite entries")
+    return arr
+
+
+def seeded(seed) -> np.random.Generator:
+    """``np.random.default_rng(seed)``; a negative integer seed raises BadParams."""
+    if isinstance(seed, numbers.Integral) and seed < 0:
+        raise BadParams(f"seed must be >= 0, got {seed}")
+    return np.random.default_rng(seed)

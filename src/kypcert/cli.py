@@ -18,7 +18,7 @@ import numpy as np
 
 from . import __version__
 from .convexity import random_isometry_family, verify_preservation
-from .exceptions import PassivityError
+from .exceptions import BadParams, PassivityError
 from .families import (
     MembershipReport,
     _family_margin,
@@ -60,7 +60,7 @@ from .serialization import (
     load_realization,
     save_realization,
 )
-from ._linalg import spectral_norm
+from ._linalg import seeded, spectral_norm
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -76,10 +76,16 @@ FAMILY_CODES = {
 
 
 def _default_seed() -> int:
-    try:
-        return int(os.environ.get("PASSIVITY_SEED", "0"))
-    except ValueError:
+    """PASSIVITY_SEED read by the seed rule; unset or empty means 0."""
+    text = os.environ.get("PASSIVITY_SEED", "")
+    if not text:
         return 0
+    try:
+        seed = int(text)
+    except ValueError:
+        raise BadParams(f"PASSIVITY_SEED must be an integer, got {text!r}") from None
+    seeded(seed)
+    return seed
 
 
 def _emit(report: dict, deterministic: bool) -> None:
@@ -436,9 +442,9 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         # argparse exits 0 for --help/--version, 2 for usage errors
         return EXIT_OK if exc.code in (0, None) else EXIT_ERROR
-    if args.seed is None:
-        args.seed = _default_seed()
     try:
+        if args.seed is None:
+            args.seed = _default_seed()
         return args.func(args, argv)
     except PassivityError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._linalg import frozen, herm, is_hermitian, min_eig, nearly_singular, sigma_min, spectral_norm
+from ._linalg import frozen, herm, is_hermitian, min_eig, nearly_singular, seeded, sigma_min, spectral_norm, square
 from .exceptions import BadParams, DimensionMismatch, MinusOneInSpectrum, NotAnIsometryFamily
 
 __all__ = [
@@ -41,11 +41,7 @@ class ConeParameter:
     strict: bool = False
 
     def __post_init__(self):
-        h = np.asarray(self.h, dtype=complex)
-        if h.ndim == 0:
-            h = h.reshape(1, 1)
-        if h.ndim != 2 or h.shape[0] != h.shape[1]:
-            raise DimensionMismatch("cone parameter H must be square")
+        h = square(self.h, "cone parameter H")
         if not is_hermitian(h):
             raise BadParams("cone parameter H must be Hermitian")
         if sigma_min(h) <= 0.0:
@@ -68,18 +64,14 @@ def _verdict(smallest: float, strict: bool, tol: float) -> bool:
 def in_lyapunov(h, a, tol: float = PSD_TOL) -> bool:
     """Membership in the Lyapunov cone: HA + A*H >= 0 (or > 0 for strict H)."""
     cone = _cone(h)
-    a = np.asarray(a, dtype=complex)
-    if a.shape != cone.h.shape:
-        raise DimensionMismatch(f"A has shape {a.shape}, expected {cone.h.shape}")
+    a = square(a, "A", cone.n)
     return _verdict(min_eig(cone.h @ a + a.conj().T @ cone.h), cone.strict, tol)
 
 
 def in_stein(h, a, tol: float = PSD_TOL) -> bool:
     """Membership in the Stein cone: H - A*HA >= 0 (or > 0 for strict H)."""
     cone = _cone(h)
-    a = np.asarray(a, dtype=complex)
-    if a.shape != cone.h.shape:
-        raise DimensionMismatch(f"A has shape {a.shape}, expected {cone.h.shape}")
+    a = square(a, "A", cone.n)
     return _verdict(min_eig(cone.h - a.conj().T @ cone.h @ a), cone.strict, tol)
 
 
@@ -90,12 +82,12 @@ def cayley(a) -> np.ndarray:
 
     Raises
     ------
+    DimensionMismatch, BadParams
+        If A is not a finite square matrix.
     MinusOneInSpectrum
         If I + A is singular to working precision.
     """
-    a = np.asarray(a, dtype=complex)
-    if a.ndim == 0:
-        a = a.reshape(1, 1)
+    a = square(a, "A")
     n = a.shape[0]
     ipa = np.eye(n) + a
     if nearly_singular(ipa, 1e-12):
@@ -158,21 +150,19 @@ def matrix_convex_combine(matrices, iso) -> np.ndarray:
     Parameters
     ----------
     matrices : sequence of square arrays
-        A_j of shape (eta_j, eta_j), matching block j of `iso`.
+        Finite A_j of shape (eta_j, eta_j), matching block j of `iso`; a
+        scalar reads as 1 x 1.
     iso : IsometryTuple or sequence of arrays
         Blocks with sum(Y_j* Y_j) = I within 1e-8.
     """
     if not isinstance(iso, IsometryTuple):
         iso = IsometryTuple(blocks=tuple(iso))
-    mats = [np.asarray(a, dtype=complex) for a in matrices]
+    mats = list(matrices)
     if len(mats) != iso.k:
         raise DimensionMismatch(f"{len(mats)} matrices for {iso.k} isometry blocks")
     out = np.zeros((iso.nu, iso.nu), dtype=complex)
     for j, (a, y) in enumerate(zip(mats, iso.blocks)):
-        eta = y.shape[0]
-        if a.shape != (eta, eta):
-            raise DimensionMismatch(f"matrix {j} has shape {a.shape}, expected {(eta, eta)}")
-        out += y.conj().T @ a @ y
+        out += y.conj().T @ square(a, f"matrix {j}", y.shape[0]) @ y
     return out
 
 
@@ -183,19 +173,14 @@ def random_isometry_tuple(etas, nu: int, rng) -> IsometryTuple:
     columns and slices the rows into blocks of heights `etas`. Requires
     sum(etas) >= nu.
     """
-    rng = np.random.default_rng(rng)
+    rng = seeded(rng)
     etas = [int(e) for e in etas]
     total = sum(etas)
     if total < nu:
         raise DimensionMismatch(f"sum(etas) = {total} < nu = {nu}; no exact isometry exists")
     g = rng.standard_normal((total, nu)) + 1j * rng.standard_normal((total, nu))
     q, _ = np.linalg.qr(g)
-    blocks = []
-    row = 0
-    for e in etas:
-        blocks.append(q[row : row + e, :])
-        row += e
-    return IsometryTuple(blocks=tuple(blocks))
+    return IsometryTuple(blocks=tuple(np.split(q, np.cumsum(etas)[:-1])))
 
 
 def random_in_lyapunov(h, rng, scale: float = 1.0) -> np.ndarray:
@@ -204,7 +189,7 @@ def random_in_lyapunov(h, rng, scale: float = 1.0) -> np.ndarray:
     Writes HA = K + S/2 with K skew-Hermitian and S PSD, so HA + A*H = S.
     """
     cone = _cone(h)
-    rng = np.random.default_rng(rng)
+    rng = seeded(rng)
     n = cone.n
     g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     k = (g - g.conj().T) / 2

@@ -9,15 +9,14 @@ input is.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
 
-from ._linalg import frozen
+from ._linalg import frozen, seeded
 from .cones import ISOMETRY_TOL, _gram_defect, matrix_convex_combine, random_isometry_tuple
-from .exceptions import BadParams, DimensionMismatch, InputNotCertified
+from .exceptions import DimensionMismatch, InputNotCertified
 from .qmi import Certificate, NotFound, as_tag, balance, solve_p, verify_kyp
 from .realization import Realization
 
@@ -149,9 +148,7 @@ def verify_preservation(rs, fam: IsometryFamily, family, tol_psd: float | None =
 
 def random_isometry_family(k: int, n: int, m: int, rng) -> IsometryFamily:
     """Sample k square two-tier blocks with exact tier-wise Gram sums."""
-    if isinstance(rng, numbers.Integral) and rng < 0:
-        raise BadParams(f"seed must be >= 0, got {rng}")
-    rng = np.random.default_rng(rng)
+    rng = seeded(rng)
     state = random_isometry_tuple([n] * k, n, rng).blocks
     io = random_isometry_tuple([m] * k, m, rng).blocks
     return IsometryFamily(state_blocks=state, io_blocks=io)

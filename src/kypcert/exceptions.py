@@ -54,7 +54,7 @@ class NotPositiveDefinite(PassivityError):
 
 
 class EtaOutOfRange(PassivityError):
-    """Hyper-bounded parameter eta must lie in (1, inf]."""
+    """Hyper-bounded parameter eta is outside (1, inf]."""
 
 
 class CertificateNotVerified(PassivityError):

@@ -13,15 +13,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import ct, frozen, min_eigs, nearly_singular, sigma_mins, spectral_norms
+from ._linalg import ct, frozen, min_eigs, nearly_singular, seeded, sigma_mins, spectral_norms
 from .exceptions import (
     BadParams,
     DomainMismatch,
-    EtaOutOfRange,
     SingularIPlusA,
     SingularIPlusD,
 )
-from .qmi import Family, as_tag
+from .qmi import Family, FamilyTag, as_tag
 from .realization import _BLOCK_ENTRIES, Realization, _evaluate_points
 
 __all__ = [
@@ -109,12 +108,13 @@ class MembershipReport:
         return self.verdict == "pass"
 
 
-def _halton(n: int, seed: int) -> np.ndarray:
+def _halton(n: int, seed) -> np.ndarray:
     """The (n, 2) points of ``scipy.stats.qmc.Halton(d=2, scramble=True,
     seed=seed).random(n)``, bit for bit: one digit permutation per digit
     position, drawn in scipy's order, and each point's terms summed in digit
-    order with weights made by repeated division, as scipy's loop does."""
-    rng = np.random.default_rng(seed)
+    order with weights made by repeated division, as scipy's loop does.
+    `seed` may also be the Generator that `seeded(seed)` returned."""
+    rng = seeded(seed)
     points = np.empty((2, n))
     for acc, base in zip(points, (2, 3)):
         count = math.ceil(54 / math.log2(base)) - 1  # digits j with base**-j > 2**-54
@@ -150,8 +150,7 @@ def make_grid(
     if n_boundary < 1 or n_interior < 0:
         raise BadParams("need n_boundary >= 1 and n_interior >= 0")
     seed = int(seed)
-    if seed < 0:
-        raise BadParams(f"seed must be >= 0, got {seed}")
+    rng = seeded(seed)
     theta = 2.0 * np.pi * np.arange(n_boundary) / n_boundary
     if domain is Domain.RIGHT_HALF_PLANE:
         near_pole = np.isclose(theta, np.pi, atol=1e-12)
@@ -163,7 +162,7 @@ def make_grid(
         raise DomainMismatch(f"unknown domain {domain}")
 
     if n_interior:
-        u = np.clip(_halton(n_interior, seed), 1e-3, 1.0 - 1e-3)
+        u = np.clip(_halton(n_interior, rng), 1e-3, 1.0 - 1e-3)
         if domain is Domain.RIGHT_HALF_PLANE:
             x = u[:, 0] / (1.0 - u[:, 0])
             y = np.tan(np.pi * (u[:, 1] - 0.5))
@@ -266,9 +265,7 @@ def hyper_bounded_oracle(r: Realization, eta: float, grid: DomainGrid, tol: floa
 
 def _hyper_bounded_report(eta: float, grid: DomainGrid, evaluated, tol: float) -> MembershipReport:
     """`hyper_bounded_oracle` from `_evaluate_points` over `grid.points`."""
-    eta = float(eta)
-    if not eta > 1.0:
-        raise EtaOutOfRange(f"eta must lie in (1, inf], got {eta}")
+    eta = FamilyTag(Family.BOUNDED_REAL, eta).eta
     kind = "hyper-bounded" if grid.domain is Domain.RIGHT_HALF_PLANE else "hyper-discrete-bounded"
     return _report(f"{kind}(eta={eta:g})", _worst(grid.points, *evaluated, _hyper_margin(eta)), tol)
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from ._linalg import ct, frozen, herm, is_hermitian, min_eig, min_eigs, sigma_min, spectral_norm
+from ._linalg import ct, frozen, herm, is_hermitian, min_eig, min_eigs, seeded, sigma_min, spectral_norm, square
 from .exceptions import (
     BadFamily,
     BadParams,
@@ -232,15 +232,13 @@ def build_weight(family, p, m: int) -> WMatrix:
 
     Raises
     ------
+    DimensionMismatch, BadParams
+        If P is not a finite square matrix.
     NotPositiveDefinite
         If P is not Hermitian positive definite.
     """
     tag = as_tag(family)
-    p = np.asarray(p, dtype=complex)
-    if p.ndim == 0:
-        p = p.reshape(1, 1)
-    if p.ndim != 2 or p.shape[0] != p.shape[1]:
-        raise DimensionMismatch("P must be square")
+    p = square(p, "P")
     if not is_hermitian(p):
         raise NotPositiveDefinite("P must be Hermitian")
     if p.size and min_eig(p) <= 0.0:
@@ -283,14 +281,11 @@ def verify_kyp(r: Realization, p, family, tol_psd: float | None = None) -> Certi
     status is VERIFIED iff min eig(P) > 0 and min eig(Q) >= -tol_psd;
     REFUTED if P is not positive definite or min eig(Q) < -1000*tol_psd
     (which refutes only this certificate, not membership); INCONCLUSIVE
-    otherwise.
+    otherwise. A P that is not a finite n x n matrix raises DimensionMismatch
+    or BadParams.
     """
     tag = as_tag(family)
-    p = np.asarray(p, dtype=complex)
-    if p.ndim == 0:
-        p = p.reshape(1, 1)
-    if p.shape != (r.n, r.n):
-        raise DimensionMismatch(f"P has shape {p.shape}, expected {(r.n, r.n)}")
+    p = square(p, "P", r.n)
     p_hermitian = p.size == 0 or is_hermitian(p, rtol=1e-10)
     ph = herm(p) if p.size else p
     q = assemble_q(r, _weight_entries(tag, ph, r.m))
@@ -760,7 +755,7 @@ def random_certified_realization(
     uncertified draws, up to 100 draws.
     """
     tag = as_tag(family)
-    rng = np.random.default_rng(rng)
+    rng = seeded(rng)
     nm = n + m
     w = _weight_entries(tag, np.eye(n), m)
     vals, vecs = np.linalg.eigh(w.real)

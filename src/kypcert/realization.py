@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg.lapack import zgees, zgesv
 
-from ._linalg import frozen, nearly_singular
+from ._linalg import frozen, nearly_singular, square
 from .exceptions import (
     BadParams,
     DimensionMismatch,
@@ -156,6 +156,9 @@ class TransferSample:
 def evaluate(r: Realization, z: complex) -> TransferSample:
     """Evaluate F(z) = C (zI - A)^-1 B + D.
 
+    This is `_evaluate_points` on the one point z, which it judges by the
+    exact rule alone, without the eigenvalue screen.
+
     Raises
     ------
     PoleAt
@@ -165,13 +168,10 @@ def evaluate(r: Realization, z: complex) -> TransferSample:
         If the Schur form of A does not converge.
     """
     z = complex(z)
-    if r.n == 0:
-        return TransferSample(z=z, value=r.D.copy())
-    zia = z * np.eye(r.n) - r.A
-    if nearly_singular(zia, POLE_RTOL):
+    values, keep = _evaluate_points(r, np.array([z]))
+    if not keep[0]:
         raise PoleAt(z)
-    value = _transfer(r, *_schur(r.A), np.array([z]))[0][0]
-    return TransferSample(z=z, value=value)
+    return TransferSample(z=z, value=values[0])
 
 
 def _schur(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -240,52 +240,56 @@ def _pole_screen(a: np.ndarray, t: np.ndarray, u: np.ndarray):
 def _evaluate_points(r: Realization, points: np.ndarray, *, states: bool = False):
     """F(z) at each point as an (N, m, m) stack, and the mask of points kept.
 
-    A point is kept when `evaluate` would not raise `PoleAt` there; the values
-    at kept points are those `evaluate` returns, bit for bit, and the rows of
-    skipped points are zero. One Schur form A = U T U* serves the whole call.
-    The pole screen takes its eigenpairs from it, and zI - A is formed only
-    for the points the screen does not clear, to apply `evaluate`'s exact
-    rule. `_transfer` then solves the kept points by one back substitution
-    with zI - T, O(n^2 m) per point. Both passes go in blocks of
+    A point is kept unless zI - A is singular to working precision by the
+    exact rule, sigma_min(zI - A) < 1e-12 ||zI - A||_2; the rows of skipped
+    points are zero. One Schur form A = U T U* serves the whole call. The
+    pole screen takes its eigenpairs from it, and zI - A is formed only for
+    the points the screen does not clear, to apply the exact rule. A single
+    point (`evaluate`) skips the screen and goes to the exact rule directly.
+    `_transfer` then solves the kept points by one back substitution with
+    zI - T, O(n^2 m) per point, so a point's value does not depend on the
+    other points. Both passes go in blocks of
     `_BLOCK_ENTRIES` entries. With `states`, a third result is the (N, n, m)
     stack of (zI - A)^-1 B = U (zI - T)^-1 U* B, zero where skipped.
     """
     points = np.asarray(points, dtype=complex).ravel()
     n = r.n
     values = np.zeros((points.size, r.m, r.m), dtype=complex)
-    keep = np.ones(points.size, dtype=bool)
     xs = np.zeros((points.size, n, r.m), dtype=complex) if states else None
     cleared = 0
     if n == 0:
         values[:] = r.D
+        keep = np.ones(points.size, dtype=bool)
     else:
         t, u = _schur(r.A)
-        screen = _pole_screen(r.A, t, u)
+        # one point costs less by the exact rule than by the screen
+        screen = _pole_screen(r.A, t, u) if points.size > 1 else None
         if screen is None:
             keep = np.zeros(points.size, dtype=bool)
         else:
             lam, kappa, delta, norm_a = screen
             dist = np.abs(points[:, None] - lam).min(axis=1)
             keep = dist / kappa - delta > _SCREEN_RTOL * (np.abs(points) + norm_a)
-        cleared = int(keep.sum())
-        rest = np.flatnonzero(~keep)
+        rest = (~keep).nonzero()[0]
+        cleared = points.size - rest.size
         eye = np.eye(n)
         step = max(1, _BLOCK_ENTRIES // (n * n))
         for start in range(0, rest.size, step):
             idx = rest[start : start + step]
             keep[idx] = ~nearly_singular(points[idx, None, None] * eye - r.A, POLE_RTOL)
-        kept = np.flatnonzero(keep)
+        kept = keep.nonzero()[0]
         step = max(1, _BLOCK_ENTRIES // (n * r.m))
         for start in range(0, kept.size, step):
             idx = kept[start : start + step]
             values[idx], y = _transfer(r, t, u, points[idx])
             if states:
                 xs[idx] = u @ y
-    _log.debug(
-        "evaluated F at %d points: %d cleared by the eigenvalue screen, "
-        "%d sent to the exact rule, %d skipped as pole-adjacent",
-        points.size, cleared, points.size - cleared if n else 0, int(points.size - keep.sum()),
-    )
+    if _log.isEnabledFor(logging.DEBUG):
+        _log.debug(
+            "evaluated F at %d points: %d cleared by the eigenvalue screen, "
+            "%d sent to the exact rule, %d skipped as pole-adjacent",
+            points.size, cleared, points.size - cleared if n else 0, int(points.size - keep.sum()),
+        )
     return (values, keep, xs) if states else (values, keep)
 
 
@@ -331,11 +335,7 @@ def change_coordinates(r: Realization, t) -> Realization:
     SingularT
         If T is singular or its condition number exceeds 1e12.
     """
-    t = np.asarray(t, dtype=complex)
-    if t.ndim == 0:
-        t = t.reshape(1, 1)
-    if t.shape != (r.n, r.n):
-        raise DimensionMismatch(f"T has shape {t.shape}, expected {(r.n, r.n)}")
+    t = square(t, "T", r.n)
     if r.n == 0:
         return r
     sv = np.linalg.svd(t, compute_uv=False)

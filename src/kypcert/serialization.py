@@ -186,6 +186,10 @@ def load_matrix(path) -> np.ndarray:
     doc = _read_json(path)
     if doc.get("type", "matrix") != "matrix":
         raise ParseError(f"{path}: document type {doc.get('type')!r} is not a matrix")
+    return _matrix_from_doc(doc, path)
+
+
+def _matrix_from_doc(doc: dict, path) -> np.ndarray:
     if "entries" not in doc:
         raise ParseError(f"{path}: missing field 'entries'")
     return decode_matrix(doc["entries"], field="entries")
@@ -199,6 +203,10 @@ def load_isometry_family(path) -> IsometryFamily:
     doc = _read_json(path)
     if doc.get("type") != "isometry_family":
         raise ParseError(f"{path}: document type {doc.get('type')!r} is not an isometry family")
+    return _isometry_family_from_doc(doc, path)
+
+
+def _isometry_family_from_doc(doc: dict, path) -> IsometryFamily:
     for field in ("state_blocks", "io_blocks"):
         if not isinstance(doc.get(field), list):
             raise ParseError(f"{path}: field {field!r} must be a list of matrices")
@@ -222,9 +230,9 @@ def load(path):
     if kind == "realization":
         return _realization_from_doc(doc, str(path))
     if kind == "matrix":
-        return load_matrix(path)
+        return _matrix_from_doc(doc, path)
     if kind == "isometry_family":
-        return load_isometry_family(path)
+        return _isometry_family_from_doc(doc, path)
     raise ParseError(f"{path}: unknown document type {kind!r}")
 
 

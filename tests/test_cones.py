@@ -36,6 +36,14 @@ def test_in_stein_examples():
     assert in_stein(ConeParameter(np.eye(2), strict=True), np.zeros((2, 2)))
 
 
+def test_scalar_arguments_are_one_by_one():
+    assert in_lyapunov(2.0, 3.0) and not in_lyapunov(2.0, -3.0)
+    assert in_stein(1.0, 0.5) and not in_stein(1.0, 2.0)
+    assert np.array_equal(matrix_convex_combine([2.0], [np.eye(1)]), [[2.0]])
+    with pytest.raises(DimensionMismatch):
+        in_lyapunov(np.eye(2), 3.0)
+
+
 def test_indefinite_h_is_allowed():
     h = np.diag([1.0, -1.0])
     a = np.diag([1.0, -1.0])

@@ -5,6 +5,7 @@ in the package, so importing kypcert does not import ``scipy.stats``.
 """
 
 import hashlib
+import json
 import subprocess
 import sys
 
@@ -12,7 +13,18 @@ import numpy as np
 import pytest
 from scipy.stats import qmc
 
-from kypcert import BadParams, Domain, fixture, make_grid, random_isometry_family, save_realization
+from kypcert import (
+    BadParams,
+    Domain,
+    Family,
+    fixture,
+    make_grid,
+    random_certified_realization,
+    random_in_lyapunov,
+    random_isometry_family,
+    random_isometry_tuple,
+    save_realization,
+)
 from kypcert.cli import main
 from kypcert.families import _halton
 
@@ -60,6 +72,17 @@ def test_negative_seed_is_bad_params(seed):
         random_isometry_family(2, 2, 2, seed)
 
 
+@pytest.mark.parametrize("seed", [-1, np.int64(-5)])
+@pytest.mark.parametrize("call", [
+    lambda seed: random_isometry_tuple([2, 2], 2, seed),
+    lambda seed: random_in_lyapunov(np.eye(2), seed),
+    lambda seed: random_certified_realization(Family.POSITIVE_REAL, 2, 1, seed),
+], ids=["random_isometry_tuple", "random_in_lyapunov", "random_certified_realization"])
+def test_every_seeded_function_rejects_a_negative_seed(call, seed):
+    with pytest.raises(BadParams, match="seed must be >= 0"):
+        call(seed)
+
+
 @pytest.fixture()
 def fixture_files(tmp_path):
     paths = []
@@ -81,6 +104,21 @@ def test_cli_negative_environment_seed_is_an_error_line(capsys, monkeypatch, fix
     monkeypatch.setenv("PASSIVITY_SEED", "-3")
     assert main(["check", "--family", "p", fixture_files[0]]) == 1
     assert capsys.readouterr().err == "error: seed must be >= 0, got -3\n"
+
+
+@pytest.mark.parametrize("text", ["abc", "1.5"])
+def test_cli_environment_seed_that_is_no_integer_is_an_error_line(capsys, monkeypatch, fixture_files, text):
+    monkeypatch.setenv("PASSIVITY_SEED", text)
+    assert main(["check", "--family", "p", fixture_files[0]]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: PASSIVITY_SEED must be an integer, got {text!r}\n"
+
+
+def test_cli_empty_environment_seed_means_zero(capsys, monkeypatch, fixture_files):
+    monkeypatch.setenv("PASSIVITY_SEED", "")
+    assert main(["check", "--family", "p", "--deterministic", fixture_files[0]]) == 0
+    assert json.loads(capsys.readouterr().out)["seed"] == 0
 
 
 def test_cli_combine_negative_seed_is_an_error_line(capsys, tmp_path, fixture_files):

@@ -392,3 +392,21 @@ def test_failed_schur_form_raises_a_typed_error(monkeypatch):
     assert not issubclass(NumericalFailure, np.linalg.LinAlgError)
     constant = cases()["random-n0-m1"][0]
     assert _evaluate_points(constant, rhp.points)[1].all()  # n = 0 needs no Schur form
+
+
+def test_evaluate_is_the_kernel_on_one_point_without_the_screen(monkeypatch):
+    """`evaluate` judges its point by the exact rule alone; a call with two
+    or more points still screens."""
+    r, (rhp, _) = cases()["random-n8-m1"]
+    want = [evaluate(r, z).value for z in rhp.points[:3]]
+
+    def no_screen(*args):
+        raise AssertionError("the screen ran")
+
+    monkeypatch.setattr(realization, "_pole_screen", no_screen)
+    for z, value in zip(rhp.points[:3], want):
+        assert evaluate(r, z).value.tobytes() == value.tobytes()
+    with pytest.raises(PoleAt):
+        evaluate(r, np.linalg.eigvals(r.A)[0])
+    with pytest.raises(AssertionError, match="the screen ran"):
+        _evaluate_points(r, rhp.points[:2])

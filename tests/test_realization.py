@@ -11,6 +11,7 @@ from helpers import (
 )
 
 from kypcert import (
+    BadParams,
     ConeParameter,
     DimensionMismatch,
     Domain,
@@ -24,14 +25,21 @@ from kypcert import (
     SingularD,
     SingularT,
     cascade,
+    cayley,
     change_coordinates,
     evaluate,
     fixture,
+    in_lyapunov,
     invert_array,
     invert_function,
     is_minimal,
     lossless_boundary_oracle,
     make_grid,
+    matrix_convex_combine,
+    random_certified_realization,
+    random_in_lyapunov,
+    random_isometry_tuple,
+    verify_kyp,
 )
 
 GRID = [1.0 + 0.5j, 2.0, -2.0, 3.0 - 1.0j, 0.5 + 2.0j, -1.0 + 3.0j, 4.0, 1j * 2.5, -3.0 - 1j, 6.0 + 0.25j]
@@ -215,12 +223,43 @@ BAD_INPUTS = {
     "grid size": lambda: make_grid(Domain.RIGHT_HALF_PLANE, 0, 4),
     "lossless kind": lambda: lossless_boundary_oracle(
         Realization.constant(np.eye(1)), "XX", make_grid(Domain.RIGHT_HALF_PLANE, 4, 4)),
+    "cayley of a non-square A": lambda: cayley(np.ones((2, 3))),
+    "cayley of a vector": lambda: cayley(np.ones(3)),
+    "cayley of nan": lambda: cayley(np.nan),
+    "non-finite T": lambda: change_coordinates(fixture("f"), np.nan),
+    "non-finite P": lambda: verify_kyp(fixture("f"), np.nan, Family.POSITIVE_REAL),
+    "non-finite cone argument": lambda: in_lyapunov([[1.0]], [[np.nan]]),
+    "non-finite combined matrix": lambda: matrix_convex_combine([[[np.nan]]], [np.eye(1)]),
+    "negative isometry seed": lambda: random_isometry_tuple([2, 2], 2, -1),
+    "negative cone seed": lambda: random_in_lyapunov(np.eye(2), -1),
+    "negative realization seed": lambda: random_certified_realization(Family.POSITIVE_REAL, 2, 1, -1),
+}
+
+#: the type each input rule raises, for the sites that `_linalg.square` and
+#: `_linalg.seeded` judge
+BAD_INPUT_TYPES = {
+    "cayley of a non-square A": DimensionMismatch,
+    "cayley of a vector": DimensionMismatch,
+    "cayley of nan": BadParams,
+    "non-finite T": BadParams,
+    "non-finite P": BadParams,
+    "non-finite cone argument": BadParams,
+    "non-finite combined matrix": BadParams,
+    "negative isometry seed": BadParams,
+    "negative cone seed": BadParams,
+    "negative realization seed": BadParams,
 }
 
 
 @pytest.mark.parametrize("site", list(BAD_INPUTS))
 def test_bad_inputs_raise_a_typed_error(site):
     with pytest.raises(PassivityError):
+        BAD_INPUTS[site]()
+
+
+@pytest.mark.parametrize("site", list(BAD_INPUT_TYPES))
+def test_bad_inputs_raise_the_rule_type(site):
+    with pytest.raises(BAD_INPUT_TYPES[site]):
         BAD_INPUTS[site]()
 
 

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 from helpers import rand_complex, rand_realization
@@ -104,3 +106,21 @@ def test_generic_load_save_dispatch(tmp_path):
     bad.write_text('{"type": "mystery"}')
     with pytest.raises(ParseError):
         load(bad)
+
+
+def test_load_reads_and_parses_each_document_once(tmp_path, monkeypatch):
+    paths = [tmp_path / name for name in ("r.json", "m.json", "i.json")]
+    for path, value in zip(paths, (fixture("F1"), np.eye(2), random_isometry_family(2, 1, 1, 3))):
+        save(path, value)
+    reads = []
+    read_text = Path.read_text
+
+    def counting(self, *args, **kwargs):
+        reads.append(self)
+        return read_text(self, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "read_text", counting)
+    for path in paths:
+        reads.clear()
+        load(path)
+        assert reads == [path]
