@@ -2,7 +2,10 @@
 
 Subcommands: check, transform, combine, eval, wmat, fixtures. Every command
 prints a JSON report to stdout. Exit codes: 0 = pass, 1 = usage/IO/tool
-error, 2 = refuted by a concrete witness, 3 = inconclusive.
+error, 2 = refuted by a concrete witness, 3 = inconclusive. A usage, input or
+IO error prints one ``error:`` line to stderr and nothing to stdout; only
+check's ``tool-error`` verdict exits 1 with a report. ``--eta`` must lie in
+(1, inf].
 """
 
 from __future__ import annotations
@@ -20,13 +23,15 @@ from . import __version__
 from .convexity import random_isometry_family, verify_preservation
 from .exceptions import BadParams, PassivityError
 from .families import (
+    DEFAULT_GRID,
+    ORACLE_TOL,
     MembershipReport,
     _family_margin,
-    _hyper_bounded_report,
-    _hyper_margin,
     _lossless_report,
     _membership_report,
     _with_sample,
+    bilinear_substitute,
+    cayley_function,
     family_domain,
     make_grid,
 )
@@ -51,7 +56,6 @@ from .realization import (
     invert_function,
     is_minimal,
 )
-from .families import bilinear_substitute, cayley_function
 from .serialization import (
     _dumps,
     file_digest,
@@ -88,19 +92,11 @@ def _default_seed() -> int:
     return seed
 
 
-def _emit(report: dict, deterministic: bool) -> None:
-    if not deterministic:
-        report["timestamp"] = datetime.datetime.now(datetime.timezone.utc).isoformat()
-    print(_dumps(report), end="")
-
-
-def _base_report(args, argv: list[str], inputs: list[str]) -> dict:
-    return {
-        "command": argv,
-        "tool": {"name": "kypcert", "version": __version__},
-        "seed": getattr(args, "seed", None),
-        "inputs": {path: file_digest(path) for path in inputs},
-    }
+def _read(report: dict, path: str, loader):
+    """`loader(path)`, with the file's digest recorded once it has loaded."""
+    value = loader(path)
+    report["inputs"][path] = file_digest(path)
+    return value
 
 
 def _complex_pair(z: complex) -> list[float]:
@@ -140,18 +136,13 @@ def _report_certificate(cert: Certificate) -> dict:
 
 
 def _tag(args) -> FamilyTag:
-    family = FAMILY_CODES[args.family]
-    eta = getattr(args, "eta", None)
-    if eta is not None and math.isfinite(eta):
-        return FamilyTag(family=family, eta=eta)
-    return FamilyTag(family=family)
+    return FamilyTag(FAMILY_CODES[args.family], math.inf if args.eta is None else args.eta)
 
 
-def cmd_check(args, argv) -> int:
-    r = load_realization(args.file)
+def cmd_check(args, report) -> int:
+    r = _read(report, args.file, load_realization)
     tag = _tag(args)
     grid = make_grid(family_domain(tag), args.grid, args.grid, args.seed)
-    report = _base_report(args, argv, [args.file])
     report["family"] = tag.label
     minimal, rank_c, rank_o = is_minimal(r)
     report["minimal"] = {"minimal": minimal, "rank_ctrb": rank_c, "rank_obsv": rank_o}
@@ -164,24 +155,17 @@ def cmd_check(args, argv) -> int:
 
     # one evaluation of F over the grid serves every oracle of this check
     evaluated = _evaluate_points(r, grid.points)
-    hyper = args.eta is not None and math.isfinite(args.eta)
-    if hyper:
-        oracle = _hyper_bounded_report(args.eta, grid, evaluated, args.tol_oracle)
-    else:
-        oracle = _membership_report(tag, grid, evaluated, args.tol_oracle)
+    oracle = _membership_report(tag, grid, evaluated, args.tol_oracle)
 
     if args.lossless:
         if tag.family not in (Family.POSITIVE_REAL, Family.BOUNDED_REAL):
-            print("error: --lossless needs --family p or b", file=sys.stderr)
-            return EXIT_ERROR
+            raise BadParams("--lossless needs --family p or b")
         kind = "LP" if tag.family is Family.POSITIVE_REAL else "LB"
         report["lossless_oracle"] = _report_oracle(_lossless_report(kind, grid, evaluated, args.tol_oracle))
 
     cert = None
     if args.p_matrix:
-        p = load_matrix(args.p_matrix)
-        report["inputs"][args.p_matrix] = file_digest(args.p_matrix)
-        cert = verify_kyp(r, p, tag, args.tol_psd)
+        cert = verify_kyp(r, _read(report, args.p_matrix, load_matrix), tag, args.tol_psd)
     elif args.solve:
         found = solve_p(r, tag, tol_psd=args.tol_psd)
         if isinstance(found, NotFound):
@@ -196,8 +180,7 @@ def cmd_check(args, argv) -> int:
             if oracle.passed and found.witness is not None and np.isfinite(found.witness):
                 # the grid missed what the solver found: score its point too
                 value = _evaluate_points(r, [found.witness])[0]
-                margin_fn = _hyper_margin(args.eta) if hyper else _family_margin(tag.family)
-                oracle = _with_sample(oracle, found.witness, float(margin_fn(value)[0]))
+                oracle = _with_sample(oracle, found.witness, float(_family_margin(tag)(value)[0]))
         else:
             cert = found
     report["oracle"] = _report_oracle(oracle)
@@ -212,83 +195,66 @@ def cmd_check(args, argv) -> int:
         # The algebraic certificate and the sampling oracle may never disagree.
         report["verdict"] = "tool-error"
         report["note"] = "verified certificate but failing oracle: internal inconsistency"
-        _emit(report, args.deterministic)
         return EXIT_ERROR
     if not oracle_pass:
         report["verdict"] = "refuted-by-witness"
-        _emit(report, args.deterministic)
         return EXIT_REFUTED
-    wants_certificate = args.solve or args.p_matrix
-    if wants_certificate and not cert_verified:
+    if (args.solve or args.p_matrix) and not cert_verified:
         report["verdict"] = "inconclusive"
         if not minimal:
             report["note"] = "realization is not minimal; only sampling evidence is available"
-        _emit(report, args.deterministic)
         return EXIT_INCONCLUSIVE
     report["verdict"] = "pass"
-    _emit(report, args.deterministic)
     return EXIT_OK
 
 
-def cmd_transform(args, argv) -> int:
-    r = load_realization(args.file)
-    report = _base_report(args, argv, [args.file])
+#: the transforms that need no input besides the realization
+TRANSFORMS = {
+    "cayley-fn": cayley_function,
+    "bilinear": bilinear_substitute,
+    "invert-array": invert_array,
+    "invert-fn": invert_function,
+}
+
+
+def cmd_transform(args, report) -> int:
+    r = _read(report, args.file, load_realization)
     report["op"] = args.op
-    if args.op == "cayley-fn":
-        out = cayley_function(r)
-    elif args.op == "bilinear":
-        out = bilinear_substitute(r)
-    elif args.op == "invert-array":
-        out = invert_array(r)
-    elif args.op == "invert-fn":
-        out = invert_function(r)
-    elif args.op == "coords":
+    if args.op == "coords":
         if not args.t_matrix:
-            print("error: --op coords needs --t-matrix", file=sys.stderr)
-            return EXIT_ERROR
-        t = load_matrix(args.t_matrix)
-        report["inputs"][args.t_matrix] = file_digest(args.t_matrix)
-        out = change_coordinates(r, t)
+            raise BadParams("--op coords needs --t-matrix")
+        out = change_coordinates(r, _read(report, args.t_matrix, load_matrix))
     elif args.op == "balance":
         if not args.p_matrix or not args.family:
-            print("error: --op balance needs --p-matrix and --family", file=sys.stderr)
-            return EXIT_ERROR
-        p = load_matrix(args.p_matrix)
-        report["inputs"][args.p_matrix] = file_digest(args.p_matrix)
-        tag = _tag(args)
-        cert = verify_kyp(r, p, tag, args.tol_psd)
+            raise BadParams("--op balance needs --p-matrix and --family")
+        p = _read(report, args.p_matrix, load_matrix)
+        cert = verify_kyp(r, p, _tag(args), args.tol_psd)
         if not cert.verified:
             report["certificate"] = _report_certificate(cert)
             report["verdict"] = "certificate-not-verified"
-            _emit(report, args.deterministic)
             return EXIT_INCONCLUSIVE
         out, new_cert = balance(r, cert)
         report["certificate"] = _report_certificate(new_cert)
-    else:  # pragma: no cover - argparse restricts choices
-        return EXIT_ERROR
+    else:
+        out = TRANSFORMS[args.op](r)
     save_realization(args.output, out)
     report["output"] = args.output
     report["verdict"] = "ok"
-    _emit(report, args.deterministic)
     return EXIT_OK
 
 
-def cmd_combine(args, argv) -> int:
+def cmd_combine(args, report) -> int:
     paths = [p for p in args.inputs.split(",") if p]
     if not paths:
-        print("error: --inputs needs at least one file", file=sys.stderr)
-        return EXIT_ERROR
-    rs = [load_realization(p) for p in paths]
-    report = _base_report(args, argv, paths)
+        raise BadParams("--inputs needs at least one file")
+    rs = [_read(report, p, load_realization) for p in paths]
     tag = _tag(args)
     if args.isometries:
-        fam = load_isometry_family(args.isometries)
-        report["inputs"][args.isometries] = file_digest(args.isometries)
+        fam = _read(report, args.isometries, load_isometry_family)
     else:
-        k = args.random if args.random else len(rs)
+        k = args.random or len(rs)
         if k != len(rs):
-            print(f"error: --random {k} does not match {len(rs)} inputs", file=sys.stderr)
-            return EXIT_ERROR
+            raise BadParams(f"--random {k} does not match {len(rs)} inputs")
         fam = random_isometry_family(k, rs[0].n, rs[0].m, args.seed)
     result = verify_preservation(rs, fam, tag, args.tol_psd)
     save_realization(args.output, result.combined)
@@ -299,70 +265,73 @@ def cmd_combine(args, argv) -> int:
     report["combined"]["q_norm"] = spectral_norm(result.certificate.q)
     ok = result.certificate.verified
     report["verdict"] = "pass" if ok else "inconclusive"
-    _emit(report, args.deterministic)
     return EXIT_OK if ok else EXIT_INCONCLUSIVE
 
 
-def cmd_eval(args, argv) -> int:
-    r = load_realization(args.file)
+def cmd_eval(args, report) -> int:
+    r = _read(report, args.file, load_realization)
     try:
         re_s, im_s = args.at.split(",")
         z = complex(float(re_s), float(im_s))
     except ValueError:
-        print(f"error: --at expects 're,im', got {args.at!r}", file=sys.stderr)
-        return EXIT_ERROR
-    sample = evaluate(r, z)
-    report = _base_report(args, argv, [args.file])
+        raise BadParams(f"--at expects 're,im', got {args.at!r}") from None
     report["z"] = _complex_pair(z)
-    report["value"] = sample.value
-    _emit(report, args.deterministic)
+    report["value"] = evaluate(r, z).value
     return EXIT_OK
 
 
-def cmd_wmat(args, argv) -> int:
+def cmd_wmat(args, report) -> int:
     tag = _tag(args)
-    report = _base_report(args, argv, [])
     if args.p_matrix and not args.balanced:
-        p = load_matrix(args.p_matrix)
-        report["inputs"][args.p_matrix] = file_digest(args.p_matrix)
-        w = build_weight(tag, p, args.m)
+        w = build_weight(tag, _read(report, args.p_matrix, load_matrix), args.m)
     else:
         w = build_balanced_weight(tag, args.n, args.m)
-    report["family"] = tag.label
-    report["n"] = w.n
-    report["m"] = w.m
-    report["entries"] = w.entries
-    _emit(report, args.deterministic)
+    report.update(family=tag.label, n=w.n, m=w.m, entries=w.entries)
     return EXIT_OK
 
 
-def cmd_fixtures(args, argv) -> int:
+def cmd_fixtures(args, report) -> int:
     r = fixture(args.name, a=args.a, b=args.b)
     meta = {"name": args.name}
     if args.name in ("F1", "F2", "F3"):
         meta["params"] = {"a": args.a if args.a is not None else 1.0,
                           "b": args.b if args.b is not None else 1.0}
     save_realization(args.output, r, metadata=meta)
-    report = _base_report(args, argv, [])
     report["fixture"] = meta
     report["output"] = args.output
-    _emit(report, args.deterministic)
     return EXIT_OK
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
-    return value
+def _number(kind, valid, rule: str):
+    """An argparse type: `kind(text)`, which must satisfy `valid`."""
+    def parse(text: str):
+        try:
+            value = kind(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid {kind.__name__} value: {text!r}") from None
+        if not valid(value):
+            raise argparse.ArgumentTypeError(f"must be {rule}, got {value}")
+        return value
+    return parse
+
+
+_positive_int = _number(int, lambda value: value >= 1, "a positive integer")
+_finite_float = _number(float, math.isfinite, "a finite number")
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # `main` prints a usage error as it prints any other
+        raise BadParams(message)
+
+
+def _add_family(p: argparse.ArgumentParser, required: bool) -> None:
+    p.add_argument("--family", required=required, choices=sorted(FAMILY_CODES))
+    p.add_argument("--eta", type=float, help="hyper-bounded parameter in (1, inf]")
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--tol-psd", type=float, default=None, help="PSD slack for certificates")
-    p.add_argument("--tol-oracle", type=float, default=1e-8, help="margin tolerance for oracles")
+    p.add_argument("--tol-psd", type=_finite_float, default=None, help="PSD slack for certificates")
+    p.add_argument("--tol-oracle", type=_finite_float, default=ORACLE_TOL, help="margin tolerance for oracles")
     p.add_argument("--seed", type=int, default=None, help="grid/random seed (default $PASSIVITY_SEED or 0)")
     p.add_argument("--deterministic", action="store_true", help="suppress the timestamp field")
 
@@ -371,39 +340,35 @@ def _add_common(p: argparse.ArgumentParser) -> None:
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process; the environment is read
     at each call of `main`, not here."""
-    parser = argparse.ArgumentParser(prog="kypcert", description=__doc__)
+    parser = _Parser(prog="kypcert", description=__doc__)
     parser.add_argument("--version", action="version", version=f"kypcert {__version__}")
     sub = parser.add_subparsers(dest="cmd", required=True)
 
     p = sub.add_parser("check", help="verify family membership (certificate and sampling oracle)")
-    p.add_argument("--family", required=True, choices=sorted(FAMILY_CODES))
-    p.add_argument("--eta", type=float, default=None, help="hyper-bounded parameter in (1, inf]")
+    _add_family(p, required=True)
     p.add_argument("--lossless", action="store_true", help="also run the lossless boundary checks")
     p.add_argument("--p-matrix", default=None, help="verify this certificate P (matrix document)")
     p.add_argument("--solve", action="store_true", help="search for a certificate P")
-    p.add_argument("--grid", type=_positive_int, default=64, help="boundary/interior sample counts")
+    p.add_argument("--grid", type=_positive_int, default=DEFAULT_GRID, help="boundary/interior sample counts")
     p.add_argument("file")
     _add_common(p)
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("transform", help="apply a realization transform")
-    p.add_argument("--op", required=True,
-                   choices=["cayley-fn", "bilinear", "invert-array", "invert-fn", "balance", "coords"])
+    p.add_argument("--op", required=True, choices=[*TRANSFORMS, "balance", "coords"])
     p.add_argument("--t-matrix", default=None)
     p.add_argument("--p-matrix", default=None)
-    p.add_argument("--family", choices=sorted(FAMILY_CODES), default=None)
-    p.add_argument("--eta", type=float, default=None)
+    _add_family(p, required=False)
     p.add_argument("file")
     p.add_argument("-o", "--output", required=True)
     _add_common(p)
     p.set_defaults(func=cmd_transform)
 
     p = sub.add_parser("combine", help="matrix-convex combination with certificate preservation")
-    p.add_argument("--family", required=True, choices=sorted(FAMILY_CODES))
-    p.add_argument("--eta", type=float, default=None)
+    _add_family(p, required=True)
     p.add_argument("--inputs", required=True, help="comma-separated realization files")
     p.add_argument("--isometries", default=None, help="isometry family document")
-    p.add_argument("--random", type=int, default=None, help="sample k random tiers instead")
+    p.add_argument("--random", type=_positive_int, default=None, help="sample k random tiers instead")
     p.add_argument("-o", "--output", required=True)
     _add_common(p)
     p.set_defaults(func=cmd_combine)
@@ -415,8 +380,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("wmat", help="print a family weight matrix")
-    p.add_argument("--family", required=True, choices=sorted(FAMILY_CODES))
-    p.add_argument("--eta", type=float, default=None)
+    _add_family(p, required=True)
     p.add_argument("--balanced", action="store_true")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--m", type=int, required=True)
@@ -435,23 +399,28 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one command; print its report, or one ``error:`` line."""
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        # argparse exits 0 for --help/--version, 2 for usage errors
-        return EXIT_OK if exc.code in (0, None) else EXIT_ERROR
-    try:
+        args = build_parser().parse_args(argv)
         if args.seed is None:
             args.seed = _default_seed()
-        return args.func(args, argv)
-    except PassivityError as exc:
+        report = {
+            "command": argv,
+            "tool": {"name": "kypcert", "version": __version__},
+            "seed": args.seed,
+            "inputs": {},
+        }
+        code = args.func(args, report)
+    except SystemExit as exc:  # --help and --version
+        return EXIT_OK if exc.code in (0, None) else EXIT_ERROR
+    except (PassivityError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
+    if not args.deterministic:
+        report["timestamp"] = datetime.datetime.now(datetime.timezone.utc).isoformat()
+    print(_dumps(report), end="")
+    return code
 
 
 if __name__ == "__main__":  # pragma: no cover

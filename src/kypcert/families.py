@@ -199,19 +199,14 @@ def _report(family: str, worst, tol: float, strict: bool = False) -> MembershipR
     )
 
 
-def _family_margin(family: Family):
-    """Pointwise margin of a family: min eig(F + F*) for the positive-real
-    families, 1 - ||F||_2 for the bounded-real ones."""
-    if family.is_bounded:
-        return lambda f: 1.0 - spectral_norms(f)
+def _family_margin(tag: FamilyTag):
+    """Pointwise margin of a family tag: min eig(F + F*) for the
+    positive-real families, sqrt((eta-1)/(eta+1)) - ||F||_2 for the
+    bounded-real ones, which is 1 - ||F||_2 at eta = inf."""
+    if tag.family.is_bounded:
+        bound = 1.0 if math.isinf(tag.eta) else math.sqrt((tag.eta - 1.0) / (tag.eta + 1.0))
+        return lambda f: bound - spectral_norms(f)
     return lambda f: min_eigs(f + ct(f))
-
-
-def _hyper_margin(eta: float):
-    """Pointwise margin of the hyper-bounded test: sqrt((eta-1)/(eta+1)) -
-    ||F||_2, or 1 - ||F||_2 at eta = inf."""
-    bound = 1.0 if math.isinf(eta) else math.sqrt((eta - 1.0) / (eta + 1.0))
-    return lambda f: bound - spectral_norms(f)
 
 
 def _with_sample(rep: MembershipReport, z: complex, margin: float) -> MembershipReport:
@@ -230,7 +225,9 @@ def membership_oracle(r: Realization, family, grid: DomainGrid, tol: float = ORA
     """Sampled membership test for one of the four families.
 
     The pointwise margin is min eig(F(z) + F(z)*) for the positive-real
-    families and 1 - ||F(z)||_2 for the bounded-real ones; the verdict is the
+    families and 1 - ||F(z)||_2 for the bounded-real ones; a bounded-real tag
+    with a finite eta gets the hyper-bounded margin sqrt((eta-1)/(eta+1)) -
+    ||F(z)||_2 and the label ``hyper-bounded(eta=...)``. The verdict is the
     worst margin over the grid. Pole-adjacent points are skipped and counted.
     """
     return _membership_report(family, grid, _evaluate_points(r, grid.points), tol)
@@ -240,7 +237,7 @@ def _membership_report(family, grid: DomainGrid, evaluated, tol: float) -> Membe
     """`membership_oracle` from `_evaluate_points` over `grid.points`."""
     tag = as_tag(family)
     _check_domain(grid, family_domain(tag), f"{tag.family.value} oracle")
-    return _report(tag.family.value, _worst(grid.points, *evaluated, _family_margin(tag.family)), tol)
+    return _report(tag.label, _worst(grid.points, *evaluated, _family_margin(tag)), tol)
 
 
 def anti_db_oracle(r: Realization, grid: DomainGrid, tol: float = ORACLE_TOL) -> MembershipReport:
@@ -260,14 +257,10 @@ def hyper_bounded_oracle(r: Realization, eta: float, grid: DomainGrid, tol: floa
     discrete one (which has no KYP weight here, the oracle is the only
     exposed check for it).
     """
-    return _hyper_bounded_report(eta, grid, _evaluate_points(r, grid.points), tol)
-
-
-def _hyper_bounded_report(eta: float, grid: DomainGrid, evaluated, tol: float) -> MembershipReport:
-    """`hyper_bounded_oracle` from `_evaluate_points` over `grid.points`."""
-    eta = FamilyTag(Family.BOUNDED_REAL, eta).eta
+    tag = FamilyTag(Family.BOUNDED_REAL, eta)
     kind = "hyper-bounded" if grid.domain is Domain.RIGHT_HALF_PLANE else "hyper-discrete-bounded"
-    return _report(f"{kind}(eta={eta:g})", _worst(grid.points, *evaluated, _hyper_margin(eta)), tol)
+    worst = _worst(grid.points, *_evaluate_points(r, grid.points), _family_margin(tag))
+    return _report(f"{kind}(eta={tag.eta:g})", worst, tol)
 
 
 def lossless_boundary_oracle(r: Realization, kind: str, grid: DomainGrid, tol: float = ORACLE_TOL) -> MembershipReport:
@@ -289,11 +282,11 @@ def _lossless_report(kind: str, grid: DomainGrid, evaluated, tol: float) -> Memb
     _check_domain(grid, Domain.RIGHT_HALF_PLANE, "lossless boundary oracle")
     if kind == "LP":
         margin_fn = lambda f: -spectral_norms(f + ct(f))  # noqa: E731
-        parent = Family.POSITIVE_REAL
+        parent = FamilyTag(Family.POSITIVE_REAL)
         label = "lossless-positive"
     else:
         margin_fn = lambda f: -spectral_norms(ct(f) @ f - np.eye(f.shape[-1]))  # noqa: E731
-        parent = Family.BOUNDED_REAL
+        parent = FamilyTag(Family.BOUNDED_REAL)
         label = "lossless-bounded"
     points = grid.points
     values, keep = evaluated

@@ -31,7 +31,7 @@ from .exceptions import (
     NumericalFailure,
     SingularIPlusA,
 )
-from .realization import POLE_RTOL, Realization, _evaluate_points, change_coordinates
+from .realization import POLE_RTOL, Realization, _dimensions, _evaluate_points, change_coordinates
 
 __all__ = [
     "Family",
@@ -233,7 +233,7 @@ def build_weight(family, p, m: int) -> WMatrix:
     Raises
     ------
     DimensionMismatch, BadParams
-        If P is not a finite square matrix.
+        If P is not a finite square matrix, or m < 1.
     NotPositiveDefinite
         If P is not Hermitian positive definite.
     """
@@ -243,12 +243,14 @@ def build_weight(family, p, m: int) -> WMatrix:
         raise NotPositiveDefinite("P must be Hermitian")
     if p.size and min_eig(p) <= 0.0:
         raise NotPositiveDefinite("P must be positive definite")
-    return WMatrix(family=tag, n=p.shape[0], m=int(m), entries=_weight_entries(tag, p, int(m)), p_used=p)
+    n, m = _dimensions(p.shape[0], m)
+    return WMatrix(family=tag, n=n, m=m, entries=_weight_entries(tag, p, m), p_used=p)
 
 
 def build_balanced_weight(family, n: int, m: int) -> WMatrix:
     """The balanced weight, i.e. build_weight with P = I_n."""
-    return build_weight(family, np.eye(int(n)), m)
+    n, m = _dimensions(n, m)
+    return build_weight(family, np.eye(n), m)
 
 
 def assemble_q(r: Realization, w) -> np.ndarray:

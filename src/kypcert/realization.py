@@ -75,6 +75,16 @@ def _as_block(x, rows: int, cols: int, name: str) -> np.ndarray:
     return frozen(arr)
 
 
+def _dimensions(n, m) -> tuple[int, int]:
+    """(n, m) as ints; DimensionMismatch unless n >= 0 and m >= 1."""
+    n, m = int(n), int(m)
+    if n < 0:
+        raise DimensionMismatch("state dimension n must be nonnegative")
+    if m < 1:
+        raise DimensionMismatch("input/output dimension m must be positive")
+    return n, m
+
+
 @dataclass(frozen=True, eq=False)
 class Realization:
     """Immutable state-space realization array [A B; C D].
@@ -97,11 +107,7 @@ class Realization:
     D: np.ndarray
 
     def __post_init__(self):
-        n, m = int(self.n), int(self.m)
-        if n < 0:
-            raise DimensionMismatch("state dimension n must be nonnegative")
-        if m < 1:
-            raise DimensionMismatch("input/output dimension m must be positive")
+        n, m = _dimensions(self.n, self.m)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "m", m)
         object.__setattr__(self, "A", _as_block(self.A, n, n, "A"))

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from helpers import OVERFLOWING_Q, resonance
 
-from kypcert import evaluate, fixture, load_realization, save_matrix, save_realization
+from kypcert import cayley_function, evaluate, fixture, load_realization, save_matrix, save_realization
 from kypcert.cli import main
 
 
@@ -425,3 +425,42 @@ def test_overflowing_q_is_an_error_not_a_traceback(capsys, tmp_path, fam, r):
     err = capsys.readouterr().err
     assert code == 1
     assert err.startswith("error: Q overflows")
+
+
+#: every exit-1 error of the CLI; {F2} is a positive-real member, {B} a
+#: bounded-real one (its Cayley transform) and {out} an output path
+ERROR_EXITS = {
+    "lossless-with-dp": ["check", "--family", "dp", "--lossless", "{F2}"],
+    "coords-without-t-matrix": ["transform", "--op", "coords", "{F2}", "-o", "{out}"],
+    "balance-without-p-matrix": ["transform", "--op", "balance", "--family", "p", "{F2}", "-o", "{out}"],
+    "empty-inputs": ["combine", "--family", "p", "--inputs", ",", "-o", "{out}"],
+    "random-mismatch": ["combine", "--family", "p", "--inputs", "{F2}", "--random", "2", "-o", "{out}"],
+    "bad-at": ["eval", "--at", "1;0", "{F2}"],
+    "check-eta-nan": ["check", "--family", "b", "--eta=nan", "{B}"],
+    "check-eta-minus-inf": ["check", "--family", "b", "--eta=-inf", "{B}"],
+    "combine-eta-nan": ["combine", "--family", "b", "--eta=nan", "--inputs", "{B}", "-o", "{out}"],
+    "combine-eta-minus-inf": ["combine", "--family", "b", "--eta=-inf", "--inputs", "{B}", "-o", "{out}"],
+    "wmat-eta-nan": ["wmat", "--family", "b", "--eta=nan", "--balanced", "--n", "1", "--m", "1"],
+    "wmat-eta-minus-inf": ["wmat", "--family", "b", "--eta=-inf", "--balanced", "--n", "1", "--m", "1"],
+    "wmat-negative-n": ["wmat", "--family", "p", "--balanced", "--n", "-1", "--m", "1"],
+    "wmat-negative-m": ["wmat", "--family", "p", "--balanced", "--n", "1", "--m", "-1"],
+    "wmat-zero-m": ["wmat", "--family", "p", "--balanced", "--n", "1", "--m", "0"],
+    "nan-tol-oracle": ["check", "--family", "p", "--tol-oracle", "nan", "{F2}"],
+    "nan-tol-psd": ["check", "--family", "p", "--tol-psd", "nan", "--solve", "{F2}"],
+    "random-zero": ["combine", "--family", "p", "--inputs", "{F2}", "--random", "0", "-o", "{out}"],
+}
+
+
+@pytest.mark.parametrize("argv", ERROR_EXITS.values(), ids=ERROR_EXITS.keys())
+def test_every_error_exit_prints_one_error_line(capsys, tmp_path, argv):
+    save_realization(tmp_path / "F2.json", fixture("F2"))
+    save_realization(tmp_path / "B.json", cayley_function(fixture("F2")))
+    paths = {name: str(tmp_path / f"{name}.json") for name in ("F2", "B", "out")}
+    code = main([arg.format(**paths) for arg in argv] + ["--deterministic"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:"), captured.err
+    assert "Traceback" not in captured.err
+    assert not (tmp_path / "out.json").exists()

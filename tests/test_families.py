@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from helpers import transfer_max_err
@@ -8,6 +10,7 @@ from kypcert import (
     DomainMismatch,
     EtaOutOfRange,
     Family,
+    FamilyTag,
     Realization,
     SingularIPlusA,
     SingularIPlusD,
@@ -182,6 +185,31 @@ def test_hyper_bounded_eta_validation_and_infinite_case():
     rep_inf = hyper_bounded_oracle(r, np.inf, grid)
     rep_member = membership_oracle(r, Family.BOUNDED_REAL, grid)
     assert rep_inf.passed and abs(rep_inf.worst_margin - rep_member.worst_margin) < 1e-14
+
+
+@pytest.mark.parametrize("eta", [1.05, 3.0, np.inf])
+def test_membership_oracle_honours_the_eta_of_its_tag(eta):
+    grid = make_grid(Domain.RIGHT_HALF_PLANE, 16, 16, 12)
+    members = [Realization.constant(0.9 * np.eye(1)),
+               random_certified_realization(Family.BOUNDED_REAL, 2, 2, np.random.default_rng(12))]
+    for r in members:
+        via_tag = membership_oracle(r, FamilyTag(Family.BOUNDED_REAL, eta), grid)
+        direct = hyper_bounded_oracle(r, eta, grid)
+        for field in dataclasses.fields(direct):
+            if field.name != "family":
+                assert getattr(via_tag, field.name) == getattr(direct, field.name), field.name
+        assert via_tag.family == ("bounded-real" if np.isinf(eta) else direct.family)
+
+
+def test_membership_oracle_refutes_a_constant_above_the_eta_bound():
+    # sqrt((3-1)/(3+1)) = 0.707... < 0.9 < 1
+    grid = make_grid(Domain.RIGHT_HALF_PLANE, 16, 16, 12)
+    r = Realization.constant(0.9 * np.eye(1))
+    assert membership_oracle(r, Family.BOUNDED_REAL, grid).passed
+    rep = membership_oracle(r, FamilyTag(Family.BOUNDED_REAL, 3.0), grid)
+    assert rep.verdict == "fail"
+    assert rep.family == "hyper-bounded(eta=3)"
+    assert abs(rep.worst_margin - (np.sqrt(0.5) - 0.9)) < 1e-12
 
 
 def test_hyper_discrete_bounded_uses_exterior_grid():

@@ -16,6 +16,7 @@ from kypcert import (
     Certificate,
     CertificateNotVerified,
     CertificateStatus,
+    DimensionMismatch,
     Domain,
     EtaOutOfRange,
     Family,
@@ -89,6 +90,16 @@ def test_balanced_weight_examples():
     assert np.abs(wa - wa.T).max() == 0.0
     assert np.abs(wa[: n + m, : n + m]).max() == 0.0
     assert np.abs(wa[n + m :, n + m :]).max() == 0.0
+
+
+@pytest.mark.parametrize("n,m", [(-1, 1), (1, -1), (1, 0), (0, 0)])
+def test_weight_dimensions_follow_the_realization_rule(n, m):
+    # n >= 0 and m >= 1, as for a Realization: a typed error, not numpy's
+    with pytest.raises(DimensionMismatch):
+        build_balanced_weight(Family.POSITIVE_REAL, n, m)
+    if n >= 0:
+        with pytest.raises(DimensionMismatch):
+            build_weight(Family.POSITIVE_REAL, np.eye(n), m)
 
 
 def test_weight_requires_positive_definite():
