@@ -5,7 +5,9 @@ prints a JSON report to stdout. Exit codes: 0 = pass, 1 = usage/IO/tool
 error, 2 = refuted by a concrete witness, 3 = inconclusive. A usage, input or
 IO error prints one ``error:`` line to stderr and nothing to stdout; only
 check's ``tool-error`` verdict exits 1 with a report. ``--eta`` must lie in
-(1, inf].
+(1, inf], and ``--tol-psd`` and ``--tol-oracle`` must be finite and
+non-negative. ``transform`` takes ``--family`` and ``--eta`` only with
+``--op balance``; ``wmat --p-matrix`` needs ``--n`` equal to the size of P.
 """
 
 from __future__ import annotations
@@ -218,6 +220,8 @@ TRANSFORMS = {
 
 
 def cmd_transform(args, report) -> int:
+    if args.op != "balance" and (args.family or args.eta is not None):
+        raise BadParams("--family and --eta apply only to --op balance")
     r = _read(report, args.file, load_realization)
     report["op"] = args.op
     if args.op == "coords":
@@ -284,6 +288,8 @@ def cmd_wmat(args, report) -> int:
     tag = _tag(args)
     if args.p_matrix and not args.balanced:
         w = build_weight(tag, _read(report, args.p_matrix, load_matrix), args.m)
+        if w.n != args.n:
+            raise BadParams(f"--n {args.n} does not match the {w.n} x {w.n} P of --p-matrix")
     else:
         w = build_balanced_weight(tag, args.n, args.m)
     report.update(family=tag.label, n=w.n, m=w.m, entries=w.entries)
@@ -316,7 +322,7 @@ def _number(kind, valid, rule: str):
 
 
 _positive_int = _number(int, lambda value: value >= 1, "a positive integer")
-_finite_float = _number(float, math.isfinite, "a finite number")
+_tolerance = _number(float, lambda value: math.isfinite(value) and value >= 0.0, "finite and non-negative")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -330,8 +336,8 @@ def _add_family(p: argparse.ArgumentParser, required: bool) -> None:
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--tol-psd", type=_finite_float, default=None, help="PSD slack for certificates")
-    p.add_argument("--tol-oracle", type=_finite_float, default=ORACLE_TOL, help="margin tolerance for oracles")
+    p.add_argument("--tol-psd", type=_tolerance, default=None, help="PSD slack for certificates")
+    p.add_argument("--tol-oracle", type=_tolerance, default=ORACLE_TOL, help="margin tolerance for oracles")
     p.add_argument("--seed", type=int, default=None, help="grid/random seed (default $PASSIVITY_SEED or 0)")
     p.add_argument("--deterministic", action="store_true", help="suppress the timestamp field")
 

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg.lapack import ztrsen
 
 from ._linalg import ct, frozen, herm, is_hermitian, min_eig, min_eigs, seeded, sigma_min, spectral_norm, square
 from .exceptions import (
@@ -31,7 +32,7 @@ from .exceptions import (
     NumericalFailure,
     SingularIPlusA,
 )
-from .realization import POLE_RTOL, Realization, _dimensions, _evaluate_points, change_coordinates
+from .realization import POLE_RTOL, Realization, _dimensions, _evaluate_points, _schur, _similarity
 
 __all__ = [
     "Family",
@@ -272,9 +273,12 @@ def assemble_q(r: Realization, w) -> np.ndarray:
     return q
 
 
-def default_psd_tol(q: np.ndarray) -> float:
-    """Default PSD slack: 1e-9 * (1 + ||Q||_2)."""
-    return PSD_TOL_SCALE * (1.0 + spectral_norm(q))
+def _tolerance(tol_psd) -> float:
+    """A user PSD tolerance as a float; BadParams unless finite and >= 0."""
+    tol = float(tol_psd)
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise BadParams(f"tol_psd must be finite and non-negative, got {tol}")
+    return tol
 
 
 def verify_kyp(r: Realization, p, family, tol_psd: float | None = None) -> Certificate:
@@ -283,17 +287,21 @@ def verify_kyp(r: Realization, p, family, tol_psd: float | None = None) -> Certi
     status is VERIFIED iff min eig(P) > 0 and min eig(Q) >= -tol_psd;
     REFUTED if P is not positive definite or min eig(Q) < -1000*tol_psd
     (which refutes only this certificate, not membership); INCONCLUSIVE
-    otherwise. A P that is not a finite n x n matrix raises DimensionMismatch
-    or BadParams.
+    otherwise. The default tol_psd is 1e-9 * (1 + ||Q||_2). A P that is not
+    a finite n x n matrix, or a tol_psd that is negative or not finite,
+    raises DimensionMismatch or BadParams.
     """
     tag = as_tag(family)
+    tol = None if tol_psd is None else _tolerance(tol_psd)
     p = square(p, "P", r.n)
     p_hermitian = p.size == 0 or is_hermitian(p, rtol=1e-10)
     ph = herm(p) if p.size else p
     q = assemble_q(r, _weight_entries(tag, ph, r.m))
-    mq = min_eig(q)
+    lam = np.linalg.eigvalsh(q)  # Q is Hermitian, so ||Q||_2 = max(-lam_min, lam_max)
+    mq = float(lam[0])
     mp = min_eig(ph)  # +inf when n = 0 (empty P is vacuously admissible)
-    tol = default_psd_tol(q) if tol_psd is None else float(tol_psd)
+    if tol is None:
+        tol = PSD_TOL_SCALE * (1.0 + max(-mq, float(lam[-1])))
     admissible = p_hermitian and (r.n == 0 or mp > 0.0)
     if admissible and mq >= -tol:
         status = CertificateStatus.VERIFIED
@@ -426,11 +434,14 @@ def _hamiltonian(r: Realization, w_io: np.ndarray, eps: float = 0.0) -> tuple[np
     qx, sx, rx, norm_m = _popov_blocks(r, w_io)
     if sigma_min(rx) <= POLE_RTOL * norm_m:
         return None, rx, 1.0 + norm_m
+    n = r.n
+    h = np.empty((2 * n, 2 * n), dtype=complex)
     with np.errstate(over="ignore", invalid="ignore"):  # huge entries: H is not finite
         ri_s, ri_b = np.linalg.solve(rx, ct(sx)), np.linalg.solve(rx, ct(r.B))
-        a_h = r.A - r.B @ ri_s
-        qx = qx - eps * (1.0 + norm_m) * np.eye(r.n)
-        h = np.block([[a_h, -r.B @ ri_b], [-qx + sx @ ri_s, -ct(a_h)]])
+        h[:n, :n] = r.A - r.B @ ri_s
+        h[:n, n:] = -r.B @ ri_b
+        h[n:, :n] = sx @ ri_s - (qx - eps * (1.0 + norm_m) * np.eye(n))
+        h[n:, n:] = -ct(h[:n, :n])
     return (h if np.all(np.isfinite(h)) else None), rx, 1.0 + norm_m
 
 
@@ -442,6 +453,19 @@ def _axis_crossings(r: Realization, w_io: np.ndarray) -> np.ndarray:
         return np.zeros(0)
     lam = np.linalg.eigvals(ham)
     return lam[np.abs(lam.real) <= _AXIS_RTOL * np.linalg.norm(ham)].imag
+
+
+def _ordered_schur(h: np.ndarray) -> tuple[np.ndarray, np.ndarray, int] | None:
+    """(T, U, k): the complex Schur form H = U T U* with its k eigenvalues
+    of negative real part first, the form scipy's schur gives with
+    sort="lhp" (one zgees, then one ztrsen); None when LAPACK fails, as it
+    can next to the axis."""
+    try:
+        t, u = _schur(h)
+    except NumericalFailure:
+        return None
+    t, u, _, k, _, _, info = ztrsen(t.diagonal().real < 0.0, t, u, job="N")
+    return None if info else (t, u, k)
 
 
 def _riccati_certificate(r: Realization, tag: FamilyTag, tol_psd: float | None) -> tuple[Certificate | None, str]:
@@ -456,10 +480,10 @@ def _riccati_certificate(r: Realization, tag: FamilyTag, tol_psd: float | None) 
         return None, "Rx not positive definite"
     if ham is None:  # Rx passed the stricter test above, so H overflowed
         return None, "H not finite"
-    try:
-        t, u, sdim = scipy.linalg.schur(ham, output="complex", sort="lhp")
-    except np.linalg.LinAlgError:  # LAPACK can fail to reorder next to the axis
+    ordered = _ordered_schur(ham)
+    if ordered is None:
         return None, "Schur reordering failed"
+    t, u, sdim = ordered
     if sdim != r.n or np.abs(np.diag(t).real).min() <= _AXIS_RTOL * np.linalg.norm(ham):
         return None, "axis eigenvalue"
     u1, u2 = u[:r.n, :r.n], u[r.n:, :r.n]
@@ -609,9 +633,12 @@ def solve_p(r: Realization, family, *, tol_psd: float | None = None) -> Certific
     NotFound has stop = "witness" and that point as `witness`: no P >= 0
     can then certify F. Otherwise stop = "no-certificate", which is NOT a
     proof of non-membership (the converse direction of the KYP lemma needs
-    minimality, and the candidates are not exhaustive).
+    minimality, and the candidates are not exhaustive). A tol_psd that is
+    negative or not finite raises BadParams.
     """
     tag = as_tag(family)
+    if tol_psd is not None:
+        tol_psd = _tolerance(tol_psd)
     n, m = r.n, r.m
     if n == 0:
         cert = verify_kyp(r, np.zeros((0, 0)), tag, tol_psd)
@@ -647,7 +674,8 @@ def solve_p(r: Realization, family, *, tol_psd: float | None = None) -> Certific
 def balance(r: Realization, cert: Certificate) -> tuple[Realization, Certificate]:
     """Change coordinates with T = P^(-1/2) so the certificate becomes P = I.
 
-    Requires a verified certificate with min eig(P) >= 1e-10. The returned
+    Requires a verified certificate with min eig(P) >= 1e-10; SingularT when
+    cond(T) = sqrt(max eig(P) / min eig(P)) exceeds COND_MAX. The returned
     certificate is re-verified against the balanced weight; its Q is the
     congruence diag(T, I)* Q diag(T, I) of the input Q.
     """
@@ -658,8 +686,8 @@ def balance(r: Realization, cert: Certificate) -> tuple[Realization, Certificate
     w, v = np.linalg.eigh(herm(cert.p))
     if w[0] < 1e-10:
         raise NotPositiveDefinite(f"refusing to balance: min eig(P) = {w[0]:.3e} < 1e-10")
-    t = herm((v / np.sqrt(w)) @ v.conj().T)  # P^(-1/2)
-    r_bal = change_coordinates(r, t)
+    # T = P^(-1/2), whose condition number the eigenvalues of P give
+    r_bal = _similarity(r, herm((v / np.sqrt(w)) @ v.conj().T), math.sqrt(w[-1] / w[0]))
     new_cert = verify_kyp(r_bal, np.eye(r.n), cert.family)
     return r_bal, new_cert
 

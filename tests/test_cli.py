@@ -128,6 +128,15 @@ def test_wmat_balanced(capsys):
     assert diag == [-1.0, -1.0, 1.0, 1.0]
 
 
+def test_wmat_p_matrix_with_its_size_as_n(capsys, tmp_path):
+    p_path = tmp_path / "P.json"
+    save_matrix(p_path, 2.0 * np.eye(3))
+    code, rep = run_cli(capsys, "wmat", "--family", "p", "--p-matrix", str(p_path), "--n", "3", "--m", "1",
+                        "--deterministic")
+    assert code == 0 and (rep["n"], rep["m"]) == (3, 1)
+    assert rep["entries"][0][4] == [-2.0, 0.0]
+
+
 def test_fixtures_command_round_trip(capsys, tmp_path):
     out = tmp_path / "F2.json"
     code, rep = run_cli(capsys, "fixtures", "--name", "F2", "--a", "2", "--b", "-1",
@@ -428,7 +437,8 @@ def test_overflowing_q_is_an_error_not_a_traceback(capsys, tmp_path, fam, r):
 
 
 #: every exit-1 error of the CLI; {F2} is a positive-real member, {B} a
-#: bounded-real one (its Cayley transform) and {out} an output path
+#: bounded-real one (its Cayley transform), {P} its 3 x 3 certificate I and
+#: {out} an output path
 ERROR_EXITS = {
     "lossless-with-dp": ["check", "--family", "dp", "--lossless", "{F2}"],
     "coords-without-t-matrix": ["transform", "--op", "coords", "{F2}", "-o", "{out}"],
@@ -448,6 +458,13 @@ ERROR_EXITS = {
     "nan-tol-oracle": ["check", "--family", "p", "--tol-oracle", "nan", "{F2}"],
     "nan-tol-psd": ["check", "--family", "p", "--tol-psd", "nan", "--solve", "{F2}"],
     "random-zero": ["combine", "--family", "p", "--inputs", "{F2}", "--random", "0", "-o", "{out}"],
+    "negative-tol-oracle": ["check", "--family", "p", "--tol-oracle", "-2", "{F2}"],
+    "negative-tol-psd": ["check", "--family", "p", "--solve", "--tol-psd", "-5", "{F2}"],
+    "transform-family-without-balance": ["transform", "--op", "cayley-fn", "--family", "b", "{F2}", "-o", "{out}"],
+    "transform-eta-without-balance": ["transform", "--op", "bilinear", "--eta", "3", "{F2}", "-o", "{out}"],
+    "transform-eta-nan-without-balance": ["transform", "--op", "cayley-fn", "--family", "b", "--eta=nan", "{F2}",
+                                          "-o", "{out}"],
+    "wmat-n-not-the-size-of-p": ["wmat", "--family", "p", "--p-matrix", "{P}", "--n", "7", "--m", "1"],
 }
 
 
@@ -455,7 +472,8 @@ ERROR_EXITS = {
 def test_every_error_exit_prints_one_error_line(capsys, tmp_path, argv):
     save_realization(tmp_path / "F2.json", fixture("F2"))
     save_realization(tmp_path / "B.json", cayley_function(fixture("F2")))
-    paths = {name: str(tmp_path / f"{name}.json") for name in ("F2", "B", "out")}
+    save_matrix(tmp_path / "P.json", np.eye(3))
+    paths = {name: str(tmp_path / f"{name}.json") for name in ("F2", "B", "P", "out")}
     code = main([arg.format(**paths) for arg in argv] + ["--deterministic"])
     captured = capsys.readouterr()
     assert code == 1

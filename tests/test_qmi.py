@@ -1,6 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 from helpers import (
+    lossless_member,
     q_bounded_real,
     q_discrete_bounded_real,
     q_discrete_positive_real,
@@ -8,11 +11,13 @@ from helpers import (
     rand_coordinates,
     rand_hpd,
     rand_realization,
+    rand_unitary,
     transfer_max_err,
 )
 
 from kypcert import (
     BadFamily,
+    BadParams,
     Certificate,
     CertificateNotVerified,
     CertificateStatus,
@@ -24,6 +29,7 @@ from kypcert import (
     NotFound,
     NotPositiveDefinite,
     Realization,
+    SingularT,
     WMatrix,
     array_swap,
     assemble_q,
@@ -353,6 +359,58 @@ def test_certificate_implies_oracle():
         assert rep.worst_margin >= -1e-6, fam
 
 
+@pytest.mark.parametrize("tol", [-1e-12, -5.0, np.nan, np.inf, -np.inf])
+def test_a_negative_or_non_finite_tol_psd_raises(tol):
+    f = fixture("f")
+    with pytest.raises(BadParams, match="tol_psd"):
+        verify_kyp(f, [[1.0]], Family.POSITIVE_REAL, tol)
+    with pytest.raises(BadParams, match="tol_psd"):
+        solve_p(f, Family.POSITIVE_REAL, tol_psd=tol)
+
+
+def test_a_zero_tol_psd_is_a_tolerance():
+    f = fixture("f")
+    assert verify_kyp(f, [[1.0]], Family.POSITIVE_REAL, 0.0).verified
+    assert isinstance(solve_p(f, Family.POSITIVE_REAL, tol_psd=0.0), Certificate)
+
+
+def _svd_status(cert: Certificate) -> CertificateStatus:
+    """The status rule of `verify_kyp` with its default tolerance taken from
+    an SVD of Q: 1e-9 * (1 + sigma_max(Q))."""
+    tol = 1e-9 * (1.0 + np.linalg.svd(cert.q, compute_uv=False)[0])
+    if not cert.min_eig_p > 0.0:
+        return CertificateStatus.REFUTED
+    if cert.min_eig_q >= -tol:
+        return CertificateStatus.VERIFIED
+    if cert.min_eig_q < -1e3 * tol:
+        return CertificateStatus.REFUTED
+    return CertificateStatus.INCONCLUSIVE
+
+
+def test_default_tolerance_gives_the_status_of_the_svd_rule():
+    # moved members with their solved P, and moved lossless members, where
+    # Q(T* T) = 0, with T* T pushed off the feasible set by 1e-13 to 1e-3
+    rng = np.random.default_rng(23)
+    seen = set()
+    for tag in [FamilyTag(fam) for fam in FAMILIES] + [FamilyTag(Family.BOUNDED_REAL, eta=3.0)]:
+        for n in (1, 2, 4, 8):
+            t = (rand_unitary(rng, n) * np.geomspace(1.0, 10.0, n)) @ rand_unitary(rng, n)
+            moved = change_coordinates(random_certified_realization(tag, n, 2, rng, contraction=0.9), t)
+            found = solve_p(moved, tag)
+            cases = [(moved, np.eye(n)), (moved, rand_hpd(rng, n))]
+            if isinstance(found, Certificate):
+                cases.append((moved, found.p))
+            if math.isinf(tag.eta):
+                lossless = change_coordinates(lossless_member(rng, tag.family, n, 2), t)
+                h = rand_hpd(rng, n) - rand_hpd(rng, n)
+                cases += [(lossless, t.conj().T @ t + d * h) for d in np.geomspace(1e-13, 1e-3, 11)]
+            for r, p in cases:
+                cert = verify_kyp(r, p, tag)
+                assert cert.status is _svd_status(cert)
+                seen.add(cert.status)
+    assert seen == set(CertificateStatus)
+
+
 # -- balance ------------------------------------------------------------------
 
 
@@ -387,6 +445,28 @@ def test_balance_preserves_psd():
     assert isinstance(cert, Certificate)
     _, new_cert = balance(moved, cert)
     assert new_cert.min_eig_q >= -1e-9 * (1 + np.linalg.norm(new_cert.q, 2))
+
+
+@pytest.mark.parametrize("cond_t", [1.0, 1e3, 1e11, 5e11, 2e12, 1e13])
+def test_balance_rejects_t_exactly_when_change_coordinates_would(cond_t):
+    # P diagonal, so that eigh and the SVD of P^(-1/2) are exact
+    rng = np.random.default_rng(31)
+    n = 4
+    r = rand_realization(rng, n, 2)
+    w = rng.permutation(np.geomspace(1e-4, 1e-4 * cond_t**2, n))
+    cert = Certificate(family=FamilyTag(Family.POSITIVE_REAL), p=np.diag(w).astype(complex), q=np.eye(n + 2),
+                       min_eig_q=1.0, min_eig_p=float(w.min()), status=CertificateStatus.VERIFIED)
+    vals, vecs = np.linalg.eigh(cert.p)
+    t = (vecs / np.sqrt(vals)) @ vecs.conj().T
+    try:
+        expected = change_coordinates(r, t)
+    except SingularT:
+        with pytest.raises(SingularT):
+            balance(r, cert)
+        assert cond_t > 1e12
+    else:
+        assert balance(r, cert)[0].array.tobytes() == expected.array.tobytes()
+        assert cond_t < 1e12
 
 
 def test_balance_requires_verified():

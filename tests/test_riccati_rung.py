@@ -38,7 +38,8 @@ from kypcert import (
     verify_kyp,
     verify_preservation,
 )
-from kypcert.qmi import _io_weight, _riccati_certificate
+from kypcert import qmi
+from kypcert.qmi import _RICCATI_EPS, _continuous, _hamiltonian, _io_weight, _ordered_schur, _riccati_certificate
 
 TAGS = [FamilyTag(fam) for fam in Family] + [FamilyTag(Family.BOUNDED_REAL, eta=3.0)]
 
@@ -217,16 +218,14 @@ def test_singular_or_indefinite_rx_skips_the_rung(monkeypatch, name, fam):
     (resonance(1.001, 1e-3, 0.1), Family.BOUNDED_REAL),
 ], ids=["member-b", "member-dp", "resonance"])
 def test_failed_schur_reordering_falls_through(monkeypatch, caplog, r, fam):
-    """LAPACK's reordering raises when eigenvalues next to the axis cannot be
-    separated; solve_p then goes on exactly as without the rung."""
-    schur = scipy.linalg.schur
+    """LAPACK's reordering returns info = 1 when eigenvalues next to the axis
+    cannot be separated; solve_p then goes on exactly as without the rung."""
+    ztrsen = qmi.ztrsen
 
-    def failing(a, *args, sort=None, **kwargs):
-        if sort is not None:
-            raise np.linalg.LinAlgError("Eigenvalues could not be separated for reordering.")
-        return schur(a, *args, **kwargs)
+    def failing(*args, **kwargs):
+        return (*ztrsen(*args, **kwargs)[:-1], 1)
 
-    monkeypatch.setattr(scipy.linalg, "schur", failing)
+    monkeypatch.setattr(qmi, "ztrsen", failing)
     with caplog.at_level(logging.DEBUG, logger="kypcert"):
         failed = solve_p(r, fam)
     lines = [rec.getMessage() for rec in caplog.records if rec.name == "kypcert.qmi"]
@@ -240,6 +239,25 @@ def test_failed_schur_reordering_falls_through(monkeypatch, caplog, r, fam):
     else:
         assert failed.best_p.tobytes() == off.best_p.tobytes() and failed.stop == off.stop
         assert failed.witness == off.witness
+
+
+ORDERED_SCHUR_CASES = [(FamilyTag(fam), n) for fam in Family for n in (1, 2, 4, 8, 16, 24)]
+
+
+@pytest.mark.parametrize("tag,n", ORDERED_SCHUR_CASES, ids=[f"{t.family.value}-n{n}" for t, n in ORDERED_SCHUR_CASES])
+def test_ordered_schur_form_is_scipys_lhp_sorted_schur_form(tag, n):
+    rng = np.random.default_rng(n)
+    hams = []
+    for m in (1, 2, 3):
+        g = _continuous(moved_member(rng, tag, n, m), tag)[0]
+        hams.append(_hamiltonian(g, _io_weight(tag, g.m), _RICCATI_EPS)[0])
+    if tag.family is Family.BOUNDED_REAL and n == 2:
+        hams.append(_hamiltonian(resonance(1.001, 1e-3, 0.1), _io_weight(tag, 1), _RICCATI_EPS)[0])
+    for h in hams:
+        t, u, k = _ordered_schur(h)
+        t_ref, u_ref, k_ref = scipy.linalg.schur(h, output="complex", sort="lhp")
+        assert k == k_ref
+        assert t.tobytes() == t_ref.tobytes() and u.tobytes() == u_ref.tobytes()
 
 
 def test_non_finite_hamiltonian_skips_the_rung():
