@@ -6,8 +6,12 @@ error, 2 = refuted by a concrete witness, 3 = inconclusive. A usage, input or
 IO error prints one ``error:`` line to stderr and nothing to stdout; only
 check's ``tool-error`` verdict exits 1 with a report. ``--eta`` must lie in
 (1, inf], and ``--tol-psd`` and ``--tol-oracle`` must be finite and
-non-negative. ``transform`` takes ``--family`` and ``--eta`` only with
-``--op balance``; ``wmat --p-matrix`` needs ``--n`` equal to the size of P.
+non-negative. Every option is read by its command or refused: ``check``
+takes both tolerances, ``transform`` and ``combine`` only ``--tol-psd``.
+``transform`` takes ``--family``, ``--eta``, ``--p-matrix`` and
+``--tol-psd`` only with ``--op balance``, and ``--t-matrix`` only with
+``--op coords``; ``wmat --p-matrix`` needs ``--n`` equal to the size of P
+and excludes ``--balanced``.
 """
 
 from __future__ import annotations
@@ -220,8 +224,10 @@ TRANSFORMS = {
 
 
 def cmd_transform(args, report) -> int:
-    if args.op != "balance" and (args.family or args.eta is not None):
-        raise BadParams("--family and --eta apply only to --op balance")
+    if args.op != "balance" and (args.family or args.eta is not None or args.p_matrix or args.tol_psd is not None):
+        raise BadParams("--family, --eta, --p-matrix and --tol-psd apply only to --op balance")
+    if args.op != "coords" and args.t_matrix:
+        raise BadParams("--t-matrix applies only to --op coords")
     r = _read(report, args.file, load_realization)
     report["op"] = args.op
     if args.op == "coords":
@@ -286,7 +292,9 @@ def cmd_eval(args, report) -> int:
 
 def cmd_wmat(args, report) -> int:
     tag = _tag(args)
-    if args.p_matrix and not args.balanced:
+    if args.p_matrix and args.balanced:
+        raise BadParams("--balanced and --p-matrix exclude each other")
+    if args.p_matrix:
         w = build_weight(tag, _read(report, args.p_matrix, load_matrix), args.m)
         if w.n != args.n:
             raise BadParams(f"--n {args.n} does not match the {w.n} x {w.n} P of --p-matrix")
@@ -335,9 +343,11 @@ def _add_family(p: argparse.ArgumentParser, required: bool) -> None:
     p.add_argument("--eta", type=float, help="hyper-bounded parameter in (1, inf]")
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
+def _add_tol_psd(p: argparse.ArgumentParser) -> None:
     p.add_argument("--tol-psd", type=_tolerance, default=None, help="PSD slack for certificates")
-    p.add_argument("--tol-oracle", type=_tolerance, default=ORACLE_TOL, help="margin tolerance for oracles")
+
+
+def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=None, help="grid/random seed (default $PASSIVITY_SEED or 0)")
     p.add_argument("--deterministic", action="store_true", help="suppress the timestamp field")
 
@@ -357,6 +367,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--solve", action="store_true", help="search for a certificate P")
     p.add_argument("--grid", type=_positive_int, default=DEFAULT_GRID, help="boundary/interior sample counts")
     p.add_argument("file")
+    _add_tol_psd(p)
+    p.add_argument("--tol-oracle", type=_tolerance, default=ORACLE_TOL, help="margin tolerance for oracles")
     _add_common(p)
     p.set_defaults(func=cmd_check)
 
@@ -367,6 +379,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_family(p, required=False)
     p.add_argument("file")
     p.add_argument("-o", "--output", required=True)
+    _add_tol_psd(p)
     _add_common(p)
     p.set_defaults(func=cmd_transform)
 
@@ -376,6 +389,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--isometries", default=None, help="isometry family document")
     p.add_argument("--random", type=_positive_int, default=None, help="sample k random tiers instead")
     p.add_argument("-o", "--output", required=True)
+    _add_tol_psd(p)
     _add_common(p)
     p.set_defaults(func=cmd_combine)
 

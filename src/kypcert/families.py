@@ -20,7 +20,7 @@ from .exceptions import (
     SingularIPlusA,
     SingularIPlusD,
 )
-from .qmi import Family, FamilyTag, as_tag
+from .qmi import Family, FamilyTag, _tolerance, as_tag
 from .realization import _BLOCK_ENTRIES, Realization, _evaluate_points
 
 __all__ = [
@@ -190,7 +190,8 @@ def _worst(points: np.ndarray, values: np.ndarray, keep: np.ndarray, margin_fn):
 
 def _report(family: str, worst, tol: float, strict: bool = False) -> MembershipReport:
     """The report of a `_worst` result: pass iff the worst margin is >= -tol,
-    or > tol under the `strict` rule."""
+    or > tol under the `strict` rule; BadParams unless tol is finite and >= 0."""
+    tol = _tolerance(tol, "tol")
     margin, point, used, skipped = worst
     passed = margin > tol if strict else margin >= -tol
     return MembershipReport(
@@ -279,6 +280,7 @@ def _lossless_report(kind: str, grid: DomainGrid, evaluated, tol: float) -> Memb
     one evaluation serves both the boundary margin and the parent family's."""
     if kind not in ("LP", "LB"):
         raise BadParams(f"kind must be 'LP' or 'LB', got {kind!r}")
+    tol = _tolerance(tol, "tol")
     _check_domain(grid, Domain.RIGHT_HALF_PLANE, "lossless boundary oracle")
     if kind == "LP":
         margin_fn = lambda f: -spectral_norms(f + ct(f))  # noqa: E731

@@ -18,8 +18,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
-from scipy.linalg.lapack import ztrsen
+from scipy.linalg.lapack import zpotrf, ztrsen, ztrtri
 
 from ._linalg import ct, frozen, herm, is_hermitian, min_eig, min_eigs, seeded, sigma_min, spectral_norm, square
 from .exceptions import (
@@ -58,7 +57,7 @@ __all__ = [
 
 _log = logging.getLogger(__name__)
 
-#: scale factor for the default PSD tolerance: tol = 1e-9 * (1 + ||Q||_2)
+#: scale factor for the default PSD tolerance: tol = 1e-9 * (1 + ||Q~||_2)
 PSD_TOL_SCALE = 1e-9
 
 #: refuted when min eig(Q) < -1000 * tol
@@ -168,9 +167,9 @@ class NotFound:
     `stop` says why: "witness" when a domain point shows that no P >= 0
     can reach the PSD tolerance, else "no-certificate". `witness` is that
     point (complex infinity included) when stop is "witness", else None.
-    `iterations` counts the candidates `verify_kyp` judged (1 at n = 0),
-    `best_p` is the judged positive-definite candidate with the largest
-    lambda_min(Q), and `residual` = max(0, -min_eig_q) for it."""
+    `iterations` counts every P `verify_kyp` judged (1 at n = 0), `best_p`
+    is the judged positive-definite one with the largest min_eig_q, and
+    `residual` = max(0, -min_eig_q) for it."""
 
     family: FamilyTag
     best_p: np.ndarray
@@ -273,42 +272,50 @@ def assemble_q(r: Realization, w) -> np.ndarray:
     return q
 
 
-def _tolerance(tol_psd) -> float:
-    """A user PSD tolerance as a float; BadParams unless finite and >= 0."""
-    tol = float(tol_psd)
+def _tolerance(value, name: str = "tol_psd") -> float:
+    """A user tolerance as a float; BadParams unless finite and >= 0."""
+    tol = float(value)
     if not (math.isfinite(tol) and tol >= 0.0):
-        raise BadParams(f"tol_psd must be finite and non-negative, got {tol}")
+        raise BadParams(f"{name} must be finite and non-negative, got {tol}")
     return tol
 
 
 def verify_kyp(r: Realization, p, family, tol_psd: float | None = None) -> Certificate:
     """Check whether P certifies membership of F in the given family.
 
-    status is VERIFIED iff min eig(P) > 0 and min eig(Q) >= -tol_psd;
-    REFUTED if P is not positive definite or min eig(Q) < -1000*tol_psd
-    (which refutes only this certificate, not membership); INCONCLUSIVE
-    otherwise. The default tol_psd is 1e-9 * (1 + ||Q||_2). A P that is not
-    a finite n x n matrix, or a tol_psd that is negative or not finite,
-    raises DimensionMismatch or BadParams.
+    Q is judged where the certificate is the identity: with P = L L*,
+    min_eig_q is lambda_min of Q~ = diag(L^-1, I) Q diag(L^-*, I), the
+    spectrum of the balanced form, so no scale of P or of the coordinates
+    moves the status. VERIFIED iff P is positive definite and
+    min_eig_q >= -tol_psd; REFUTED if the Cholesky factorization of P fails
+    or min_eig_q < -1000*tol_psd (which refutes only this certificate, not
+    membership); INCONCLUSIVE otherwise. The default tol_psd is
+    1e-9 * (1 + ||Q~||_2); q is the unscaled Q. A P that is not a finite
+    n x n matrix, or a tol_psd that is negative or not finite, raises
+    DimensionMismatch or BadParams.
     """
     tag = as_tag(family)
     tol = None if tol_psd is None else _tolerance(tol_psd)
     p = square(p, "P", r.n)
-    p_hermitian = p.size == 0 or is_hermitian(p, rtol=1e-10)
-    ph = herm(p) if p.size else p
+    p_hermitian = is_hermitian(p, rtol=1e-10)
+    ph = herm(p)
     q = assemble_q(r, _weight_entries(tag, ph, r.m))
-    lam = np.linalg.eigvalsh(q)  # Q is Hermitian, so ||Q||_2 = max(-lam_min, lam_max)
+    mp = float(np.linalg.eigvalsh(ph)[0]) if r.n else math.inf  # empty P is vacuously admissible
+    factor, info = zpotrf(ph, lower=1)
+    q_bal, n = q.copy(), r.n
+    if n and not info:  # a P that is not positive definite leaves Q itself
+        l_inv = ztrtri(factor, lower=1)[0]
+        q_bal[:n] = l_inv @ q[:n]
+        q_bal[:, :n] = q_bal[:, :n] @ ct(l_inv)
+    lam = np.linalg.eigvalsh(q_bal)  # Q~ is Hermitian, so ||Q~||_2 = max(-lam_min, lam_max)
     mq = float(lam[0])
-    mp = min_eig(ph)  # +inf when n = 0 (empty P is vacuously admissible)
     if tol is None:
         tol = PSD_TOL_SCALE * (1.0 + max(-mq, float(lam[-1])))
-    admissible = p_hermitian and (r.n == 0 or mp > 0.0)
-    if admissible and mq >= -tol:
+    admissible = p_hermitian and not info and mp > 0.0
+    if not admissible or mq < -REFUTE_FACTOR * tol:
+        status = CertificateStatus.REFUTED
+    elif mq >= -tol:
         status = CertificateStatus.VERIFIED
-    elif not admissible:
-        status = CertificateStatus.REFUTED
-    elif mq < -REFUTE_FACTOR * tol:
-        status = CertificateStatus.REFUTED
     else:
         status = CertificateStatus.INCONCLUSIVE
     return Certificate(family=tag, p=p, q=q, min_eig_q=mq, min_eig_p=mp, status=status)
@@ -392,6 +399,12 @@ def _witness_points(r: Realization, tag: FamilyTag) -> np.ndarray:
 # P survives `balance` and rounding; with eps = 0, P lies on the boundary of the
 # feasible set and often fails either.
 #
+# On a resonance of damping zeta, eps moves Phi by about eps s / (2 zeta w)^2
+# and puts eigenvalues of H on the axis. So when alpha = max Re eig(A) < 0, a
+# second pass takes eps = 0 on A - 1e-3 alpha I: its P gives
+# Q(P) >= diag(2e-3 |alpha| P, 0) for A (decay-rate LMIs: Boyd, El Ghaoui,
+# Feron & Balakrishnan 1994, sec. 5.1), a margin of 2e-3 |alpha| in balance.
+#
 # KYP equalities: Q(P) = diag(0, Rx) asks P B = Sx and P A = Qx - A* P, so
 # P A^(k+1) B = Qx A^k B - A* (P A^k B) and P K = W on the Krylov matrix
 # K = [B, A B, ..., A^(n-1) B]: P = W K^+. This is exact for lossless members
@@ -399,8 +412,8 @@ def _witness_points(r: Realization, tag: FamilyTag) -> np.ndarray:
 # singular and the rung cannot run.
 _RICCATI_EPS = 1e-6
 
-#: scales of the observability Gramian tried as candidates
-_GRAMIAN_SCALES = (0.5, 1.0, 2.0)
+#: the second pass: A - _DECAY_SHIFT alpha I, and its _AXIS_RTOL
+_DECAY_SHIFT, _SHIFTED_AXIS_RTOL = 1e-3, 1e-9
 
 
 def _continuous(r: Realization, tag: FamilyTag) -> tuple[Realization, float] | None:
@@ -468,14 +481,10 @@ def _ordered_schur(h: np.ndarray) -> tuple[np.ndarray, np.ndarray, int] | None:
     return None if info else (t, u, k)
 
 
-def _riccati_certificate(r: Realization, tag: FamilyTag, tol_psd: float | None) -> tuple[Certificate | None, str]:
-    """`verify_kyp` on the Riccati P, verified or not, or None when the rung
-    cannot produce a P; and why."""
-    form = _continuous(r, tag)
-    if form is None:
-        return None, "I + A singular"
-    g, scale = form
-    ham, rx, s = _hamiltonian(g, _io_weight(tag, r.m), _RICCATI_EPS)
+def _riccati_x(g: Realization, tag: FamilyTag, eps: float, axis_rtol: float) -> tuple[np.ndarray | None, str]:
+    """(X, why): the stabilizing X of the Riccati equation of g with
+    Qx - eps s I for Qx, or None and why there is none."""
+    ham, rx, s = _hamiltonian(g, _io_weight(tag, g.m), eps)
     if not min_eig(rx) > POLE_RTOL * s:
         return None, "Rx not positive definite"
     if ham is None:  # Rx passed the stricter test above, so H overflowed
@@ -484,15 +493,34 @@ def _riccati_certificate(r: Realization, tag: FamilyTag, tol_psd: float | None) 
     if ordered is None:
         return None, "Schur reordering failed"
     t, u, sdim = ordered
-    if sdim != r.n or np.abs(np.diag(t).real).min() <= _AXIS_RTOL * np.linalg.norm(ham):
+    if sdim != g.n or np.abs(np.diag(t).real).min() <= axis_rtol * np.linalg.norm(ham):
         return None, "axis eigenvalue"
-    u1, u2 = u[:r.n, :r.n], u[r.n:, :r.n]
+    u1, u2 = u[:g.n, :g.n], u[g.n:, :g.n]
     if not sigma_min(u1) > POLE_RTOL:  # ||U1||_2 <= 1: U is unitary
         return None, "U1 singular"
-    cert = verify_kyp(r, -scale * herm(np.linalg.solve(u1.T, u2.T).T), tag, tol_psd)
-    if not cert.verified:
-        return cert, "verify_kyp rejected P"
-    return cert, f"certified by the Riccati rung at eps={_RICCATI_EPS:g}"
+    return herm(np.linalg.solve(u1.T, u2.T).T), "verify_kyp rejected P"
+
+
+def _riccati_certificate(r: Realization, tag: FamilyTag, tol_psd: float | None) -> tuple[list[Certificate], str]:
+    """`verify_kyp` on each P of the two passes, the last one verified when
+    the rung certified; and why, in the first pass's words."""
+    form = _continuous(r, tag)
+    if form is None:
+        return [], "I + A singular"
+    g, scale = form
+    x, why = _riccati_x(g, tag, _RICCATI_EPS, _AXIS_RTOL)
+    judged = [] if x is None else [verify_kyp(r, -scale * x, tag, tol_psd)]
+    if judged and judged[0].verified:
+        return judged, f"certified by the Riccati rung at eps={_RICCATI_EPS:g}"
+    alpha = g.poles().real.max()
+    if alpha < 0.0:
+        shifted = Realization(n=g.n, m=g.m, A=g.A - _DECAY_SHIFT * alpha * np.eye(g.n), B=g.B, C=g.C, D=g.D)
+        x = _riccati_x(shifted, tag, 0.0, _SHIFTED_AXIS_RTOL)[0]
+        if x is not None:
+            judged.append(verify_kyp(r, -scale * x, tag, tol_psd))
+            if judged[-1].verified:
+                return judged, f"{why}; certified by the shifted rung"
+    return judged, why
 
 
 def _equality_p(r: Realization, tag: FamilyTag) -> np.ndarray | None:
@@ -522,35 +550,6 @@ def _equality_p(r: Realization, tag: FamilyTag) -> np.ndarray | None:
     if not (np.all(np.isfinite(k)) and np.all(np.isfinite(w))):
         return None
     return scale * herm(ct(np.linalg.lstsq(ct(k), ct(w), rcond=None)[0]))
-
-
-def _gramian(r: Realization, tag: FamilyTag) -> np.ndarray | None:
-    """The slack observability Gramian (Lyapunov or Stein solve) of a stable
-    r, which sits close to the feasible set; None otherwise."""
-    ctc = ct(r.C) @ r.C
-    rhs = ctc + 1e-3 * (1.0 + spectral_norm(ctc)) * np.eye(r.n)
-    lam = r.poles()
-    if tag.family.is_discrete:
-        if not np.abs(lam).max() < 1.0 - 1e-9:
-            return None
-        g = scipy.linalg.solve_discrete_lyapunov(ct(r.A), rhs)
-    else:
-        if not lam.real.max() < -1e-9:
-            return None
-        g = scipy.linalg.solve_continuous_lyapunov(ct(r.A), -rhs)
-    g = herm(g)
-    return g if np.all(np.isfinite(g)) and min_eig(g) > 0.0 else None
-
-
-def _candidates(r: Realization, tag: FamilyTag):
-    """(name, P) for each candidate after the rung, in the order tried."""
-    p = _equality_p(r, tag)
-    if p is not None:
-        yield "the KYP equalities", p
-    yield "the identity", np.eye(r.n, dtype=complex)
-    g = _gramian(r, tag)
-    for scale in _GRAMIAN_SCALES if g is not None else ():
-        yield f"the Gramian at scale {scale:g}", scale * g
 
 
 def _crossing_points(r: Realization, tag: FamilyTag) -> np.ndarray:
@@ -622,19 +621,18 @@ def solve_p(r: Realization, family, *, tol_psd: float | None = None) -> Certific
 
     The candidates, each judged only by `verify_kyp`, are: the stabilizing
     solution of the tightened KYP Riccati equation (when Rx = Phi(D) > 0,
-    Phi(F(-1)) for dp/db); the P meeting the KYP equalities
-    Q(P) = diag(0, Rx) on the Krylov space of (A, B); the identity; and, for
-    a stable A, the observability Gramian at scales 1/2, 1 and 2 (comment
-    above `_RICCATI_EPS`). The first verified Certificate is returned. Else
-    a witness screen evaluates the family's frequency-domain form
-    Phi(F(z)) at infinity, a few boundary points and, if those show
-    nothing, at the zero crossings of Phi on the boundary and the midpoints
-    between them. If lambda_min(Phi) is clearly negative at some point,
-    NotFound has stop = "witness" and that point as `witness`: no P >= 0
-    can then certify F. Otherwise stop = "no-certificate", which is NOT a
-    proof of non-membership (the converse direction of the KYP lemma needs
-    minimality, and the candidates are not exhaustive). A tol_psd that is
-    negative or not finite raises BadParams.
+    Phi(F(-1)) for dp/db), and for a stable A that of A shifted towards the
+    axis; the P meeting the KYP equalities Q(P) = diag(0, Rx) on the Krylov
+    space of (A, B); and the identity (comment above `_RICCATI_EPS`). The
+    first verified Certificate is returned. Else a witness screen evaluates
+    the family's frequency-domain form Phi(F(z)) at infinity, a few boundary
+    points and, if those show nothing, at the zero crossings of Phi on the
+    boundary and the midpoints between them. If lambda_min(Phi) is clearly
+    negative at some point, NotFound has stop = "witness" and that point as
+    `witness`: no P >= 0 can then certify F. Otherwise stop =
+    "no-certificate", which is NOT a proof of non-membership (the converse
+    direction of the KYP lemma needs minimality, and the candidates are not
+    exhaustive). A tol_psd that is negative or not finite raises BadParams.
     """
     tag = as_tag(family)
     if tol_psd is not None:
@@ -652,12 +650,13 @@ def solve_p(r: Realization, family, *, tol_psd: float | None = None) -> Certific
             residual=max(0.0, -cert.min_eig_q), iterations=1,
             stop="witness" if refuted else "no-certificate", witness=complex(np.inf) if refuted else None,
         )
-    cert, why = _riccati_certificate(r, tag, tol_psd)
-    judged = [] if cert is None else [cert]
-    if cert is not None and cert.verified:
+    judged, why = _riccati_certificate(r, tag, tol_psd)
+    if judged and judged[-1].verified:
         _log.debug("solve_p %s n=%d m=%d: %s", tag.label, n, m, why)
-        return cert
-    for name, p in _candidates(r, tag):
+        return judged[-1]
+    for name, p in (("the KYP equalities", _equality_p(r, tag)), ("the identity", np.eye(n, dtype=complex))):
+        if p is None:  # the Krylov recursion overflowed
+            continue
         judged.append(verify_kyp(r, p, tag, tol_psd))
         if judged[-1].verified:
             _log.debug("solve_p %s n=%d m=%d: %s; certified by %s", tag.label, n, m, why, name)
@@ -674,7 +673,7 @@ def solve_p(r: Realization, family, *, tol_psd: float | None = None) -> Certific
 def balance(r: Realization, cert: Certificate) -> tuple[Realization, Certificate]:
     """Change coordinates with T = P^(-1/2) so the certificate becomes P = I.
 
-    Requires a verified certificate with min eig(P) >= 1e-10; SingularT when
+    Requires a verified certificate, of any scale; SingularT when
     cond(T) = sqrt(max eig(P) / min eig(P)) exceeds COND_MAX. The returned
     certificate is re-verified against the balanced weight; its Q is the
     congruence diag(T, I)* Q diag(T, I) of the input Q.
@@ -684,8 +683,7 @@ def balance(r: Realization, cert: Certificate) -> tuple[Realization, Certificate
     if r.n == 0:
         return r, cert
     w, v = np.linalg.eigh(herm(cert.p))
-    if w[0] < 1e-10:
-        raise NotPositiveDefinite(f"refusing to balance: min eig(P) = {w[0]:.3e} < 1e-10")
+    w = np.maximum(w, np.finfo(float).tiny)  # eigh may round what zpotrf took to <= 0
     # T = P^(-1/2), whose condition number the eigenvalues of P give
     r_bal = _similarity(r, herm((v / np.sqrt(w)) @ v.conj().T), math.sqrt(w[-1] / w[0]))
     new_cert = verify_kyp(r_bal, np.eye(r.n), cert.family)
@@ -701,6 +699,7 @@ def check_lossless(r: Realization, p, family, tol: float = 1e-8) -> bool:
     tag = as_tag(family)
     if tag.family not in (Family.POSITIVE_REAL, Family.BOUNDED_REAL):
         raise BadFamily("lossless check is defined for the positive/bounded-real weights only")
+    tol = _tolerance(tol, "tol")
     w = build_weight(tag, p if r.n else np.zeros((0, 0)), r.m)
     return spectral_norm(assemble_q(r, w)) <= tol
 

@@ -88,7 +88,7 @@ OVERFLOWING_Q = [
 
 def riccati_off(monkeypatch):
     """Send every certificate search past the Riccati rung of `solve_p`."""
-    monkeypatch.setattr(qmi, "_riccati_certificate", lambda r, tag, tol_psd: (None, "off"))
+    monkeypatch.setattr(qmi, "_riccati_certificate", lambda r, tag, tol_psd: ([], "off"))
 
 
 def transfer_max_err(r1: Realization, r2: Realization, points) -> float:

@@ -2,9 +2,8 @@
 
 The KYP equalities Q(P) = diag(0, Rx) on the Krylov space of (A, B) give
 P = W K^+, exact for lossless members and for the P B = C* that a singular
-D + D* forces in p; the identity and the observability Gramian follow. The
-inputs pinned here were certified by the projection loop that these
-candidates replace.
+D + D* forces in p, where Rx is singular and the rung cannot run; the
+identity follows.
 """
 
 from __future__ import annotations

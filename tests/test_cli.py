@@ -465,6 +465,20 @@ ERROR_EXITS = {
     "transform-eta-nan-without-balance": ["transform", "--op", "cayley-fn", "--family", "b", "--eta=nan", "{F2}",
                                           "-o", "{out}"],
     "wmat-n-not-the-size-of-p": ["wmat", "--family", "p", "--p-matrix", "{P}", "--n", "7", "--m", "1"],
+    "transform-p-matrix-without-balance": ["transform", "--op", "cayley-fn", "--p-matrix", "{P}", "{F2}",
+                                           "-o", "{out}"],
+    "transform-tol-psd-without-balance": ["transform", "--op", "bilinear", "--tol-psd", "1e-6", "{F2}",
+                                          "-o", "{out}"],
+    "transform-t-matrix-without-coords": ["transform", "--op", "bilinear", "--t-matrix", "{P}", "{F2}",
+                                          "-o", "{out}"],
+    "wmat-balanced-with-p-matrix": ["wmat", "--family", "p", "--balanced", "--p-matrix", "{P}", "--n", "3",
+                                    "--m", "1"],
+    "eval-tol-psd": ["eval", "--at", "1,0", "--tol-psd", "1", "{F2}"],
+    "eval-tol-oracle": ["eval", "--at", "1,0", "--tol-oracle", "1", "{F2}"],
+    "fixtures-tol-psd": ["fixtures", "--name", "f", "--tol-psd", "1", "-o", "{out}"],
+    "wmat-tol-oracle": ["wmat", "--family", "p", "--balanced", "--n", "1", "--m", "1", "--tol-oracle", "1"],
+    "transform-tol-oracle": ["transform", "--op", "bilinear", "--tol-oracle", "1", "{F2}", "-o", "{out}"],
+    "combine-tol-oracle": ["combine", "--family", "p", "--inputs", "{F2}", "--tol-oracle", "1", "-o", "{out}"],
 }
 
 

@@ -5,6 +5,7 @@ import pytest
 from helpers import transfer_max_err
 
 from kypcert import (
+    BadParams,
     Domain,
     DomainGrid,
     DomainMismatch,
@@ -15,6 +16,7 @@ from kypcert import (
     SingularIPlusA,
     SingularIPlusD,
     anti_db_oracle,
+    check_lossless,
     bilinear_substitute,
     cayley_function,
     evaluate,
@@ -220,6 +222,25 @@ def test_hyper_discrete_bounded_uses_exterior_grid():
 
 
 # -- lossless boundary ----------------------------------------------------------
+
+
+_RHP = make_grid(Domain.RIGHT_HALF_PLANE, 8, 8, 0)
+
+#: each library oracle as a function of its tolerance alone
+ORACLES_BY_TOL = {
+    "membership": lambda tol: membership_oracle(fixture("F2"), Family.POSITIVE_REAL, _RHP, tol),
+    "hyper-bounded": lambda tol: hyper_bounded_oracle(fixture("f"), 3.0, _RHP, tol),
+    "lossless-boundary": lambda tol: lossless_boundary_oracle(fixture("F2"), "LP", _RHP, tol),
+    "anti-db": lambda tol: anti_db_oracle(fixture("g"), make_grid(Domain.EXTERIOR_DISK, 8, 8, 0), tol),
+    "check-lossless": lambda tol: check_lossless(fixture("F2"), np.eye(2), Family.POSITIVE_REAL, tol),
+}
+
+
+@pytest.mark.parametrize("tol", [-2.0, np.nan, np.inf])
+@pytest.mark.parametrize("oracle", ORACLES_BY_TOL)
+def test_a_negative_or_non_finite_oracle_tolerance_raises(oracle, tol):
+    with pytest.raises(BadParams, match="tol must be finite and non-negative"):
+        ORACLES_BY_TOL[oracle](tol)
 
 
 def test_lossless_boundary_f1_passes():

@@ -12,8 +12,11 @@ from helpers import (
     rand_hpd,
     rand_realization,
     rand_unitary,
+    resonance,
     transfer_max_err,
 )
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from kypcert import (
     BadFamily,
@@ -375,11 +378,18 @@ def test_a_zero_tol_psd_is_a_tolerance():
 
 
 def _svd_status(cert: Certificate) -> CertificateStatus:
-    """The status rule of `verify_kyp` with its default tolerance taken from
-    an SVD of Q: 1e-9 * (1 + sigma_max(Q))."""
-    tol = 1e-9 * (1.0 + np.linalg.svd(cert.q, compute_uv=False)[0])
+    """The status rule of `verify_kyp` on the balanced form
+    Q~ = diag(P^-1/2, I) Q diag(P^-1/2, I), written with eigh of P, and with
+    its default tolerance taken from an SVD of Q~: 1e-9 * (1 + sigma_max(Q~))."""
     if not cert.min_eig_p > 0.0:
         return CertificateStatus.REFUTED
+    w, v = np.linalg.eigh(cert.p)
+    n = w.size
+    s = np.eye(cert.q.shape[0], dtype=complex)
+    s[:n, :n] = (v / np.sqrt(w)) @ v.conj().T
+    q_bal = s @ cert.q @ s
+    assert cert.min_eig_q == pytest.approx(np.linalg.eigvalsh(q_bal)[0], rel=1e-6, abs=1e-9)
+    tol = 1e-9 * (1.0 + np.linalg.svd(q_bal, compute_uv=False)[0])
     if cert.min_eig_q >= -tol:
         return CertificateStatus.VERIFIED
     if cert.min_eig_q < -1e3 * tol:
@@ -409,6 +419,51 @@ def test_default_tolerance_gives_the_status_of_the_svd_rule():
                 assert cert.status is _svd_status(cert)
                 seen.add(cert.status)
     assert seen == set(CertificateStatus)
+
+
+def test_a_tiny_p_verifies_no_non_member():
+    # F(s) = 2 / (s + 1) is not bounded real, yet Q(1e-12) lies within 1e-10
+    # of the PSD cone; the same holds for a resonance with gain 1.0625
+    r = Realization(n=1, m=1, A=[[-1.0]], B=[[2e5]], C=[[1e-5]], D=[[0.0]])
+    assert verify_kyp(r, 1e-12, Family.BOUNDED_REAL).status is CertificateStatus.REFUTED
+    cert = verify_kyp(resonance(1.0625, 1e-6, 10.0**-1.5), 1e-10 * np.eye(2), Family.BOUNDED_REAL)
+    assert cert.status is CertificateStatus.REFUTED
+
+
+def test_a_p_that_cholesky_rejects_is_refuted():
+    f = fixture("f")
+    for p in ([[0.0]], [[-1e-300]]):
+        assert verify_kyp(f, p, Family.POSITIVE_REAL).status is CertificateStatus.REFUTED
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    tag=st.sampled_from([FamilyTag(fam) for fam in FAMILIES] + [FamilyTag(Family.BOUNDED_REAL, eta=3.0)]),
+    n=st.integers(2, 8),
+    m=st.sampled_from([1, 2]),
+    member=st.booleans(),
+    log_c=st.floats(-6.0, 6.0),
+)
+def test_status_does_not_move_with_the_scale_of_p_or_diagonal_coordinates(seed, tag, n, m, member, log_c):
+    # members certified by P = I, and random arrays with a random P that is
+    # clearly not a certificate; in coordinates T, P becomes T* P T, so
+    # T = sqrt(c) I takes P to c P
+    rng = np.random.default_rng(seed)
+    if member:
+        r, p = random_certified_realization(tag, n, m, rng, contraction=0.9), np.eye(n)
+    else:
+        r, p = rand_realization(rng, n, m), rand_hpd(rng, n)
+    cert = verify_kyp(r, p, tag)
+    assert cert.verified if member else True
+    assume(member or cert.min_eig_q < -1e-3)
+    c = 10.0**log_c
+    scaled = verify_kyp(change_coordinates(r, math.sqrt(c) * np.eye(n)), c * p, tag)
+    d = rng.permutation(np.geomspace(1e-5, 1e5, n))  # T = diag(d) spans 10 decades
+    moved = verify_kyp(change_coordinates(r, np.diag(d)), d[:, None] * p * d[None, :], tag)
+    for other in (scaled, moved):
+        assert other.status is cert.status
+        assert other.min_eig_q == pytest.approx(cert.min_eig_q, rel=1e-6, abs=1e-8)
 
 
 # -- balance ------------------------------------------------------------------

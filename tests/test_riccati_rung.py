@@ -23,6 +23,7 @@ from hypothesis import strategies as st
 
 from kypcert import (
     Certificate,
+    CertificateStatus,
     Family,
     FamilyTag,
     NotFound,
@@ -38,7 +39,8 @@ from kypcert import (
     verify_kyp,
     verify_preservation,
 )
-from kypcert import qmi
+from kypcert import qmi, save_realization
+from kypcert.cli import FAMILY_CODES, main
 from kypcert.qmi import _RICCATI_EPS, _continuous, _hamiltonian, _io_weight, _ordered_schur, _riccati_certificate
 
 TAGS = [FamilyTag(fam) for fam in Family] + [FamilyTag(Family.BOUNDED_REAL, eta=3.0)]
@@ -118,8 +120,8 @@ def near_boundary(r, tag, t):
 def test_near_boundary_non_members_get_no_rung_certificate(seed, tag, n, m, log_t, contraction):
     rng = np.random.default_rng(seed)
     r = near_boundary(moved_member(rng, tag, n, m, contraction), tag, 10.0**log_t)
-    cert, why = _riccati_certificate(r, tag, None)
-    assert cert is None
+    judged, why = _riccati_certificate(r, tag, None)
+    assert judged == []
     assert why.startswith(("axis eigenvalue", "Rx not positive definite")), why
     # nor from any later candidate
     assert isinstance(solve_p(r, tag), NotFound)
@@ -130,7 +132,7 @@ def test_pinned_resonance_gets_no_rung_certificate():
     # eigenvalues
     r = resonance(1.001, 1e-3, 0.1)
     tag = FamilyTag(Family.BOUNDED_REAL)
-    assert _riccati_certificate(r, tag, None) == (None, "axis eigenvalue")
+    assert _riccati_certificate(r, tag, None) == ([], "axis eigenvalue")
     res = solve_p(r, tag)
     assert isinstance(res, NotFound) and res.stop == "witness"
 
@@ -149,9 +151,9 @@ def test_pinned_resonance_gets_no_rung_certificate():
 )
 def test_moved_members_get_a_rung_certificate(seed, tag, n, m, contraction, log_cond):
     r = moved_member(np.random.default_rng(seed), tag, n, m, contraction, 10.0**log_cond)
-    cert, why = _riccati_certificate(r, tag, None)
-    assert isinstance(cert, Certificate) and cert.verified, why
-    assert verify_kyp(r, cert.p, tag).verified
+    judged, why = _riccati_certificate(r, tag, None)
+    assert judged and judged[-1].verified, why
+    assert verify_kyp(r, judged[-1].p, tag).verified
 
 
 @pytest.mark.parametrize("tag", TAGS, ids=lambda t: t.label)
@@ -159,7 +161,7 @@ def test_rung_p_is_the_riccati_solution(tag):
     """P against scipy's Riccati solver, on r for p/b and on the bilinear
     substitute for dp/db, where P = P_G / 2."""
     r = moved_member(np.random.default_rng(3), tag, 6, 2)
-    cert, why = _riccati_certificate(r, tag, None)
+    [cert], why = _riccati_certificate(r, tag, None)
     assert why == "certified by the Riccati rung at eps=1e-06"
     g = bilinear_substitute(r) if tag.family.is_discrete else r
     cd = np.block([[g.C, g.D], [np.zeros((g.m, g.n)), np.eye(g.m)]])
@@ -200,7 +202,7 @@ def test_preservation_accepts_moved_trios(fam):
                                       ("g", Family.BOUNDED_REAL)])
 def test_singular_or_indefinite_rx_skips_the_rung(monkeypatch, name, fam):
     r = fixture(name)
-    assert _riccati_certificate(r, FamilyTag(fam), None) == (None, "Rx not positive definite")
+    assert _riccati_certificate(r, FamilyTag(fam), None) == ([], "Rx not positive definite")
     on = solve_p(r, fam)
     riccati_off(monkeypatch)
     off = solve_p(r, fam)
@@ -262,7 +264,7 @@ def test_ordered_schur_form_is_scipys_lhp_sorted_schur_form(tag, n):
 
 def test_non_finite_hamiltonian_skips_the_rung():
     r = Realization(n=1, m=1, A=[[-1.0]], B=[[1e200]], C=[[1.0]], D=[[1.0]])
-    assert _riccati_certificate(r, FamilyTag(Family.POSITIVE_REAL), None) == (None, "H not finite")
+    assert _riccati_certificate(r, FamilyTag(Family.POSITIVE_REAL), None) == ([], "H not finite")
 
 
 @pytest.mark.parametrize("fam", [Family.POSITIVE_REAL, Family.BOUNDED_REAL], ids=lambda f: f.value)
@@ -285,6 +287,59 @@ def test_overflowing_q_raises_a_typed_error(fam, r):
             verify_kyp(r, np.eye(1), fam)
         with pytest.raises(NumericalFailure, match="Q overflows"):
             solve_p(r, fam)
+
+
+# -- the shifted pass ---------------------------------------------------------------
+
+
+def _discrete(r):
+    """F(z) = G((z - 1) / (z + 1)) for the G that r realizes: three bilinear
+    substitutions, since z -> (1 + z) / (1 - z) has order 4. The rung's own
+    substitution of F gives back G."""
+    return bilinear_substitute(bilinear_substitute(bilinear_substitute(r)))
+
+
+#: lightly damped members on which the first pass meets axis eigenvalues
+SHIFTED_MEMBERS = [
+    (resonance(0.99, 1e-5, 0.37), "b"),
+    (resonance(0.9, 1e-4, 1.0), "b"),
+    (resonance(0.95, 1e-3, 0.37), "b"),
+    (_discrete(resonance(0.99, 1e-5, 0.37)), "db"),
+]
+
+
+@pytest.mark.parametrize("r,code", SHIFTED_MEMBERS, ids=["b-1e-5", "b-1e-4", "b-1e-3", "db-1e-5"])
+def test_lightly_damped_members_are_verified_by_the_shifted_pass(tmp_path, capsys, r, code):
+    fam = FAMILY_CODES[code]
+    judged, why = _riccati_certificate(r, FamilyTag(fam), None)
+    assert why == "axis eigenvalue; certified by the shifted rung"
+    cert = solve_p(r, fam)
+    assert isinstance(cert, Certificate) and cert.p.tobytes() == judged[-1].p.tobytes()
+    assert verify_kyp(r, cert.p, fam).verified and balance(r, cert)[1].verified
+    path = str(tmp_path / "r.json")
+    save_realization(path, r)
+    assert main(["check", "--family", code, "--solve", "--deterministic", path]) == 0
+    assert '"status": "verified"' in capsys.readouterr().out
+
+
+def test_a_rejected_shifted_p_is_judged_and_counted():
+    # zeta w = 2.3e-7: the shifted pass's margin 2e-3 zeta w lies below the
+    # rounding of Q, so verify_kyp leaves its P inconclusive
+    r = resonance(0.7, 1e-5, 0.023)
+    judged, why = _riccati_certificate(r, FamilyTag(Family.BOUNDED_REAL), None)
+    assert why == "axis eigenvalue" and [c.status for c in judged] == [CertificateStatus.INCONCLUSIVE]
+    res = solve_p(r, Family.BOUNDED_REAL)
+    # judged: the shifted P, the equalities and the identity
+    assert isinstance(res, NotFound) and res.stop == "no-certificate" and res.iterations == 3
+    assert res.best_p.tobytes() == judged[0].p.tobytes() and res.min_eig_q == judged[0].min_eig_q
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(gain=st.floats(1.0001, 1.5), log_zeta=st.floats(-6.0, -1.0), log_w=st.floats(-2.0, 2.0))
+def test_resonances_with_gain_above_one_never_verify(gain, log_zeta, log_w):
+    r = resonance(gain, 10.0**log_zeta, 10.0**log_w)
+    for res in (solve_p(r, Family.BOUNDED_REAL), solve_p(_discrete(r), Family.DISCRETE_BOUNDED_REAL)):
+        assert isinstance(res, NotFound) and res.stop == "witness"
 
 
 # -- one DEBUG line per call --------------------------------------------------------
@@ -313,13 +368,11 @@ def test_one_debug_line_names_the_rung_or_the_reason(caplog, r, fam, message):
     assert lines == [f"solve_p {fam.value} n={r.n} m={r.m}: {message}"]
 
 
-def test_debug_line_names_the_gramian_scale(monkeypatch, caplog):
-    r = moved_member(np.random.default_rng(5), FamilyTag(Family.BOUNDED_REAL), 6, 2)
-    riccati_off(monkeypatch)
+def test_debug_line_names_the_shifted_pass(caplog):
     with caplog.at_level(logging.DEBUG, logger="kypcert"):
-        cert = solve_p(r, Family.BOUNDED_REAL)
+        cert = solve_p(resonance(0.99, 1e-5, 0.37), Family.BOUNDED_REAL)
     lines = [rec.getMessage() for rec in caplog.records if rec.name == "kypcert.qmi"]
-    assert lines == ["solve_p bounded-real n=6 m=2: off; certified by the Gramian at scale 2"]
+    assert lines == ["solve_p bounded-real n=2 m=1: axis eigenvalue; certified by the shifted rung"]
     assert cert.verified
 
 

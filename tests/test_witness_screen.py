@@ -479,8 +479,8 @@ def test_stop_reasons(monkeypatch):
     assert res.stop == "witness" and res.witness is not None
     screen_off(monkeypatch)
     res = solve_p(g, tag)
-    # judged: the equalities and the identity; Rx = 1 - D*D < 0 skips the
-    # rung and the pole at 0 the Gramian
+    # judged: the equalities and the identity; Rx = 1 - D*D < 0 skips both
+    # passes of the rung
     assert res.stop == "no-certificate" and res.iterations == 2 and res.witness is None
     assert res.min_eig_q == min_eig(q_of(g, tag, res.best_p)) < 0.0
     assert res.residual == -res.min_eig_q
