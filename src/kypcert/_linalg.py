@@ -1,14 +1,40 @@
-"""Small dense linear-algebra helpers shared across modules, and the two
+"""Small dense linear-algebra helpers shared across modules, the two
 argument rules every public entry point reads its inputs by: `square` for a
-square matrix argument and `seeded` for a seed."""
+square matrix argument and `seeded` for a seed, and the five LAPACK routines
+the package calls."""
 
 from __future__ import annotations
 
 import numbers
+import sys
+from importlib.machinery import PathFinder
+from importlib.util import module_from_spec
+from pathlib import Path
 
 import numpy as np
+import scipy
 
 from .exceptions import BadParams, DimensionMismatch
+
+
+def _flapack():
+    """scipy's compiled LAPACK wrappers, ``scipy.linalg._flapack``, loaded
+    without running ``scipy.linalg/__init__.py``: that init loads scipy's
+    array-API layer, which pulls in numpy.f2py, numpy.testing and more, about
+    half of the package's import time. The module goes into
+    ``sys.modules`` (or is taken from there), so ``scipy.linalg.lapack``
+    hands out the same function objects."""
+    name = "scipy.linalg._flapack"
+    if name not in sys.modules:
+        spec = PathFinder.find_spec(name, [str(Path(scipy.__file__).parent / "linalg")])
+        module = module_from_spec(spec)
+        spec.loader.exec_module(module)
+        sys.modules[name] = module
+    return sys.modules[name]
+
+
+_lapack = _flapack()
+zgees, zgesv, zpotrf, ztrsen, ztrtri = _lapack.zgees, _lapack.zgesv, _lapack.zpotrf, _lapack.ztrsen, _lapack.ztrtri
 
 
 def herm(x: np.ndarray) -> np.ndarray:

@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from ._linalg import frozen, seeded
 from .cones import ISOMETRY_TOL, _gram_defect, matrix_convex_combine, random_isometry_tuple
@@ -68,7 +67,10 @@ class IsometryFamily:
 
     def full_blocks(self) -> list[np.ndarray]:
         """The k block-diagonal (n+m) matrices diag(Y_{j,n}, Y_{j,m})."""
-        return [scipy.linalg.block_diag(yn, ym) for yn, ym in zip(self.state_blocks, self.io_blocks)]
+        n = self.n
+        full = np.zeros((self.k, n + self.m, n + self.m), dtype=complex)
+        full[:, :n, :n], full[:, n:, n:] = self.state_blocks, self.io_blocks
+        return list(full)
 
 
 def validate_isometry(fam: IsometryFamily) -> tuple[bool, float, float]:

@@ -18,9 +18,22 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import zpotrf, ztrsen, ztrtri
 
-from ._linalg import ct, frozen, herm, is_hermitian, min_eig, min_eigs, seeded, sigma_min, spectral_norm, square
+from ._linalg import (
+    ct,
+    frozen,
+    herm,
+    is_hermitian,
+    min_eig,
+    min_eigs,
+    seeded,
+    sigma_min,
+    spectral_norm,
+    square,
+    zpotrf,
+    ztrsen,
+    ztrtri,
+)
 from .exceptions import (
     BadFamily,
     BadParams,

@@ -11,9 +11,8 @@ import logging
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import zgees, zgesv
 
-from ._linalg import frozen, nearly_singular, square
+from ._linalg import frozen, nearly_singular, square, zgees, zgesv
 from .exceptions import (
     BadParams,
     DimensionMismatch,

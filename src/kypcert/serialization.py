@@ -140,13 +140,17 @@ def _dumps(doc: dict) -> str:
 def _read_json(path) -> dict:
     path = Path(path)
     try:
-        text = path.read_text()
+        text = path.read_text(encoding="utf-8")
     except OSError as exc:
         raise ParseError(f"{path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text ({exc.reason})") from exc
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
+    except RecursionError as exc:
+        raise ParseError(f"{path}: JSON nested too deeply") from exc
     if not isinstance(doc, dict):
         raise ParseError(f"{path}: top-level document must be an object")
     return doc

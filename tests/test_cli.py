@@ -437,8 +437,9 @@ def test_overflowing_q_is_an_error_not_a_traceback(capsys, tmp_path, fam, r):
 
 
 #: every exit-1 error of the CLI; {F2} is a positive-real member, {B} a
-#: bounded-real one (its Cayley transform), {P} its 3 x 3 certificate I and
-#: {out} an output path
+#: bounded-real one (its Cayley transform), {P} its 3 x 3 certificate I,
+#: {latin} a file that is not UTF-8, {deep} JSON nested past the recursion
+#: limit and {out} an output path
 ERROR_EXITS = {
     "lossless-with-dp": ["check", "--family", "dp", "--lossless", "{F2}"],
     "coords-without-t-matrix": ["transform", "--op", "coords", "{F2}", "-o", "{out}"],
@@ -479,6 +480,8 @@ ERROR_EXITS = {
     "wmat-tol-oracle": ["wmat", "--family", "p", "--balanced", "--n", "1", "--m", "1", "--tol-oracle", "1"],
     "transform-tol-oracle": ["transform", "--op", "bilinear", "--tol-oracle", "1", "{F2}", "-o", "{out}"],
     "combine-tol-oracle": ["combine", "--family", "p", "--inputs", "{F2}", "--tol-oracle", "1", "-o", "{out}"],
+    "check-not-utf8": ["check", "--family", "p", "{latin}"],
+    "check-nested-too-deep": ["check", "--family", "p", "{deep}"],
 }
 
 
@@ -487,7 +490,9 @@ def test_every_error_exit_prints_one_error_line(capsys, tmp_path, argv):
     save_realization(tmp_path / "F2.json", fixture("F2"))
     save_realization(tmp_path / "B.json", cayley_function(fixture("F2")))
     save_matrix(tmp_path / "P.json", np.eye(3))
-    paths = {name: str(tmp_path / f"{name}.json") for name in ("F2", "B", "P", "out")}
+    (tmp_path / "latin.json").write_bytes(b"\xff\xfe{}")
+    (tmp_path / "deep.json").write_bytes(b"[" * 200000 + b"]" * 200000)
+    paths = {name: str(tmp_path / f"{name}.json") for name in ("F2", "B", "P", "latin", "deep", "out")}
     code = main([arg.format(**paths) for arg in argv] + ["--deterministic"])
     captured = capsys.readouterr()
     assert code == 1

@@ -68,6 +68,24 @@ def test_parse_error_reports_location(tmp_path):
     assert "line" in str(info.value)
 
 
+#: files json cannot read: bytes that are not UTF-8, and nesting past the recursion limit
+UNREADABLE = {
+    "not-utf8": (b"\xff\xfe{}", "not UTF-8 text"),
+    "too-deep": (b"[" * 200000 + b"]" * 200000, "nested too deeply"),
+}
+
+
+@pytest.mark.parametrize("loader", [load, load_realization, load_matrix, load_isometry_family])
+@pytest.mark.parametrize("name", UNREADABLE)
+def test_unreadable_file_is_a_parse_error_naming_the_path(tmp_path, name, loader):
+    content, message = UNREADABLE[name]
+    path = tmp_path / f"{name}.json"
+    path.write_bytes(content)
+    with pytest.raises(ParseError, match=message) as info:
+        loader(path)
+    assert str(info.value).startswith(f"{path}: ")
+
+
 def test_parse_error_on_nonfinite(tmp_path):
     path = tmp_path / "naughty.json"
     path.write_text('{"type": "realization", "n": 0, "m": 1, "A": [], "B": [],'
