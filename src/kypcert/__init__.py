@@ -28,7 +28,6 @@ from .convexity import (
     PreservationResult,
     combine_realizations,
     random_isometry_family,
-    validate_isometry,
     verify_preservation,
 )
 from .exceptions import (

@@ -119,9 +119,11 @@ class IsometryTuple:
         blocks = tuple(np.asarray(b, dtype=complex) for b in self.blocks)
         if not blocks:
             raise NotAnIsometryFamily("empty isometry tuple")
+        if any(b.ndim != 2 for b in blocks):
+            raise DimensionMismatch("isometry blocks must be 2-d matrices")
         nu = blocks[0].shape[1]
         for j, b in enumerate(blocks):
-            if b.ndim != 2 or b.shape[1] != nu:
+            if b.shape[1] != nu:
                 raise DimensionMismatch(f"block {j} must have {nu} columns")
             if b.shape[0] > nu:
                 raise DimensionMismatch(f"block {j} has eta_j = {b.shape[0]} > nu = {nu}")

@@ -13,16 +13,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import frozen, seeded
-from .cones import ISOMETRY_TOL, _gram_defect, matrix_convex_combine, random_isometry_tuple
-from .exceptions import DimensionMismatch, InputNotCertified
+from ._linalg import seeded
+from .cones import IsometryTuple, matrix_convex_combine, random_isometry_tuple
+from .exceptions import DimensionMismatch, InputNotCertified, NotAnIsometryFamily
 from .qmi import Certificate, NotFound, as_tag, balance, solve_p, verify_kyp
 from .realization import Realization
 
 __all__ = [
     "IsometryFamily",
     "PreservationResult",
-    "validate_isometry",
     "combine_realizations",
     "verify_preservation",
     "random_isometry_family",
@@ -30,28 +29,25 @@ __all__ = [
 
 @dataclass(frozen=True)
 class IsometryFamily:
-    """Block-diagonal tiers (Y_{j,n}, Y_{j,m}), each tier's Gram sum meant to be I.
-
-    Only shapes are checked here; `validate_isometry` reports the Gram sums."""
+    """Block-diagonal tiers (Y_{j,n}, Y_{j,m}) of square blocks, each built as an
+    `IsometryTuple` (Gram sum I within ``cones.ISOMETRY_TOL``): a tier that is
+    not raises NotAnIsometryFamily naming it, a wrong shape DimensionMismatch."""
 
     state_blocks: tuple[np.ndarray, ...]
     io_blocks: tuple[np.ndarray, ...]
 
     def __post_init__(self):
-        state = tuple(np.asarray(b, dtype=complex) for b in self.state_blocks)
-        io = tuple(np.asarray(b, dtype=complex) for b in self.io_blocks)
+        state, io = tuple(self.state_blocks), tuple(self.io_blocks)
         if len(state) != len(io) or not state:
             raise DimensionMismatch("state and io tiers must have the same nonzero length")
-        n = state[0].shape[0]
-        m = io[0].shape[0]
-        for b in state:
-            if b.shape != (n, n):
-                raise DimensionMismatch("state blocks must all be n x n")
-        for b in io:
-            if b.shape != (m, m):
-                raise DimensionMismatch("io blocks must all be m x m")
-        object.__setattr__(self, "state_blocks", tuple(frozen(b) for b in state))
-        object.__setattr__(self, "io_blocks", tuple(frozen(b) for b in io))
+        for name, blocks in (("state_blocks", state), ("io_blocks", io)):
+            try:
+                tier = IsometryTuple(blocks=blocks)
+            except NotAnIsometryFamily as exc:
+                raise NotAnIsometryFamily(f"{name}: {exc}") from exc
+            if tier.etas != (tier.nu,) * tier.k:
+                raise DimensionMismatch(f"{name} must all be {tier.nu} x {tier.nu}")
+            object.__setattr__(self, name, tier.blocks)
 
     @property
     def k(self) -> int:
@@ -73,17 +69,10 @@ class IsometryFamily:
         return list(full)
 
 
-def validate_isometry(fam: IsometryFamily) -> tuple[bool, float, float]:
-    """Gram-sum defects (state, io) of the two tiers; valid iff both are at
-    most ``cones.ISOMETRY_TOL``."""
-    defect_n, defect_m = _gram_defect(fam.state_blocks), _gram_defect(fam.io_blocks)
-    return (defect_n <= ISOMETRY_TOL and defect_m <= ISOMETRY_TOL), defect_n, defect_m
-
-
 def combine_realizations(rs, fam: IsometryFamily) -> Realization:
     """sum_j Y_j* R_j Y_j over the arrays R_j, with Y_j = diag(Y_{j,n}, Y_{j,m}),
-    by `matrix_convex_combine`; its Gram check raises NotAnIsometryFamily when
-    either tier's Gram-sum defect exceeds ISOMETRY_TOL."""
+    by `matrix_convex_combine`. The family was checked when it was built, so
+    its block-diagonal Gram sum is I and the combination's Gram check passes."""
     rs = list(rs)
     if len(rs) != fam.k:
         raise DimensionMismatch(f"{len(rs)} realizations for {fam.k} isometry blocks")

@@ -268,9 +268,12 @@ def lossless_boundary_oracle(r: Realization, kind: str, grid: DomainGrid, tol: f
     """Boundary degeneracy test for the lossless subsets.
 
     kind "LP": F + F* vanishes on the imaginary axis (margin -||F+F*||_2);
-    kind "LB": F*F = I there (margin -||F*F - I||_2). The verdict also
-    requires the parent family oracle (positive- resp. bounded-real) to pass
-    on the same grid.
+    kind "LB": F*F = I there (margin -||F*F - I||_2). A boundary point passes
+    when its defect is at most tol (1 + ||F||_2) for LP and tol (1 + ||F||_2^2)
+    for LB, a tolerance that scales with the terms that cancel; the report
+    carries the unscaled worst margin and `tol`. The verdict also requires
+    the parent family oracle (positive- resp. bounded-real) to pass on the
+    same grid.
     """
     return _lossless_report(kind, grid, _evaluate_points(r, grid.points), tol)
 
@@ -283,20 +286,20 @@ def _lossless_report(kind: str, grid: DomainGrid, evaluated, tol: float) -> Memb
     tol = _tolerance(tol, "tol")
     _check_domain(grid, Domain.RIGHT_HALF_PLANE, "lossless boundary oracle")
     if kind == "LP":
-        margin_fn = lambda f: -spectral_norms(f + ct(f))  # noqa: E731
-        parent = FamilyTag(Family.POSITIVE_REAL)
-        label = "lossless-positive"
+        defect = lambda f: spectral_norms(f + ct(f))  # noqa: E731
+        power, parent, label = 1, FamilyTag(Family.POSITIVE_REAL), "lossless-positive"
     else:
-        margin_fn = lambda f: -spectral_norms(ct(f) @ f - np.eye(f.shape[-1]))  # noqa: E731
-        parent = FamilyTag(Family.BOUNDED_REAL)
-        label = "lossless-bounded"
+        defect = lambda f: spectral_norms(ct(f) @ f - np.eye(f.shape[-1]))  # noqa: E731
+        power, parent, label = 2, FamilyTag(Family.BOUNDED_REAL), "lossless-bounded"
     points = grid.points
     values, keep = evaluated
     nb = grid.boundary_points.size
-    worst, worst_point, used, skipped = _worst(points[:nb], values[:nb], keep[:nb], margin_fn)
+    worst, worst_point, used, skipped = _worst(points[:nb], values[:nb], keep[:nb], lambda f: -defect(f))
+    boundary = values[:nb][keep[:nb]]
+    boundary_passed = bool(np.all(defect(boundary) <= tol * (1.0 + spectral_norms(boundary) ** power)))
     parent_worst, parent_point, _, _ = _worst(points, values, keep, _family_margin(parent))
     parent_passed = parent_worst >= -tol
-    verdict = "pass" if worst >= -tol and parent_passed else "fail"
+    verdict = "pass" if boundary_passed and parent_passed else "fail"
     if not parent_passed and parent_worst < worst:
         worst, worst_point = parent_worst, parent_point
     return MembershipReport(

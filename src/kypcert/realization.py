@@ -162,10 +162,13 @@ def evaluate(r: Realization, z: complex) -> TransferSample:
     """Evaluate F(z) = C (zI - A)^-1 B + D.
 
     This is `_evaluate_points` on the one point z, which it judges by the
-    exact rule alone, without the eigenvalue screen.
+    exact rule alone, without the eigenvalue screen. z must be finite;
+    F(inf) is ``r.D``.
 
     Raises
     ------
+    BadParams
+        If z is not finite.
     PoleAt
         If zI - A is singular to working precision
         (sigma_min < 1e-12 * ||zI - A||_2).
@@ -173,6 +176,8 @@ def evaluate(r: Realization, z: complex) -> TransferSample:
         If the Schur form of A does not converge.
     """
     z = complex(z)
+    if not np.isfinite(z):
+        raise BadParams(f"cannot evaluate F at the non-finite point {z}")
     values, keep = _evaluate_points(r, np.array([z]))
     if not keep[0]:
         raise PoleAt(z)

@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .convexity import IsometryFamily
-from .exceptions import ParseError, PassivityError, ShapeError
+from .exceptions import NotAnIsometryFamily, ParseError, PassivityError, ShapeError
 from .realization import Realization
 
 __all__ = [
@@ -218,6 +218,8 @@ def _isometry_family_from_doc(doc: dict, path) -> IsometryFamily:
     io = [decode_matrix(b, field=f"io_blocks[{i}]") for i, b in enumerate(doc["io_blocks"])]
     try:
         return IsometryFamily(state_blocks=tuple(state), io_blocks=tuple(io))
+    except NotAnIsometryFamily as exc:
+        raise NotAnIsometryFamily(f"{path}: {exc}") from exc
     except PassivityError as exc:
         raise ShapeError(f"{path}: {exc}") from exc
 

@@ -6,10 +6,14 @@ always checked against a second, independently coded route.
 
 from __future__ import annotations
 
+import json
+from pathlib import Path
+
 import numpy as np
 
 import kypcert.qmi as qmi
 from kypcert import Family, Realization, evaluate
+from kypcert.serialization import encode_matrix
 
 # -- random inputs -----------------------------------------------------------
 
@@ -69,6 +73,18 @@ def lossless_member(rng, family, n, m) -> Realization:
         return Realization(n=n, m=m, A=skew(n) - c.conj().T @ c / 2, B=-c.conj().T @ d, C=c, D=d)
     a, b = rand_unitary(rng, n), rand_complex(rng, (n, m))
     return Realization(n=n, m=m, A=a, B=b, C=b.conj().T @ a, D=b.conj().T @ b / 2 + skew(m))
+
+
+def write_isometry_family(path, state, io) -> None:
+    """An isometry-family document of the given tiers, written without an
+    `IsometryFamily`, so its tiers need not be isometries."""
+    doc = {"type": "isometry_family", "k": len(state), "state_blocks": [encode_matrix(b) for b in state],
+           "io_blocks": [encode_matrix(b) for b in io]}
+    Path(path).write_text(json.dumps(doc))
+
+
+#: the tiers of a two-block family whose state tier sums to 2 I (n = 2, m = 1)
+DOUBLED_STATE_TIER = ((np.eye(2), np.eye(2)), (np.sqrt(0.5) * np.eye(1), np.sqrt(0.5) * np.eye(1)))
 
 
 def resonance(gain: float = 1.05, zeta: float = 1e-4, w: float = 0.37) -> Realization:

@@ -4,7 +4,7 @@ import sys
 
 import numpy as np
 import pytest
-from helpers import OVERFLOWING_Q, resonance
+from helpers import DOUBLED_STATE_TIER, OVERFLOWING_Q, resonance, write_isometry_family
 
 from kypcert import cayley_function, evaluate, fixture, load_realization, save_matrix, save_realization
 from kypcert.cli import main
@@ -227,6 +227,25 @@ def test_combine_with_isometry_file(capsys, tmp_path):
     assert code == 0 and rep["verdict"] == "pass"
 
 
+def test_combine_refuses_a_non_isometric_family_before_certifying(capsys, tmp_path, monkeypatch):
+    import kypcert.convexity
+
+    f2 = tmp_path / "F2.json"
+    save_realization(f2, fixture("F2"))
+    bad = tmp_path / "bad.json"
+    write_isometry_family(bad, *DOUBLED_STATE_TIER)
+    calls = []
+    for name in ("verify_kyp", "solve_p"):
+        monkeypatch.setattr(kypcert.convexity, name, lambda *args, name=name, **kw: calls.append(name))
+    out = tmp_path / "out.json"
+    code = main(["combine", "--family", "p", "--inputs", f"{f2},{f2}", "--isometries", str(bad),
+                 "-o", str(out), "--deterministic"])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == "" and not out.exists()
+    assert captured.err == f"error: {bad}: state_blocks: Gram sum deviates from identity by 1.000e+00\n"
+    assert calls == []
+
+
 def test_usage_and_io_errors(capsys, tmp_path):
     assert main(["check", "--family", "zz", "missing.json"]) == 1
     capsys.readouterr()
@@ -439,7 +458,8 @@ def test_overflowing_q_is_an_error_not_a_traceback(capsys, tmp_path, fam, r):
 #: every exit-1 error of the CLI; {F2} is a positive-real member, {B} a
 #: bounded-real one (its Cayley transform), {P} its 3 x 3 certificate I,
 #: {latin} a file that is not UTF-8, {deep} JSON nested past the recursion
-#: limit and {out} an output path
+#: limit, {bad} a two-block isometry family whose state tier sums to 2 I and
+#: {out} an output path
 ERROR_EXITS = {
     "lossless-with-dp": ["check", "--family", "dp", "--lossless", "{F2}"],
     "coords-without-t-matrix": ["transform", "--op", "coords", "{F2}", "-o", "{out}"],
@@ -447,6 +467,10 @@ ERROR_EXITS = {
     "empty-inputs": ["combine", "--family", "p", "--inputs", ",", "-o", "{out}"],
     "random-mismatch": ["combine", "--family", "p", "--inputs", "{F2}", "--random", "2", "-o", "{out}"],
     "bad-at": ["eval", "--at", "1;0", "{F2}"],
+    "eval-at-nan": ["eval", "--at", "nan,0", "{F2}"],
+    "eval-at-infinity": ["eval", "--at", "0,inf", "{F2}"],
+    "combine-non-isometric-family": ["combine", "--family", "p", "--inputs", "{F2},{F2}",
+                                     "--isometries", "{bad}", "-o", "{out}"],
     "check-eta-nan": ["check", "--family", "b", "--eta=nan", "{B}"],
     "check-eta-minus-inf": ["check", "--family", "b", "--eta=-inf", "{B}"],
     "combine-eta-nan": ["combine", "--family", "b", "--eta=nan", "--inputs", "{B}", "-o", "{out}"],
@@ -492,7 +516,8 @@ def test_every_error_exit_prints_one_error_line(capsys, tmp_path, argv):
     save_matrix(tmp_path / "P.json", np.eye(3))
     (tmp_path / "latin.json").write_bytes(b"\xff\xfe{}")
     (tmp_path / "deep.json").write_bytes(b"[" * 200000 + b"]" * 200000)
-    paths = {name: str(tmp_path / f"{name}.json") for name in ("F2", "B", "P", "latin", "deep", "out")}
+    write_isometry_family(tmp_path / "bad.json", *DOUBLED_STATE_TIER)
+    paths = {name: str(tmp_path / f"{name}.json") for name in ("F2", "B", "P", "latin", "deep", "bad", "out")}
     code = main([arg.format(**paths) for arg in argv] + ["--deterministic"])
     captured = capsys.readouterr()
     assert code == 1

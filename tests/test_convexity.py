@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 from helpers import rand_complex, rand_realization, transfer_max_err
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kypcert import (
     DimensionMismatch,
@@ -18,9 +20,9 @@ from kypcert import (
     is_minimal,
     random_certified_realization,
     random_isometry_family,
-    validate_isometry,
     verify_preservation,
 )
+from kypcert.cones import ISOMETRY_TOL, _gram_defect
 
 
 def identity_family(n, m, k=1):
@@ -33,17 +35,28 @@ def identity_family(n, m, k=1):
     )
 
 
-def test_validate_isometry_examples():
-    ok, dn, dm = validate_isometry(identity_family(2, 3))
-    assert ok and dn == 0.0 and dm == 0.0
-    ok, dn, dm = validate_isometry(identity_family(2, 2, k=2))
-    assert ok and dn < 1e-12 and dm < 1e-12
-    doubled = IsometryFamily(
-        state_blocks=(np.eye(2), np.eye(2)),
-        io_blocks=(np.sqrt(0.5) * np.eye(2), np.sqrt(0.5) * np.eye(2)),
-    )
-    ok, dn, dm = validate_isometry(doubled)
-    assert not ok and abs(dn - 1.0) < 1e-12
+def test_isometry_family_examples():
+    # a tier's defect is that of the IsometryTuple it builds
+    single, pair = identity_family(2, 3), identity_family(2, 2, k=2)
+    assert IsometryTuple(blocks=single.state_blocks).defect == IsometryTuple(blocks=single.io_blocks).defect == 0.0
+    assert max(IsometryTuple(blocks=pair.state_blocks).defect, IsometryTuple(blocks=pair.io_blocks).defect) < 1e-12
+    state = (np.eye(2), np.eye(2))
+    assert abs(_gram_defect(state) - 1.0) < 1e-12
+    with pytest.raises(NotAnIsometryFamily, match=r"^state_blocks: Gram sum deviates from identity by 1\.000e\+00$"):
+        IsometryFamily(state_blocks=state, io_blocks=(np.sqrt(0.5) * np.eye(2), np.sqrt(0.5) * np.eye(2)))
+
+
+@pytest.mark.parametrize("state, io", [
+    ((np.eye(2), np.eye(2)), (np.eye(2),)),
+    ((), ()),
+    # an isometry tuple, but not of square blocks
+    ((np.array([[1.0, 0.0]]), np.array([[0.0, 1.0]])), (np.eye(1), np.zeros((1, 1)))),
+    ((np.ones(2),), (np.eye(1),)),
+    ((np.eye(2),), (np.array(1.0),)),
+], ids=["k-mismatch", "empty", "rectangular", "1-d", "0-d"])
+def test_isometry_family_shapes(state, io):
+    with pytest.raises(DimensionMismatch):
+        IsometryFamily(state_blocks=state, io_blocks=io)
 
 
 def test_combine_single_unitary_is_congruence():
@@ -90,16 +103,14 @@ def test_combine_validates_inputs():
         combine_realizations([rand_realization(rng, 2, 2)], fam)
     with pytest.raises(DimensionMismatch):
         combine_realizations([rand_realization(rng, 2, 2), rand_realization(rng, 1, 2)], fam)
-    bad = IsometryFamily(state_blocks=(np.eye(2), np.eye(2)),
-                         io_blocks=(np.sqrt(0.5) * np.eye(2), np.sqrt(0.5) * np.eye(2)))
     with pytest.raises(NotAnIsometryFamily):
-        combine_realizations([rand_realization(rng, 2, 2), rand_realization(rng, 2, 2)], bad)
+        IsometryFamily(state_blocks=(np.eye(2), np.eye(2)),
+                       io_blocks=(np.sqrt(0.5) * np.eye(2), np.sqrt(0.5) * np.eye(2)))
 
 
 @pytest.mark.parametrize("tier", ["state", "io"])
 def test_each_tier_defect_is_caught(tier):
-    # only one tier is off by 1e-6; the combination's block-diagonal Gram sum
-    # must still miss I by that much
+    # only one tier is off by 1e-6; the family is refused, naming that tier
     rng = np.random.default_rng(6)
     fam = random_isometry_family(2, 3, 2, rng)
     state, io = fam.state_blocks, fam.io_blocks
@@ -108,14 +119,12 @@ def test_each_tier_defect_is_caught(tier):
         state = (scale * state[0], state[1])
     else:
         io = (scale * io[0], io[1])
-    bad = IsometryFamily(state_blocks=state, io_blocks=io)
-    ok, dn, dm = validate_isometry(bad)
+    dn, dm = _gram_defect(state), _gram_defect(io)
     off, on = (dn, dm) if tier == "state" else (dm, dn)
-    assert not ok and off > 1e-7 and on < 1e-12
-    rs = [rand_realization(rng, 3, 2) for _ in range(2)]
-    with pytest.raises(NotAnIsometryFamily):
-        combine_realizations(rs, bad)
-    combine_realizations(rs, fam)
+    assert off > 1e-7 and on < 1e-12
+    with pytest.raises(NotAnIsometryFamily, match=f"^{tier}_blocks: Gram sum deviates"):
+        IsometryFamily(state_blocks=state, io_blocks=io)
+    combine_realizations([rand_realization(rng, 3, 2) for _ in range(2)], fam)
 
 
 def test_zero_tier_drops_input():
@@ -210,10 +219,35 @@ def test_preservation_rejects_uncertifiable_input():
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_non_finite_isometry_blocks_are_invalid(bad):
-    fam = IsometryFamily(state_blocks=(np.array([[bad]]),), io_blocks=(np.eye(1),))
-    valid, defect_n, defect_m = validate_isometry(fam)
-    assert not valid and defect_n == np.inf and defect_m == 0.0
+    state = (np.array([[bad]]),)
+    assert _gram_defect(state) == np.inf and _gram_defect((np.eye(1),)) == 0.0
+    with pytest.raises(NotAnIsometryFamily, match="^state_blocks: Gram sum deviates from identity by inf$"):
+        IsometryFamily(state_blocks=state, io_blocks=(np.eye(1),))
     with pytest.raises(NotAnIsometryFamily):
-        IsometryTuple(blocks=fam.state_blocks)
-    with pytest.raises(NotAnIsometryFamily):
-        combine_realizations([fixture("f")], fam)
+        IsometryTuple(blocks=state)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    tier=st.sampled_from(["state", "io"]),
+    block=st.integers(0, 2),
+    log_eps=st.floats(-14.0, -2.0),
+    sign=st.sampled_from([-1.0, 1.0]),
+)
+def test_a_family_is_built_exactly_when_both_tiers_pass_the_gram_rule(seed, tier, block, log_eps, sign):
+    # one Gram rule: a family exists iff both tier defects are at most
+    # ISOMETRY_TOL, and a family that exists always combines
+    rng = np.random.default_rng(seed)
+    good = random_isometry_family(3, 2, 1, rng)
+    tiers = {"state": list(good.state_blocks), "io": list(good.io_blocks)}
+    tiers[tier][block] = (1.0 + sign * 10.0**log_eps) * tiers[tier][block]
+    valid = _gram_defect(tiers["state"]) <= ISOMETRY_TOL and _gram_defect(tiers["io"]) <= ISOMETRY_TOL
+    try:
+        fam = IsometryFamily(state_blocks=tiers["state"], io_blocks=tiers["io"])
+    except NotAnIsometryFamily as exc:
+        assert not valid
+        assert str(exc).startswith(f"{tier}_blocks: ")
+        return
+    assert valid
+    combine_realizations([rand_realization(rng, 2, 1) for _ in range(3)], fam)

@@ -2,7 +2,7 @@ import dataclasses
 
 import numpy as np
 import pytest
-from helpers import transfer_max_err
+from helpers import rand_complex, transfer_max_err
 
 from kypcert import (
     BadParams,
@@ -29,6 +29,9 @@ from kypcert import (
     membership_oracle,
     random_certified_realization,
 )
+from kypcert._linalg import spectral_norms
+from kypcert.families import ORACLE_TOL
+from kypcert.realization import _evaluate_points
 
 
 def with_points(grid: DomainGrid, extra) -> DomainGrid:
@@ -248,6 +251,50 @@ def test_lossless_boundary_f1_passes():
     rep = lossless_boundary_oracle(fixture("F1"), "LP", grid)
     assert rep.passed
     assert rep.samples_used >= 15
+
+
+@pytest.mark.parametrize("name", ["F2", "F3"])
+def test_lossless_boundary_fixtures_pass(name):
+    grid = make_grid(Domain.RIGHT_HALF_PLANE, 16, 16, 12)
+    assert lossless_boundary_oracle(fixture(name), "LP", grid).passed
+
+
+def skew_lossless(n, m, seed, delta=0.0) -> Realization:
+    """B*(sI - A + delta I)^-1 B + D with A and D skew-Hermitian: lossless
+    positive-real at delta = 0, damped (not lossless) for delta > 0."""
+    rng = np.random.default_rng(seed)
+    a, b, d = rand_complex(rng, (n, n)), rand_complex(rng, (n, m)), rand_complex(rng, (m, m))
+    return Realization(n=n, m=m, A=(a - a.conj().T) / 2 - delta * np.eye(n), B=b, C=b.conj().T,
+                       D=(d - d.conj().T) / 2)
+
+
+@pytest.mark.parametrize("delta", [0.0, 1e-6, 1e-4], ids=["lossless", "damped-1e-6", "damped-1e-4"])
+@pytest.mark.parametrize("n, m", [(8, 1), (8, 2), (32, 1), (32, 2)])
+def test_lossless_boundary_tolerance_scales_with_f(n, m, delta):
+    # next to an axis pole ||F + F*|| rounds to far above 1e-8 while ||F||
+    # is large: each boundary point is judged against tol (1 + ||F||_2)
+    for seed in range(20):
+        r = skew_lossless(n, m, seed, delta)
+        grid = make_grid(Domain.RIGHT_HALF_PLANE, 64, 64, seed)
+        rep = lossless_boundary_oracle(r, "LP", grid)
+        assert rep.passed == (delta == 0.0), seed
+        assert membership_oracle(r, Family.POSITIVE_REAL, grid).passed, seed
+        if rep.passed:
+            # the report keeps the unscaled worst boundary margin and tol
+            values, keep = _evaluate_points(r, grid.points)
+            f = values[: grid.boundary_points.size][keep[: grid.boundary_points.size]]
+            assert rep.worst_margin == -spectral_norms(f + f.conj().transpose(0, 2, 1)).max()
+            assert rep.tol == ORACLE_TOL
+
+
+@pytest.mark.parametrize("delta", [0.0, 1e-4], ids=["lossless", "damped-1e-4"])
+def test_lossless_bounded_tolerance_scales_with_f(delta):
+    # the Cayley image of the corpus is lossless bounded-real, judged
+    # against tol (1 + ||F||_2^2)
+    for seed in range(20):
+        r = cayley_function(skew_lossless(8, 2, seed, delta))
+        rep = lossless_boundary_oracle(r, "LB", make_grid(Domain.RIGHT_HALF_PLANE, 64, 64, seed))
+        assert rep.passed == (delta == 0.0), seed
 
 
 def test_lossless_boundary_f_fails():

@@ -97,14 +97,17 @@ def ref_hyper(samples, eta, kind):
 
 def ref_lossless(samples, n_boundary, kind, m):
     if kind == "LP":
-        margin_fn = lambda f: -spectral_norm(f + f.conj().T)  # noqa: E731
-        parent, label = Family.POSITIVE_REAL, "lossless-positive"
+        defect = lambda f: spectral_norm(f + f.conj().T)  # noqa: E731
+        power, parent, label = 1, Family.POSITIVE_REAL, "lossless-positive"
     else:
-        margin_fn = lambda f: -spectral_norm(f.conj().T @ f - np.eye(m))  # noqa: E731
-        parent, label = Family.BOUNDED_REAL, "lossless-bounded"
-    worst, point, used, skipped = ref_scan(samples[:n_boundary], margin_fn)
+        defect = lambda f: spectral_norm(f.conj().T @ f - np.eye(m))  # noqa: E731
+        power, parent, label = 2, Family.BOUNDED_REAL, "lossless-bounded"
+    worst, point, used, skipped = ref_scan(samples[:n_boundary], lambda f: -defect(f))
+    # each boundary point against a tolerance that scales with ||F(z)||
+    within = all(defect(f) <= ORACLE_TOL * (1.0 + spectral_norm(f) ** power)
+                 for _, f in samples[:n_boundary] if f is not None)
     parent_report = ref_membership(samples, parent)
-    passed = worst >= -ORACLE_TOL and parent_report.passed
+    passed = within and parent_report.passed
     if not parent_report.passed and parent_report.worst_margin < worst:
         worst, point = parent_report.worst_margin, parent_report.worst_point
     return _report(label, worst, point, used, skipped, passed)

@@ -79,6 +79,16 @@ def test_evaluate_pole_raises():
         evaluate(fixture("g"), 0.0)
 
 
+@pytest.mark.parametrize("z", [complex("nan"), complex("inf"), complex("-inf"), complex(0, float("inf"))],
+                         ids=["nan", "inf", "-inf", "i-inf"])
+@pytest.mark.parametrize("name", ["f", "constant"])
+def test_evaluate_at_a_non_finite_point_is_bad_params(z, name):
+    # also for n = 0, where F(inf) = D would be defined
+    r = fixture("f") if name == "f" else Realization.constant(2.0)
+    with pytest.raises(BadParams, match="non-finite point"):
+        evaluate(r, z)
+
+
 def test_is_minimal_examples():
     assert is_minimal(fixture("f")) == (True, 1, 1)
     rng = np.random.default_rng(1)

@@ -2,9 +2,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from helpers import rand_complex, rand_realization
+from helpers import DOUBLED_STATE_TIER, rand_complex, rand_realization, write_isometry_family
 
 from kypcert import (
+    NotAnIsometryFamily,
     ParseError,
     Realization,
     ShapeError,
@@ -110,6 +111,19 @@ def test_isometry_family_round_trip(tmp_path):
     assert back.k == 3
     for lhs, rhs in zip(back.state_blocks, fam.state_blocks):
         assert np.array_equal(lhs, rhs)
+
+
+@pytest.mark.parametrize("loader", [load, load_isometry_family])
+def test_non_isometric_family_is_refused_at_load(tmp_path, loader):
+    path = tmp_path / "bad.json"
+    write_isometry_family(path, *DOUBLED_STATE_TIER)
+    with pytest.raises(NotAnIsometryFamily) as info:
+        loader(path)
+    assert str(info.value) == f"{path}: state_blocks: Gram sum deviates from identity by 1.000e+00"
+    # a shape error stays a ShapeError: the blocks of a family are square
+    write_isometry_family(path, (np.array([[1.0, 0.0]]), np.array([[0.0, 1.0]])), (np.eye(1), np.zeros((1, 1))))
+    with pytest.raises(ShapeError, match="state_blocks must all be 2 x 2"):
+        loader(path)
 
 
 def test_generic_load_save_dispatch(tmp_path):
