@@ -87,6 +87,16 @@ def spectral_norms(x: np.ndarray) -> np.ndarray:
     return np.linalg.svd(x, compute_uv=False)[..., 0]
 
 
+def frobenius_norms(x: np.ndarray) -> np.ndarray:
+    """The Frobenius norm of each matrix in a stack; `hypot` redoes a sum of squares that overflows."""
+    v = np.ascontiguousarray(x).view(float)
+    with np.errstate(over="ignore"):
+        out = np.sqrt(np.einsum("...ij,...ij->...", v, v))
+    big = np.isinf(out)
+    out[big] = np.hypot.reduce(np.abs(x[big]), axis=(-2, -1))
+    return out
+
+
 def sigma_mins(x: np.ndarray) -> np.ndarray:
     """`sigma_min` of each matrix in a stack."""
     return np.linalg.svd(x, compute_uv=False)[..., -1]

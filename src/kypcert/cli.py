@@ -11,12 +11,17 @@ takes both tolerances, ``transform`` and ``combine`` only ``--tol-psd``.
 ``transform`` takes ``--family``, ``--eta``, ``--p-matrix`` and
 ``--tol-psd`` only with ``--op balance``, and ``--t-matrix`` only with
 ``--op coords``; ``wmat --p-matrix`` needs ``--n`` equal to the size of P
-and excludes ``--balanced``.
+and excludes ``--balanced``. Every oracle of ``check`` passes a point whose
+margin is at least ``-tol_oracle`` times the size of the terms that cancel in
+it (1 + ||F(z)||_F, squared for the lossless-bounded defect), and
+``check --lossless`` asks ||Q~||_2 <= tol_oracle of the balanced Q~ of a
+verified P. ``fixtures`` takes ``--a``/``--b``, finite, only for F1-F3.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import datetime
 import functools
 import math
@@ -118,15 +123,8 @@ def _report_point(z: complex | None):
 
 
 def _report_oracle(rep: MembershipReport) -> dict:
-    out = {
-        "family": rep.family,
-        "verdict": rep.verdict,
-        "worst_margin": rep.worst_margin,
-        "samples_used": rep.samples_used,
-        "skipped": rep.skipped,
-        "tol": rep.tol,
-    }
-    if rep.worst_point is not None:
+    out = dataclasses.asdict(rep)
+    if out.pop("worst_point") is not None:
         out["worst_point"] = _complex_pair(rep.worst_point)
     return out
 
@@ -185,8 +183,8 @@ def cmd_check(args, report) -> int:
             }
             if oracle.passed and found.witness is not None and np.isfinite(found.witness):
                 # the grid missed what the solver found: score its point too
-                value = _evaluate_points(r, [found.witness])[0]
-                oracle = _with_sample(oracle, found.witness, float(_family_margin(tag)(value)[0]))
+                margin, scale = _family_margin(tag)(_evaluate_points(r, [found.witness])[0])
+                oracle = _with_sample(oracle, found.witness, float(margin[0]), float(scale[0]))
         else:
             cert = found
     report["oracle"] = _report_oracle(oracle)
@@ -308,8 +306,7 @@ def cmd_fixtures(args, report) -> int:
     r = fixture(args.name, a=args.a, b=args.b)
     meta = {"name": args.name}
     if args.name in ("F1", "F2", "F3"):
-        meta["params"] = {"a": args.a if args.a is not None else 1.0,
-                          "b": args.b if args.b is not None else 1.0}
+        meta["params"] = {key: 1.0 if v is None else v for key, v in (("a", args.a), ("b", args.b))}
     save_realization(args.output, r, metadata=meta)
     report["fixture"] = meta
     report["output"] = args.output
@@ -368,7 +365,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid", type=_positive_int, default=DEFAULT_GRID, help="boundary/interior sample counts")
     p.add_argument("file")
     _add_tol_psd(p)
-    p.add_argument("--tol-oracle", type=_tolerance, default=ORACLE_TOL, help="margin tolerance for oracles")
+    p.add_argument("--tol-oracle", type=_tolerance, default=ORACLE_TOL, help="relative margin tolerance for oracles")
     _add_common(p)
     p.set_defaults(func=cmd_check)
 

@@ -9,11 +9,11 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ._linalg import ct, frozen, min_eigs, nearly_singular, seeded, sigma_mins, spectral_norms
+from ._linalg import ct, frobenius_norms, frozen, min_eigs, nearly_singular, seeded, sigma_mins, spectral_norms
 from .exceptions import (
     BadParams,
     DomainMismatch,
@@ -37,7 +37,7 @@ __all__ = [
     "bilinear_substitute",
 ]
 
-#: absolute tolerance on oracle margins
+#: tolerance on oracle margins, per unit of the scale of the terms that cancel
 ORACLE_TOL = 1e-8
 
 #: default grid sizes (boundary, interior)
@@ -92,8 +92,8 @@ class DomainGrid:
 
 @dataclass(frozen=True)
 class MembershipReport:
-    """Sampled-domain evidence: the worst margin over the grid and where it
-    occurred. verdict is "pass" iff worst_margin clears the tolerance."""
+    """Sampled-domain evidence: the worst (unscaled) margin over the grid and
+    where it occurred. verdict is "pass" iff every kept point clears `_passes`."""
 
     family: str
     verdict: str
@@ -175,46 +175,44 @@ def make_grid(
     return DomainGrid(domain=domain, boundary_points=boundary, interior_points=interior, seed=seed)
 
 
-def _worst(points: np.ndarray, values: np.ndarray, keep: np.ndarray, margin_fn):
-    """Worst margin over the kept points, as (margin, point, used, skipped).
-
-    `margin_fn` maps a stack of values to their margins. `argmin` takes the
-    first of equal minima, as a scan that updates on a strict `<` does."""
-    used = int(keep.sum())
-    if not used:
-        return math.inf, None, 0, points.size
-    margins = margin_fn(values[keep])
-    i = int(np.argmin(margins))
-    return float(margins[i]), complex(points[keep][i]), used, points.size - used
+def _passes(margins, scales, tol: float, strict: bool = False) -> bool:
+    """The pass rule of every oracle: each margin >= -tol * scale (> tol * scale
+    if strict), a scale being the size of the terms that cancel in its margin."""
+    return bool(np.all(margins > tol * scales if strict else margins >= -tol * scales))
 
 
-def _report(family: str, worst, tol: float, strict: bool = False) -> MembershipReport:
-    """The report of a `_worst` result: pass iff the worst margin is >= -tol,
-    or > tol under the `strict` rule; BadParams unless tol is finite and >= 0."""
+def _report(family: str, points, evaluated, margin_fn, tol: float, strict: bool = False) -> MembershipReport:
+    """The worst of the (margins, scales) `margin_fn` gives the kept `points`
+    of an `_evaluate_points` result, judged by `_passes` (`argmin` takes the
+    first of equal minima, as a strict-`<` scan); BadParams unless 0 <= tol < inf."""
     tol = _tolerance(tol, "tol")
-    margin, point, used, skipped = worst
-    passed = margin > tol if strict else margin >= -tol
-    return MembershipReport(
-        family=family, verdict="pass" if passed else "fail", worst_point=point,
-        worst_margin=margin, samples_used=used, skipped=skipped, tol=tol,
-    )
+    values, keep = evaluated
+    used = int(keep.sum())
+    rep = MembershipReport(family, "pass", None, math.inf, used, points.size - used, tol)
+    if not used:
+        return rep
+    margins, scales = margin_fn(values[keep])
+    i = int(np.argmin(margins))
+    return replace(rep, verdict="pass" if _passes(margins, scales, tol, strict) else "fail",
+                   worst_point=complex(points[keep][i]), worst_margin=float(margins[i]))
 
 
 def _family_margin(tag: FamilyTag):
-    """Pointwise margin of a family tag: min eig(F + F*) for the
-    positive-real families, sqrt((eta-1)/(eta+1)) - ||F||_2 for the
-    bounded-real ones, which is 1 - ||F||_2 at eta = inf."""
+    """Pointwise (margin, scale) of a family tag: the margin is min eig(F + F*)
+    for the positive-real families, sqrt((eta-1)/(eta+1)) - ||F||_2 for the
+    bounded-real ones (1 - ||F||_2 at eta = inf); the scale is 1 + ||F||_F."""
     if tag.family.is_bounded:
         bound = 1.0 if math.isinf(tag.eta) else math.sqrt((tag.eta - 1.0) / (tag.eta + 1.0))
-        return lambda f: bound - spectral_norms(f)
-    return lambda f: min_eigs(f + ct(f))
+        return lambda f: (bound - spectral_norms(f), 1.0 + frobenius_norms(f))
+    return lambda f: (min_eigs(f + ct(f)), 1.0 + frobenius_norms(f))
 
 
-def _with_sample(rep: MembershipReport, z: complex, margin: float) -> MembershipReport:
-    """`rep` with one more sample, the point z of the given margin, under the
-    pass rule worst margin >= -tol of the membership and hyper oracles."""
+def _with_sample(rep: MembershipReport, z: complex, margin: float, scale: float) -> MembershipReport:
+    """`rep` with one more sample, the point z of the given margin and scale."""
     worst, point = (margin, z) if margin < rep.worst_margin else (rep.worst_margin, rep.worst_point)
-    return _report(rep.family, (worst, point, rep.samples_used + 1, rep.skipped), rep.tol)
+    passed = rep.passed and _passes(margin, scale, rep.tol)
+    return replace(rep, verdict="pass" if passed else "fail", worst_point=point, worst_margin=worst,
+                   samples_used=rep.samples_used + 1)
 
 
 def _check_domain(grid: DomainGrid, expected: Domain, what: str):
@@ -228,8 +226,9 @@ def membership_oracle(r: Realization, family, grid: DomainGrid, tol: float = ORA
     The pointwise margin is min eig(F(z) + F(z)*) for the positive-real
     families and 1 - ||F(z)||_2 for the bounded-real ones; a bounded-real tag
     with a finite eta gets the hyper-bounded margin sqrt((eta-1)/(eta+1)) -
-    ||F(z)||_2 and the label ``hyper-bounded(eta=...)``. The verdict is the
-    worst margin over the grid. Pole-adjacent points are skipped and counted.
+    ||F(z)||_2 and the label ``hyper-bounded(eta=...)``. A point passes when
+    its margin is >= -tol (1 + ||F(z)||_F); the report carries the unscaled
+    worst margin. Pole-adjacent points are skipped and counted.
     """
     return _membership_report(family, grid, _evaluate_points(r, grid.points), tol)
 
@@ -238,16 +237,16 @@ def _membership_report(family, grid: DomainGrid, evaluated, tol: float) -> Membe
     """`membership_oracle` from `_evaluate_points` over `grid.points`."""
     tag = as_tag(family)
     _check_domain(grid, family_domain(tag), f"{tag.family.value} oracle")
-    return _report(tag.label, _worst(grid.points, *evaluated, _family_margin(tag)), tol)
+    return _report(tag.label, grid.points, evaluated, _family_margin(tag), tol)
 
 
 def anti_db_oracle(r: Realization, grid: DomainGrid, tol: float = ORACLE_TOL) -> MembershipReport:
     """Anti-discrete-bounded test: smallest singular value of F exceeds 1
     everywhere outside the closed disk. Margin is sigma_min(F(z)) - 1 and the
-    pass rule is strict (> tol)."""
+    pass rule is strict: > tol (1 + sigma_min(F(z)))."""
     _check_domain(grid, Domain.EXTERIOR_DISK, "anti-discrete-bounded oracle")
-    worst = _worst(grid.points, *_evaluate_points(r, grid.points), lambda f: sigma_mins(f) - 1.0)
-    return _report("anti-discrete-bounded", worst, tol, strict=True)
+    margin = lambda f: ((s := sigma_mins(f)) - 1.0, 1.0 + s)  # noqa: E731
+    return _report("anti-discrete-bounded", grid.points, _evaluate_points(r, grid.points), margin, tol, strict=True)
 
 
 def hyper_bounded_oracle(r: Realization, eta: float, grid: DomainGrid, tol: float = ORACLE_TOL) -> MembershipReport:
@@ -260,20 +259,17 @@ def hyper_bounded_oracle(r: Realization, eta: float, grid: DomainGrid, tol: floa
     """
     tag = FamilyTag(Family.BOUNDED_REAL, eta)
     kind = "hyper-bounded" if grid.domain is Domain.RIGHT_HALF_PLANE else "hyper-discrete-bounded"
-    worst = _worst(grid.points, *_evaluate_points(r, grid.points), _family_margin(tag))
-    return _report(f"{kind}(eta={tag.eta:g})", worst, tol)
+    return _report(f"{kind}(eta={tag.eta:g})", grid.points, _evaluate_points(r, grid.points), _family_margin(tag), tol)
 
 
 def lossless_boundary_oracle(r: Realization, kind: str, grid: DomainGrid, tol: float = ORACLE_TOL) -> MembershipReport:
     """Boundary degeneracy test for the lossless subsets.
 
-    kind "LP": F + F* vanishes on the imaginary axis (margin -||F+F*||_2);
-    kind "LB": F*F = I there (margin -||F*F - I||_2). A boundary point passes
-    when its defect is at most tol (1 + ||F||_2) for LP and tol (1 + ||F||_2^2)
-    for LB, a tolerance that scales with the terms that cancel; the report
-    carries the unscaled worst margin and `tol`. The verdict also requires
-    the parent family oracle (positive- resp. bounded-real) to pass on the
-    same grid.
+    kind "LP": F + F* vanishes on the imaginary axis (margin -||F+F*||_2,
+    scale 1 + ||F||_F); kind "LB": F*F = I there (margin -||F*F - I||_2,
+    scale 1 + ||F||_F^2). The verdict also requires the parent family oracle
+    (positive- resp. bounded-real) to pass on the same grid; the worst
+    margin is the parent's when that fails with a lower margin.
     """
     return _lossless_report(kind, grid, _evaluate_points(r, grid.points), tol)
 
@@ -281,31 +277,20 @@ def lossless_boundary_oracle(r: Realization, kind: str, grid: DomainGrid, tol: f
 def _lossless_report(kind: str, grid: DomainGrid, evaluated, tol: float) -> MembershipReport:
     """`lossless_boundary_oracle` from `_evaluate_points` over `grid.points`;
     one evaluation serves both the boundary margin and the parent family's."""
-    if kind not in ("LP", "LB"):
+    kinds = {"LP": (lambda f: f + ct(f), 1, Family.POSITIVE_REAL, "lossless-positive"),
+             "LB": (lambda f: ct(f) @ f - np.eye(f.shape[-1]), 2, Family.BOUNDED_REAL, "lossless-bounded")}
+    if kind not in kinds:
         raise BadParams(f"kind must be 'LP' or 'LB', got {kind!r}")
-    tol = _tolerance(tol, "tol")
     _check_domain(grid, Domain.RIGHT_HALF_PLANE, "lossless boundary oracle")
-    if kind == "LP":
-        defect = lambda f: spectral_norms(f + ct(f))  # noqa: E731
-        power, parent, label = 1, FamilyTag(Family.POSITIVE_REAL), "lossless-positive"
-    else:
-        defect = lambda f: spectral_norms(ct(f) @ f - np.eye(f.shape[-1]))  # noqa: E731
-        power, parent, label = 2, FamilyTag(Family.BOUNDED_REAL), "lossless-bounded"
-    points = grid.points
-    values, keep = evaluated
+    defect, power, parent, label = kinds[kind]
     nb = grid.boundary_points.size
-    worst, worst_point, used, skipped = _worst(points[:nb], values[:nb], keep[:nb], lambda f: -defect(f))
-    boundary = values[:nb][keep[:nb]]
-    boundary_passed = bool(np.all(defect(boundary) <= tol * (1.0 + spectral_norms(boundary) ** power)))
-    parent_worst, parent_point, _, _ = _worst(points, values, keep, _family_margin(parent))
-    parent_passed = parent_worst >= -tol
-    verdict = "pass" if boundary_passed and parent_passed else "fail"
-    if not parent_passed and parent_worst < worst:
-        worst, worst_point = parent_worst, parent_point
-    return MembershipReport(
-        family=label, verdict=verdict, worst_point=worst_point,
-        worst_margin=worst, samples_used=used, skipped=skipped, tol=tol,
-    )
+    margin = lambda f: (-spectral_norms(defect(f)), 1.0 + frobenius_norms(f) ** power)  # noqa: E731
+    rep = _report(label, grid.points[:nb], [x[:nb] for x in evaluated], margin, tol)
+    parent_rep = _report(label, grid.points, evaluated, _family_margin(FamilyTag(parent)), tol)
+    if parent_rep.passed:
+        return rep
+    worst = parent_rep if parent_rep.worst_margin < rep.worst_margin else rep
+    return replace(rep, verdict="fail", worst_point=worst.worst_point, worst_margin=worst.worst_margin)
 
 
 def cayley_function(r: Realization) -> Realization:

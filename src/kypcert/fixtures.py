@@ -9,6 +9,7 @@ of 2x2 lossless-positive functions with real parameters (a, b), a != 0:
 * ``F3`` realizes the pointwise inverse of F1, i.e. F3(z) F1(z) = I2.
 
 All five satisfy their defining identities exactly in floating point.
+``a`` and ``b`` must be finite, and ``f`` and ``g`` take neither.
 """
 
 from __future__ import annotations
@@ -34,6 +35,8 @@ class FixtureId:
     def __post_init__(self):
         if self.name not in FIXTURE_NAMES:
             raise BadParams(f"unknown fixture {self.name!r}; choose from {FIXTURE_NAMES}")
+        if not np.isfinite([self.a, self.b]).all():
+            raise BadParams(f"parameters a and b must be finite, got a = {self.a}, b = {self.b}")
         if self.name in ("F1", "F2", "F3") and self.a == 0.0:
             raise BadParams("parameter a must be nonzero")
 
@@ -42,6 +45,8 @@ def fixture(name, a: float | None = None, b: float | None = None) -> Realization
     """Construct a fixture by FixtureId or by name with optional (a, b)."""
     if isinstance(name, FixtureId):
         fid = name
+    elif name in ("f", "g") and (a is not None or b is not None):
+        raise BadParams(f"fixture {name!r} takes no parameters a and b")
     else:
         fid = FixtureId(name=str(name), a=1.0 if a is None else float(a), b=1.0 if b is None else float(b))
     if fid.name == "f":

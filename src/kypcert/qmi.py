@@ -293,6 +293,20 @@ def _tolerance(value, name: str = "tol_psd") -> float:
     return tol
 
 
+def _balanced_q(r: Realization, p: np.ndarray, tag: FamilyTag) -> tuple[np.ndarray, np.ndarray, int]:
+    """(Q(P), Q~, info) for a Hermitian P: Q~ = diag(L^-1, I) Q diag(L^-*, I)
+    with P = L L* (zpotrf, ztrtri), Q where the certificate is the identity;
+    zpotrf's info > 0 for a P that is not positive definite, whose Q~ is Q."""
+    q = assemble_q(r, _weight_entries(tag, p, r.m))
+    factor, info = zpotrf(p, lower=1)
+    q_bal, n = q.copy(), r.n
+    if n and not info:
+        l_inv = ztrtri(factor, lower=1)[0]
+        q_bal[:n] = l_inv @ q[:n]
+        q_bal[:, :n] = q_bal[:, :n] @ ct(l_inv)
+    return q, q_bal, info
+
+
 def verify_kyp(r: Realization, p, family, tol_psd: float | None = None) -> Certificate:
     """Check whether P certifies membership of F in the given family.
 
@@ -310,21 +324,14 @@ def verify_kyp(r: Realization, p, family, tol_psd: float | None = None) -> Certi
     tag = as_tag(family)
     tol = None if tol_psd is None else _tolerance(tol_psd)
     p = square(p, "P", r.n)
-    p_hermitian = is_hermitian(p, rtol=1e-10)
     ph = herm(p)
-    q = assemble_q(r, _weight_entries(tag, ph, r.m))
     mp = float(np.linalg.eigvalsh(ph)[0]) if r.n else math.inf  # empty P is vacuously admissible
-    factor, info = zpotrf(ph, lower=1)
-    q_bal, n = q.copy(), r.n
-    if n and not info:  # a P that is not positive definite leaves Q itself
-        l_inv = ztrtri(factor, lower=1)[0]
-        q_bal[:n] = l_inv @ q[:n]
-        q_bal[:, :n] = q_bal[:, :n] @ ct(l_inv)
+    q, q_bal, info = _balanced_q(r, ph, tag)
     lam = np.linalg.eigvalsh(q_bal)  # Q~ is Hermitian, so ||Q~||_2 = max(-lam_min, lam_max)
     mq = float(lam[0])
     if tol is None:
         tol = PSD_TOL_SCALE * (1.0 + max(-mq, float(lam[-1])))
-    admissible = p_hermitian and not info and mp > 0.0
+    admissible = is_hermitian(p, rtol=1e-10) and not info and mp > 0.0
     if not admissible or mq < -REFUTE_FACTOR * tol:
         status = CertificateStatus.REFUTED
     elif mq >= -tol:
@@ -704,7 +711,9 @@ def balance(r: Realization, cert: Certificate) -> tuple[Realization, Certificate
 
 
 def check_lossless(r: Realization, p, family, tol: float = 1e-8) -> bool:
-    """Degenerate-certificate test for the lossless subsets: Q(P) == 0.
+    """Degenerate-certificate test for the lossless subsets: Q(P) == 0, read
+    as ||Q~||_2 <= tol for the Q~ of `verify_kyp`, where P = I; a P that it
+    refutes as not Hermitian or not positive definite gives False.
 
     Only the continuous-time weights admit this reading (positive-real gives
     lossless-positive, bounded-real gives lossless-bounded).
@@ -713,8 +722,9 @@ def check_lossless(r: Realization, p, family, tol: float = 1e-8) -> bool:
     if tag.family not in (Family.POSITIVE_REAL, Family.BOUNDED_REAL):
         raise BadFamily("lossless check is defined for the positive/bounded-real weights only")
     tol = _tolerance(tol, "tol")
-    w = build_weight(tag, p if r.n else np.zeros((0, 0)), r.m)
-    return spectral_norm(assemble_q(r, w)) <= tol
+    p = square(p, "P", r.n)
+    _, q_bal, info = _balanced_q(r, herm(p), tag)
+    return is_hermitian(p, rtol=1e-10) and not info and spectral_norm(q_bal) <= tol
 
 
 # ---------------------------------------------------------------------------

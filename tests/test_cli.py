@@ -4,9 +4,9 @@ import sys
 
 import numpy as np
 import pytest
-from helpers import DOUBLED_STATE_TIER, OVERFLOWING_Q, resonance, write_isometry_family
+from helpers import DOUBLED_STATE_TIER, OVERFLOWING_Q, lossless_member, resonance, write_isometry_family
 
-from kypcert import cayley_function, evaluate, fixture, load_realization, save_matrix, save_realization
+from kypcert import Family, cayley_function, evaluate, fixture, load_realization, save_matrix, save_realization
 from kypcert.cli import main
 
 
@@ -81,6 +81,21 @@ def test_check_lossless_flag(capsys, tmp_path):
     code, rep = run_cli(capsys, "check", "--family", "p", "--lossless",
                         "--p-matrix", str(p_path), "--deterministic", str(path))
     assert code == 0
+    assert rep["lossless_oracle"]["verdict"] == "pass"
+    assert rep["lossless_qmi"] is True
+
+
+@pytest.mark.parametrize("n, m, seed", [(8, 2, 3), (32, 2, 1)])
+def test_check_solve_lossless_passes_an_exact_member_next_to_an_axis_pole(capsys, tmp_path, n, m, seed):
+    # solve_p certifies it; the absolute oracle rule refuted it on the grid of
+    # this seed, so the check ended on tool-error
+    path = tmp_path / "lossless.json"
+    save_realization(path, lossless_member(np.random.default_rng(seed), Family.POSITIVE_REAL, n, m))
+    code, rep = run_cli(capsys, "check", "--family", "p", "--solve", "--lossless", "--seed", str(seed),
+                        "--deterministic", str(path))
+    assert code == 0
+    assert rep["verdict"] == "pass"
+    assert rep["oracle"]["verdict"] == "pass" and rep["oracle"]["worst_margin"] < -1e-8
     assert rep["lossless_oracle"]["verdict"] == "pass"
     assert rep["lossless_qmi"] is True
 
@@ -506,6 +521,10 @@ ERROR_EXITS = {
     "combine-tol-oracle": ["combine", "--family", "p", "--inputs", "{F2}", "--tol-oracle", "1", "-o", "{out}"],
     "check-not-utf8": ["check", "--family", "p", "{latin}"],
     "check-nested-too-deep": ["check", "--family", "p", "{deep}"],
+    "fixtures-a-for-f": ["fixtures", "--name", "f", "--a", "2", "-o", "{out}"],
+    "fixtures-b-for-g": ["fixtures", "--name", "g", "--b", "1", "-o", "{out}"],
+    "fixtures-a-inf": ["fixtures", "--name", "F1", "--a", "inf", "-o", "{out}"],
+    "fixtures-b-nan": ["fixtures", "--name", "F3", "--b", "nan", "-o", "{out}"],
 }
 
 

@@ -127,6 +127,23 @@ def test_each_tier_defect_is_caught(tier):
     combine_realizations([rand_realization(rng, 3, 2) for _ in range(2)], fam)
 
 
+def test_combination_checks_no_gram_sum(monkeypatch):
+    # the family was checked when it was built; the combination is the sum
+    # matrix_convex_combine forms over the full blocks, bit for bit
+    import kypcert.cones as cones
+
+    rng = np.random.default_rng(12)
+    fam = random_isometry_family(3, 4, 2, rng)
+    rs = [rand_realization(rng, 4, 2) for _ in range(3)]
+    want = cones.matrix_convex_combine([r.array for r in rs], fam.full_blocks())
+
+    def no_gram(blocks):
+        raise AssertionError("a Gram sum was checked")
+
+    monkeypatch.setattr(cones, "_gram_defect", no_gram)
+    assert combine_realizations(rs, fam).array.tobytes() == want.tobytes()
+
+
 def test_zero_tier_drops_input():
     rng = np.random.default_rng(4)
     r1, r2 = rand_realization(rng, 2, 2), rand_realization(rng, 2, 2)

@@ -2,7 +2,7 @@ import dataclasses
 
 import numpy as np
 import pytest
-from helpers import rand_complex, transfer_max_err
+from helpers import lossless_member, rand_complex, transfer_max_err
 
 from kypcert import (
     BadParams,
@@ -29,7 +29,7 @@ from kypcert import (
     membership_oracle,
     random_certified_realization,
 )
-from kypcert._linalg import spectral_norms
+from kypcert._linalg import frobenius_norms, spectral_norms
 from kypcert.families import ORACLE_TOL
 from kypcert.realization import _evaluate_points
 
@@ -278,6 +278,7 @@ def test_lossless_boundary_tolerance_scales_with_f(n, m, delta):
         grid = make_grid(Domain.RIGHT_HALF_PLANE, 64, 64, seed)
         rep = lossless_boundary_oracle(r, "LP", grid)
         assert rep.passed == (delta == 0.0), seed
+        assert check_lossless(r, np.eye(n), Family.POSITIVE_REAL) == (delta == 0.0), seed
         assert membership_oracle(r, Family.POSITIVE_REAL, grid).passed, seed
         if rep.passed:
             # the report keeps the unscaled worst boundary margin and tol
@@ -295,6 +296,30 @@ def test_lossless_bounded_tolerance_scales_with_f(delta):
         r = cayley_function(skew_lossless(8, 2, seed, delta))
         rep = lossless_boundary_oracle(r, "LB", make_grid(Domain.RIGHT_HALF_PLANE, 64, 64, seed))
         assert rep.passed == (delta == 0.0), seed
+
+
+@pytest.mark.filterwarnings("error")
+def test_the_scale_of_huge_values_stays_finite():
+    # a sum of squares of 1e200 entries overflows; an infinite scale would
+    # let any margin pass
+    f = np.ones((2, 2, 2), dtype=complex)
+    f[0] = 1e200 + 1e200j
+    assert frobenius_norms(f) == pytest.approx([np.sqrt(8.0) * 1e200, 2.0])
+    grid = make_grid(Domain.RIGHT_HALF_PLANE, 8, 8, 0)
+    rep = membership_oracle(Realization.constant(-1e200 * np.eye(2)), Family.POSITIVE_REAL, grid)
+    assert not rep.passed and rep.worst_margin == -2e200
+
+
+@pytest.mark.parametrize("fam", list(Family), ids=lambda f: f.value)
+def test_membership_oracle_passes_exact_lossless_members(fam):
+    # an absolute 1e-8 refutes 7 of these 160, among them p at (n, m, seed)
+    # = (8, 2, 3) and (32, 2, 1), whose margins next to an axis pole round to
+    # -2.0e-7 (where ||F||_2 = 4.2e4) and -3.0e-8
+    for n in (4, 8, 16, 32):
+        for m in (1, 2):
+            for seed in range(5):
+                r = lossless_member(np.random.default_rng(seed), fam, n, m)
+                assert membership_oracle(r, fam, make_grid(family_domain(fam), 64, 64, seed)).passed, (n, m, seed)
 
 
 def test_lossless_boundary_f_fails():

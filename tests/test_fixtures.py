@@ -76,3 +76,24 @@ def test_fixture_id_and_bad_params():
         fixture("F1", a=0.0)
     with pytest.raises(BadParams):
         fixture("nope")
+
+
+@pytest.mark.parametrize("name", ["f", "g"])
+@pytest.mark.parametrize("params", [{"a": 2.0}, {"b": 1.0}, {"a": 1.0, "b": 1.0}])
+def test_parameters_given_to_f_or_g_are_refused(name, params):
+    with pytest.raises(BadParams, match="takes no parameters"):
+        fixture(name, **params)
+
+
+@pytest.mark.parametrize("name", ["F1", "F2", "F3"])
+@pytest.mark.parametrize("params", [{"a": np.inf}, {"a": -np.inf}, {"b": np.nan}, {"a": np.nan, "b": 2.0}])
+def test_non_finite_parameters_are_refused(name, params):
+    with pytest.raises(BadParams, match="must be finite"):
+        fixture(name, **params)
+    with pytest.raises(BadParams, match="must be finite"):
+        FixtureId(name=name, **params)
+
+
+@pytest.mark.parametrize("name", ["f", "g", "F1", "F2", "F3"])
+def test_no_parameters_is_valid_for_every_name(name):
+    assert fixture(name, a=None, b=None).array.tobytes() == fixture(name).array.tobytes()

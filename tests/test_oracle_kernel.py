@@ -2,7 +2,10 @@
 
 The reference evaluates F point by point with `evaluate` and keeps the worst
 margin under a strict `<`, as the oracles did before evaluation was batched.
-Reports must agree field for field and floats bit for bit; the kernel must
+It judges each point by the oracles' one rule, margin >= -tol * scale (or
+> tol * scale for the anti-discrete-bounded oracle), with the scale coded
+here from `np.linalg.norm`. Reports must agree field for field and floats bit
+for bit; the kernel must
 keep and skip the same points as `evaluate` and return the same values. As
 the two share their arithmetic, the states the kernel returns are also held
 to a backward-error bound that does not depend on either.
@@ -18,6 +21,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from helpers import lossless_member
 
 import kypcert.realization as realization
 from kypcert import (
@@ -56,17 +60,20 @@ def ref_samples(r, points):
     return out
 
 
-def ref_scan(samples, margin_fn):
-    worst, worst_point, used, skipped = math.inf, None, 0, 0
+def ref_scan(samples, margin_fn, strict=False):
+    """(worst, point, used, skipped, passed); `margin_fn` gives one value's
+    (margin, scale), and every kept point must clear tol times its scale."""
+    worst, worst_point, used, skipped, passed = math.inf, None, 0, 0, True
     for z, f in samples:
         if f is None:
             skipped += 1
             continue
         used += 1
-        margin = margin_fn(f)
+        margin, scale = margin_fn(f)
+        passed &= margin > ORACLE_TOL * scale if strict else margin >= -ORACLE_TOL * scale
         if margin < worst:
             worst, worst_point = margin, z
-    return worst, worst_point, used, skipped
+    return worst, worst_point, used, skipped, passed
 
 
 def _report(family, worst, point, used, skipped, passed, tol=ORACLE_TOL):
@@ -78,21 +85,21 @@ def _report(family, worst, point, used, skipped, passed, tol=ORACLE_TOL):
 
 def ref_membership(samples, family: Family):
     if family.is_bounded:
-        worst, point, used, skipped = ref_scan(samples, lambda f: 1.0 - spectral_norm(f))
+        scan = ref_scan(samples, lambda f: (1.0 - spectral_norm(f), 1.0 + np.linalg.norm(f)))
     else:
-        worst, point, used, skipped = ref_scan(samples, lambda f: min_eig(f + f.conj().T))
-    return _report(family.value, worst, point, used, skipped, worst >= -ORACLE_TOL)
+        scan = ref_scan(samples, lambda f: (min_eig(f + f.conj().T), 1.0 + np.linalg.norm(f)))
+    return _report(family.value, *scan)
 
 
 def ref_anti(samples):
-    worst, point, used, skipped = ref_scan(samples, lambda f: sigma_min(f) - 1.0)
-    return _report("anti-discrete-bounded", worst, point, used, skipped, worst > ORACLE_TOL)
+    scan = ref_scan(samples, lambda f: (sigma_min(f) - 1.0, 1.0 + sigma_min(f)), strict=True)
+    return _report("anti-discrete-bounded", *scan)
 
 
 def ref_hyper(samples, eta, kind):
     bound = 1.0 if math.isinf(eta) else math.sqrt((eta - 1.0) / (eta + 1.0))
-    worst, point, used, skipped = ref_scan(samples, lambda f: bound - spectral_norm(f))
-    return _report(f"{kind}(eta={eta:g})", worst, point, used, skipped, worst >= -ORACLE_TOL)
+    scan = ref_scan(samples, lambda f: (bound - spectral_norm(f), 1.0 + np.linalg.norm(f)))
+    return _report(f"{kind}(eta={eta:g})", *scan)
 
 
 def ref_lossless(samples, n_boundary, kind, m):
@@ -102,10 +109,9 @@ def ref_lossless(samples, n_boundary, kind, m):
     else:
         defect = lambda f: spectral_norm(f.conj().T @ f - np.eye(m))  # noqa: E731
         power, parent, label = 2, Family.BOUNDED_REAL, "lossless-bounded"
-    worst, point, used, skipped = ref_scan(samples[:n_boundary], lambda f: -defect(f))
     # each boundary point against a tolerance that scales with ||F(z)||
-    within = all(defect(f) <= ORACLE_TOL * (1.0 + spectral_norm(f) ** power)
-                 for _, f in samples[:n_boundary] if f is not None)
+    scan = ref_scan(samples[:n_boundary], lambda f: (-defect(f), 1.0 + np.linalg.norm(f) ** power))
+    worst, point, used, skipped, within = scan
     parent_report = ref_membership(samples, parent)
     passed = within and parent_report.passed
     if not parent_report.passed and parent_report.worst_margin < worst:
@@ -194,6 +200,9 @@ def cases():
     # m = n, and with the 32-entry budget blocks of n points: the shapes where
     # a stacked solve could read B as a stack of vectors instead of a matrix
     out["random-n3-m3"] = (_random(np.random.default_rng(20261), 3, 3), _grids(7))
+    # an exact lossless member whose margin next to an axis pole, where
+    # ||F|| is about 4e4, rounds to -2e-7: only the scaled rule passes it
+    out["lossless-near-pole"] = (lossless_member(np.random.default_rng(3), Family.POSITIVE_REAL, 8, 2), _grids(3))
     return out
 
 
@@ -277,6 +286,14 @@ def test_inputs_reach_the_paths_they_are_for():
             rep = lossless_boundary_oracle(r, kind, rhp)
             substituted.append(rep.worst_point is not None and rep.worst_point.real != 0.0)
     assert any(substituted) and not all(substituted)
+
+
+def test_near_pole_lossless_member_passes_the_scaled_rule_only():
+    r, (rhp, _) = cases()["lossless-near-pole"]
+    for rep in (membership_oracle(r, Family.POSITIVE_REAL, rhp), lossless_boundary_oracle(r, "LP", rhp)):
+        assert rep.passed
+        assert rep.worst_margin < -10 * ORACLE_TOL  # the absolute rule, worst >= -tol, refuted it
+    assert ref_membership(samples("lossless-near-pole", "rhp"), Family.POSITIVE_REAL).passed
 
 
 def test_kernel_logs_screen_and_skip_counts(caplog):

@@ -543,6 +543,44 @@ def test_check_lossless_examples():
         check_lossless(fixture("F1"), np.eye(2), Family.DISCRETE_BOUNDED_REAL)
 
 
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    fam=st.sampled_from([Family.POSITIVE_REAL, Family.BOUNDED_REAL]),
+    n=st.integers(1, 6),
+    m=st.sampled_from([1, 2]),
+    delta=st.sampled_from([0.0, 1e-6, 1e-4]),
+)
+def test_check_lossless_does_not_move_with_diagonal_coordinates(seed, fam, n, m, delta):
+    # exact lossless members (Q(I) = 0) and their copies damped to A - delta I,
+    # with P = I and with a random P; in coordinates T, P becomes T* P T
+    rng = np.random.default_rng(seed)
+    r = lossless_member(rng, fam, n, m)
+    r = Realization(n=n, m=m, A=r.A - delta * np.eye(n), B=r.B, C=r.C, D=r.D)
+    d = rng.permutation(np.geomspace(1e-5, 1e5, n))  # T = diag(d) spans 10 decades
+    for p, lossless in ((np.eye(n), delta == 0.0), (rand_hpd(rng, n), False)):
+        assert check_lossless(r, p, fam) is lossless
+        assert check_lossless(change_coordinates(r, np.diag(d)), d[:, None] * p * d[None, :], fam) is lossless
+
+
+def test_check_lossless_on_certified_lossless_members_in_moved_coordinates():
+    # the first 25 lossless members per family, n in {2, 4, 8, 16}, that
+    # solve_p certifies in coordinates of condition up to 100; ||Q(P)||_2
+    # scales with P, and the absolute rule refuted 9 of the 50
+    for fam in (Family.POSITIVE_REAL, Family.BOUNDED_REAL):
+        certified, seed = 0, 0
+        while certified < 25:
+            rng = np.random.default_rng(seed)
+            r = lossless_member(rng, fam, (2, 4, 8, 16)[seed % 4], 1 + seed % 2)
+            s = np.exp(rng.uniform(0.0, math.log(100.0), r.n))
+            r = change_coordinates(r, (rand_unitary(rng, r.n) * s) @ rand_unitary(rng, r.n))
+            cert = solve_p(r, fam)
+            if isinstance(cert, Certificate):
+                certified += 1
+                assert check_lossless(r, cert.p, fam), (fam, seed)
+            seed += 1
+
+
 def test_lossless_fixture_transfer_against_cayley_pair():
     # the bounded-real side: Cayley image of a lossless-positive fixture has
     # unit modulus on the imaginary axis, so its lossless QMI vanishes too
