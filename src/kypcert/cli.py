@@ -13,7 +13,7 @@ takes both tolerances, ``transform`` and ``combine`` only ``--tol-psd``.
 ``--op coords``; ``wmat --p-matrix`` needs ``--n`` equal to the size of P
 and excludes ``--balanced``. Every oracle of ``check`` passes a point whose
 margin is at least ``-tol_oracle`` times the size of the terms that cancel in
-it (1 + ||F(z)||_F, squared for the lossless-bounded defect), and
+it, taken in the margin's own direction v (1 + ||F(z) v||), and
 ``check --lossless`` asks ||Q~||_2 <= tol_oracle of the balanced Q~ of a
 verified P. ``fixtures`` takes ``--a``/``--b``, finite, only for F1-F3.
 """
@@ -21,7 +21,6 @@ verified P. ``fixtures`` takes ``--a``/``--b``, finite, only for F1-F3.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import datetime
 import functools
 import math
@@ -123,8 +122,15 @@ def _report_point(z: complex | None):
 
 
 def _report_oracle(rep: MembershipReport) -> dict:
-    out = dataclasses.asdict(rep)
-    if out.pop("worst_point") is not None:
+    out = {
+        "family": rep.family,
+        "verdict": rep.verdict,
+        "worst_margin": rep.worst_margin,
+        "samples_used": rep.samples_used,
+        "skipped": rep.skipped,
+        "tol": rep.tol,
+    }
+    if rep.worst_point is not None:
         out["worst_point"] = _complex_pair(rep.worst_point)
     return out
 
@@ -306,7 +312,8 @@ def cmd_fixtures(args, report) -> int:
     r = fixture(args.name, a=args.a, b=args.b)
     meta = {"name": args.name}
     if args.name in ("F1", "F2", "F3"):
-        meta["params"] = {key: 1.0 if v is None else v for key, v in (("a", args.a), ("b", args.b))}
+        meta["params"] = {"a": args.a if args.a is not None else 1.0,
+                          "b": args.b if args.b is not None else 1.0}
     save_realization(args.output, r, metadata=meta)
     report["fixture"] = meta
     report["output"] = args.output

@@ -162,8 +162,15 @@ def matrix_convex_combine(matrices, iso) -> np.ndarray:
     mats = list(matrices)
     if len(mats) != iso.k:
         raise DimensionMismatch(f"{len(mats)} matrices for {iso.k} isometry blocks")
-    out = np.zeros((iso.nu, iso.nu), dtype=complex)
-    for j, (a, y) in enumerate(zip(mats, iso.blocks)):
+    return _combine(mats, iso.blocks)
+
+
+def _combine(mats, blocks) -> np.ndarray:
+    """sum_j Y_j* A_j Y_j over as many matrices as blocks, with no check of
+    the blocks' Gram sum."""
+    nu = blocks[0].shape[1]
+    out = np.zeros((nu, nu), dtype=complex)
+    for j, (a, y) in enumerate(zip(mats, blocks)):
         out += y.conj().T @ square(a, f"matrix {j}", y.shape[0]) @ y
     return out
 

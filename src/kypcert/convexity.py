@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._linalg import seeded
-from .cones import IsometryTuple, random_isometry_tuple
+from .cones import IsometryTuple, _combine, random_isometry_tuple
 from .exceptions import DimensionMismatch, InputNotCertified, NotAnIsometryFamily
 from .qmi import Certificate, NotFound, as_tag, balance, solve_p, verify_kyp
 from .realization import Realization
@@ -71,8 +71,8 @@ class IsometryFamily:
 
 def combine_realizations(rs, fam: IsometryFamily) -> Realization:
     """sum_j Y_j* R_j Y_j over the arrays R_j, with Y_j = diag(Y_{j,n}, Y_{j,m}),
-    the products and sum of `matrix_convex_combine` without its Gram check:
-    the family was checked when it was built, so its Gram sum is I."""
+    as `matrix_convex_combine` sums it but without its Gram check: the family
+    was checked when it was built, so its Gram sum is I."""
     rs = list(rs)
     if len(rs) != fam.k:
         raise DimensionMismatch(f"{len(rs)} realizations for {fam.k} isometry blocks")
@@ -80,7 +80,7 @@ def combine_realizations(rs, fam: IsometryFamily) -> Realization:
     for j, r in enumerate(rs):
         if (r.n, r.m) != (n, m):
             raise DimensionMismatch(f"realization #{j} has (n, m) = {(r.n, r.m)}, expected {(n, m)}")
-    return Realization.from_array(sum(y.conj().T @ r.array @ y for r, y in zip(rs, fam.full_blocks())), n, m)
+    return Realization.from_array(_combine([r.array for r in rs], fam.full_blocks()), n, m)
 
 
 @dataclass(frozen=True)

@@ -177,8 +177,27 @@ def make_grid(
 
 def _passes(margins, scales, tol: float, strict: bool = False) -> bool:
     """The pass rule of every oracle: each margin >= -tol * scale (> tol * scale
-    if strict), a scale being the size of the terms that cancel in its margin."""
+    if strict), a scale being the size of the terms that cancel in its margin.
+    A scale is taken no larger than the largest float, so that none lets a
+    margin of -inf pass."""
+    scales = np.minimum(scales, np.finfo(float).max)
     return bool(np.all(margins > tol * scales if strict else margins >= -tol * scales))
+
+
+def _along(f, h, margins, largest: bool = False):
+    """The scale 1 + ||F v|| of each margin read off the Hermitian h = F + F*:
+    v is the unit eigenvector of h for its smallest eigenvalue, or for the
+    eigenvalue of largest modulus when `largest`. So the scale is the size of
+    F in the margin's own direction, and a large value of F in another
+    direction does not excuse it. A margin >= 0 passes at any scale, so only
+    negative finite margins get eigenvectors; the rest get 1."""
+    scales = np.ones_like(margins)
+    need = np.isfinite(margins) & (margins < 0.0)
+    if need.any():
+        w, v = np.linalg.eigh((h[need] + ct(h[need])) / 2)
+        i = np.abs(w).argmax(axis=-1) if largest else np.zeros(len(w), dtype=int)
+        scales[need] = 1.0 + frobenius_norms(f[need] @ np.take_along_axis(v, i[:, None, None], axis=-1))
+    return scales
 
 
 def _report(family: str, points, evaluated, margin_fn, tol: float, strict: bool = False) -> MembershipReport:
@@ -198,13 +217,24 @@ def _report(family: str, points, evaluated, margin_fn, tol: float, strict: bool 
 
 
 def _family_margin(tag: FamilyTag):
-    """Pointwise (margin, scale) of a family tag: the margin is min eig(F + F*)
-    for the positive-real families, sqrt((eta-1)/(eta+1)) - ||F||_2 for the
-    bounded-real ones (1 - ||F||_2 at eta = inf); the scale is 1 + ||F||_F."""
+    """Pointwise (margin, scale) of a family tag: min eig(F + F*) at scale
+    `_along` for the positive-real families; sqrt((eta-1)/(eta+1)) - ||F||_2
+    at scale 1 + ||F||_2 for the bounded-real ones (1 - ||F||_2 at eta = inf)."""
     if tag.family.is_bounded:
         bound = 1.0 if math.isinf(tag.eta) else math.sqrt((tag.eta - 1.0) / (tag.eta + 1.0))
-        return lambda f: (bound - spectral_norms(f), 1.0 + frobenius_norms(f))
-    return lambda f: (min_eigs(f + ct(f)), 1.0 + frobenius_norms(f))
+
+        def bounded(f):
+            norms = spectral_norms(f)
+            return bound - norms, 1.0 + norms
+
+        return bounded
+
+    def positive(f):
+        h = f + ct(f)
+        margins = min_eigs(h)
+        return margins, _along(f, h, margins)
+
+    return positive
 
 
 def _with_sample(rep: MembershipReport, z: complex, margin: float, scale: float) -> MembershipReport:
@@ -227,8 +257,10 @@ def membership_oracle(r: Realization, family, grid: DomainGrid, tol: float = ORA
     families and 1 - ||F(z)||_2 for the bounded-real ones; a bounded-real tag
     with a finite eta gets the hyper-bounded margin sqrt((eta-1)/(eta+1)) -
     ||F(z)||_2 and the label ``hyper-bounded(eta=...)``. A point passes when
-    its margin is >= -tol (1 + ||F(z)||_F); the report carries the unscaled
-    worst margin. Pole-adjacent points are skipped and counted.
+    its margin is >= -tol (1 + ||F(z) v||), v the unit direction the margin
+    is taken in (so ||F(z) v|| = ||F(z)||_2 for the bounded-real margins);
+    the report carries the unscaled worst margin. Pole-adjacent points are
+    skipped and counted.
     """
     return _membership_report(family, grid, _evaluate_points(r, grid.points), tol)
 
@@ -266,25 +298,38 @@ def lossless_boundary_oracle(r: Realization, kind: str, grid: DomainGrid, tol: f
     """Boundary degeneracy test for the lossless subsets.
 
     kind "LP": F + F* vanishes on the imaginary axis (margin -||F+F*||_2,
-    scale 1 + ||F||_F); kind "LB": F*F = I there (margin -||F*F - I||_2,
-    scale 1 + ||F||_F^2). The verdict also requires the parent family oracle
-    (positive- resp. bounded-real) to pass on the same grid; the worst
-    margin is the parent's when that fails with a lower margin.
+    scale `_along` its eigenvalue of largest modulus); kind "LB": F*F = I
+    there (margin -||F*F - I||_2, scale 2 + ||F*F - I||_2). The verdict also
+    requires the parent family oracle (positive- resp. bounded-real) to pass
+    on the same grid; the worst margin is the parent's when that fails with a
+    lower margin.
     """
     return _lossless_report(kind, grid, _evaluate_points(r, grid.points), tol)
+
+
+def _lossless_positive_margin(f):
+    h = f + ct(f)
+    margins = -spectral_norms(h)
+    return margins, _along(f, h, margins, largest=True)
+
+
+def _lossless_bounded_margin(f):
+    """Along the direction v of ||F*F - I||_2 = d, the terms that cancel are
+    ||F v||^2 = 1 +- d and 1, so the scale 2 + d bounds their size."""
+    margins = -spectral_norms(ct(f) @ f - np.eye(f.shape[-1]))
+    return margins, 2.0 - margins
 
 
 def _lossless_report(kind: str, grid: DomainGrid, evaluated, tol: float) -> MembershipReport:
     """`lossless_boundary_oracle` from `_evaluate_points` over `grid.points`;
     one evaluation serves both the boundary margin and the parent family's."""
-    kinds = {"LP": (lambda f: f + ct(f), 1, Family.POSITIVE_REAL, "lossless-positive"),
-             "LB": (lambda f: ct(f) @ f - np.eye(f.shape[-1]), 2, Family.BOUNDED_REAL, "lossless-bounded")}
+    kinds = {"LP": (_lossless_positive_margin, Family.POSITIVE_REAL, "lossless-positive"),
+             "LB": (_lossless_bounded_margin, Family.BOUNDED_REAL, "lossless-bounded")}
     if kind not in kinds:
         raise BadParams(f"kind must be 'LP' or 'LB', got {kind!r}")
     _check_domain(grid, Domain.RIGHT_HALF_PLANE, "lossless boundary oracle")
-    defect, power, parent, label = kinds[kind]
+    margin, parent, label = kinds[kind]
     nb = grid.boundary_points.size
-    margin = lambda f: (-spectral_norms(defect(f)), 1.0 + frobenius_norms(f) ** power)  # noqa: E731
     rep = _report(label, grid.points[:nb], [x[:nb] for x in evaluated], margin, tol)
     parent_rep = _report(label, grid.points, evaluated, _family_margin(FamilyTag(parent)), tol)
     if parent_rep.passed:

@@ -324,6 +324,7 @@ def verify_kyp(r: Realization, p, family, tol_psd: float | None = None) -> Certi
     tag = as_tag(family)
     tol = None if tol_psd is None else _tolerance(tol_psd)
     p = square(p, "P", r.n)
+    p_hermitian = is_hermitian(p, rtol=1e-10)
     ph = herm(p)
     mp = float(np.linalg.eigvalsh(ph)[0]) if r.n else math.inf  # empty P is vacuously admissible
     q, q_bal, info = _balanced_q(r, ph, tag)
@@ -331,7 +332,7 @@ def verify_kyp(r: Realization, p, family, tol_psd: float | None = None) -> Certi
     mq = float(lam[0])
     if tol is None:
         tol = PSD_TOL_SCALE * (1.0 + max(-mq, float(lam[-1])))
-    admissible = is_hermitian(p, rtol=1e-10) and not info and mp > 0.0
+    admissible = p_hermitian and not info and mp > 0.0
     if not admissible or mq < -REFUTE_FACTOR * tol:
         status = CertificateStatus.REFUTED
     elif mq >= -tol:

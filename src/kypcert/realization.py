@@ -384,7 +384,14 @@ def invert_function(r: Realization) -> Realization:
     if nearly_singular(r.D, POLE_RTOL):
         raise SingularD("feedthrough D is singular; function inverse is improper")
     dinv = np.linalg.inv(r.D)
-    return Realization(n=r.n, m=r.m, A=r.A - r.B @ dinv @ r.C, B=r.B @ dinv, C=-dinv @ r.C, D=dinv)
+    return Realization(
+        n=r.n,
+        m=r.m,
+        A=r.A - r.B @ dinv @ r.C,
+        B=r.B @ dinv,
+        C=-dinv @ r.C,
+        D=dinv,
+    )
 
 
 def cascade(r1: Realization, r2: Realization) -> Realization:
@@ -395,7 +402,10 @@ def cascade(r1: Realization, r2: Realization) -> Realization:
     if r1.m != r2.m:
         raise DimensionMismatch(f"m mismatch: {r1.m} vs {r2.m}")
     n1, n2, m = r1.n, r2.n, r1.m
-    a = np.block([[r1.A, r1.B @ r2.C], [np.zeros((n2, n1)), r2.A]])
+    a = np.zeros((n1 + n2, n1 + n2), dtype=complex)
+    a[:n1, :n1] = r1.A
+    a[:n1, n1:] = r1.B @ r2.C
+    a[n1:, n1:] = r2.A
     b = np.vstack([r1.B @ r2.D, r2.B])
     c = np.hstack([r1.C, r1.D @ r2.C])
     d = r1.D @ r2.D

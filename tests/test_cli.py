@@ -100,6 +100,26 @@ def test_check_solve_lossless_passes_an_exact_member_next_to_an_axis_pole(capsys
     assert rep["lossless_qmi"] is True
 
 
+def test_check_refutes_a_violation_beside_a_large_channel(capsys, tmp_path):
+    # F + F* = diag(2e6, -2e-3) exactly: the -2e-3 is judged at the size of F
+    # in its own direction, 1e-3, not at ||F|| = 1e6
+    from kypcert import Realization
+
+    path = tmp_path / "spread.json"
+    save_realization(path, Realization.constant(np.diag([1e6, -1e-3])))
+    code, rep = run_cli(capsys, "check", "--family", "p", "--deterministic", str(path))
+    assert code == 2
+    assert rep["verdict"] == "refuted-by-witness"
+    assert rep["oracle"]["verdict"] == "fail"
+    assert rep["oracle"]["worst_margin"] == pytest.approx(-2e-3)
+    # the witness rescoring keeps it failing under --solve; verify_kyp's own
+    # tolerance, 1e-9 (1 + ||Q~||_2) = 2e-3, admits the empty P, so that
+    # check does not end on a pass either
+    code, rep = run_cli(capsys, "check", "--family", "p", "--solve", "--deterministic", str(path))
+    assert code != 0 and rep["verdict"] != "pass"
+    assert rep["oracle"]["verdict"] == "fail"
+
+
 def test_check_hyper_eta(capsys, tmp_path):
     from kypcert import Realization
 

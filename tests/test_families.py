@@ -30,7 +30,7 @@ from kypcert import (
     random_certified_realization,
 )
 from kypcert._linalg import frobenius_norms, spectral_norms
-from kypcert.families import ORACLE_TOL
+from kypcert.families import ORACLE_TOL, _lossless_bounded_margin, _passes
 from kypcert.realization import _evaluate_points
 
 
@@ -272,7 +272,8 @@ def skew_lossless(n, m, seed, delta=0.0) -> Realization:
 @pytest.mark.parametrize("n, m", [(8, 1), (8, 2), (32, 1), (32, 2)])
 def test_lossless_boundary_tolerance_scales_with_f(n, m, delta):
     # next to an axis pole ||F + F*|| rounds to far above 1e-8 while ||F||
-    # is large: each boundary point is judged against tol (1 + ||F||_2)
+    # is large: each boundary point is judged against tol (1 + ||F v||), v
+    # the eigenvector of F + F* of largest modulus
     for seed in range(20):
         r = skew_lossless(n, m, seed, delta)
         grid = make_grid(Domain.RIGHT_HALF_PLANE, 64, 64, seed)
@@ -291,7 +292,7 @@ def test_lossless_boundary_tolerance_scales_with_f(n, m, delta):
 @pytest.mark.parametrize("delta", [0.0, 1e-4], ids=["lossless", "damped-1e-4"])
 def test_lossless_bounded_tolerance_scales_with_f(delta):
     # the Cayley image of the corpus is lossless bounded-real, judged
-    # against tol (1 + ||F||_2^2)
+    # against tol (2 + ||F*F - I||_2)
     for seed in range(20):
         r = cayley_function(skew_lossless(8, 2, seed, delta))
         rep = lossless_boundary_oracle(r, "LB", make_grid(Domain.RIGHT_HALF_PLANE, 64, 64, seed))
@@ -308,6 +309,30 @@ def test_the_scale_of_huge_values_stays_finite():
     grid = make_grid(Domain.RIGHT_HALF_PLANE, 8, 8, 0)
     rep = membership_oracle(Realization.constant(-1e200 * np.eye(2)), Family.POSITIVE_REAL, grid)
     assert not rep.passed and rep.worst_margin == -2e200
+    # the lossless-bounded scale is 2 + ||F*F - I||_2, with no square of a
+    # norm to overflow; a margin of -inf or NaN, as an F*F that overflows
+    # gives, passes at no scale, also at tol = 0
+    margins, scales = _lossless_bounded_margin(np.full((1, 1, 1), 1e150 + 0j))
+    assert np.isfinite(scales).all() and not _passes(margins, scales, ORACLE_TOL)
+    for tol in (0.0, ORACLE_TOL):
+        for margin, scale in ((-np.inf, np.inf), (np.nan, np.nan), (-np.inf, 2.0)):
+            assert not _passes(np.array([margin]), np.array([scale]), tol)
+
+
+@pytest.mark.parametrize("d", [[1e6, -1e-3], [1e10, -0.1], [1e6j, -1e-3]], ids=["1e6", "1e10", "skew-1e6"])
+def test_a_large_channel_hides_no_violation_in_another(d):
+    # F + F* = 2 diag(Re d) is exact for a constant; its margin is judged at
+    # the size of F in the margin's own direction, |d[1]|, where the norm of
+    # all of F would allow 1e-2 or more
+    r = Realization.constant(np.diag(d))
+    for fam in (Family.POSITIVE_REAL, Family.DISCRETE_POSITIVE_REAL):
+        rep = membership_oracle(r, fam, make_grid(family_domain(fam), 16, 16, 0))
+        assert not rep.passed
+        assert rep.worst_margin == pytest.approx(2 * d[1])
+    # nor is F + F* = diag(0, -2 d[1]) a lossless boundary beside a skew entry
+    lossy = Realization.constant(np.diag([1j * abs(d[0]), -d[1]]))
+    rep = lossless_boundary_oracle(lossy, "LP", make_grid(Domain.RIGHT_HALF_PLANE, 16, 16, 0))
+    assert not rep.passed and rep.worst_margin == pytest.approx(2 * d[1])
 
 
 @pytest.mark.parametrize("fam", list(Family), ids=lambda f: f.value)

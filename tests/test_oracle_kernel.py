@@ -4,8 +4,10 @@ The reference evaluates F point by point with `evaluate` and keeps the worst
 margin under a strict `<`, as the oracles did before evaluation was batched.
 It judges each point by the oracles' one rule, margin >= -tol * scale (or
 > tol * scale for the anti-discrete-bounded oracle), with the scale coded
-here from `np.linalg.norm`. Reports must agree field for field and floats bit
-for bit; the kernel must
+here point by point: 1 + ||F v|| for the unit direction v the margin is taken
+in (an eigenvector of F + F* from `np.linalg.eigh`, or ||F||_2 itself), and
+2 + ||F*F - I||_2 for the lossless-bounded defect. Reports must agree field
+for field and floats bit for bit; the kernel must
 keep and skip the same points as `evaluate` and return the same values. As
 the two share their arithmetic, the states the kernel returns are also held
 to a backward-error bound that does not depend on either.
@@ -83,11 +85,19 @@ def _report(family, worst, point, used, skipped, passed, tol=ORACLE_TOL):
     )
 
 
+def along(f, largest=False):
+    """1 + ||F v|| for the unit eigenvector v of F + F* of its smallest
+    eigenvalue, or of its eigenvalue of largest modulus."""
+    w, v = np.linalg.eigh(f + f.conj().T)
+    i = int(np.argmax(np.abs(w))) if largest else 0
+    return 1.0 + np.linalg.norm(f @ v[:, i])
+
+
 def ref_membership(samples, family: Family):
     if family.is_bounded:
-        scan = ref_scan(samples, lambda f: (1.0 - spectral_norm(f), 1.0 + np.linalg.norm(f)))
+        scan = ref_scan(samples, lambda f: (1.0 - spectral_norm(f), 1.0 + spectral_norm(f)))
     else:
-        scan = ref_scan(samples, lambda f: (min_eig(f + f.conj().T), 1.0 + np.linalg.norm(f)))
+        scan = ref_scan(samples, lambda f: (min_eig(f + f.conj().T), along(f)))
     return _report(family.value, *scan)
 
 
@@ -98,19 +108,20 @@ def ref_anti(samples):
 
 def ref_hyper(samples, eta, kind):
     bound = 1.0 if math.isinf(eta) else math.sqrt((eta - 1.0) / (eta + 1.0))
-    scan = ref_scan(samples, lambda f: (bound - spectral_norm(f), 1.0 + np.linalg.norm(f)))
+    scan = ref_scan(samples, lambda f: (bound - spectral_norm(f), 1.0 + spectral_norm(f)))
     return _report(f"{kind}(eta={eta:g})", *scan)
 
 
 def ref_lossless(samples, n_boundary, kind, m):
     if kind == "LP":
-        defect = lambda f: spectral_norm(f + f.conj().T)  # noqa: E731
-        power, parent, label = 1, Family.POSITIVE_REAL, "lossless-positive"
+        margin = lambda f: (-spectral_norm(f + f.conj().T), along(f, largest=True))  # noqa: E731
+        parent, label = Family.POSITIVE_REAL, "lossless-positive"
     else:
         defect = lambda f: spectral_norm(f.conj().T @ f - np.eye(m))  # noqa: E731
-        power, parent, label = 2, Family.BOUNDED_REAL, "lossless-bounded"
-    # each boundary point against a tolerance that scales with ||F(z)||
-    scan = ref_scan(samples[:n_boundary], lambda f: (-defect(f), 1.0 + np.linalg.norm(f) ** power))
+        margin = lambda f: (-defect(f), 2.0 + defect(f))  # noqa: E731
+        parent, label = Family.BOUNDED_REAL, "lossless-bounded"
+    # each boundary point against a tolerance that scales with the size of F
+    scan = ref_scan(samples[:n_boundary], margin)
     worst, point, used, skipped, within = scan
     parent_report = ref_membership(samples, parent)
     passed = within and parent_report.passed
@@ -203,6 +214,9 @@ def cases():
     # an exact lossless member whose margin next to an axis pole, where
     # ||F|| is about 4e4, rounds to -2e-7: only the scaled rule passes it
     out["lossless-near-pole"] = (lossless_member(np.random.default_rng(3), Family.POSITIVE_REAL, 8, 2), _grids(3))
+    # F + F* = diag(0, -2e-3) next to ||F|| = 1e6: a scale from all of F
+    # would excuse the second direction's violation
+    out["wide-spread"] = (Realization.constant(np.diag([1e6j, -1e-3])), _grids(4))
     return out
 
 
