@@ -90,7 +90,6 @@ from .qmi import (
 )
 from .realization import (
     Realization,
-    TransferSample,
     cascade,
     change_coordinates,
     evaluate,

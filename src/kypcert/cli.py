@@ -290,7 +290,7 @@ def cmd_eval(args, report) -> int:
     except ValueError:
         raise BadParams(f"--at expects 're,im', got {args.at!r}") from None
     report["z"] = _complex_pair(z)
-    report["value"] = evaluate(r, z).value
+    report["value"] = evaluate(r, z)
     return EXIT_OK
 
 

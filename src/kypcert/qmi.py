@@ -21,6 +21,7 @@ import numpy as np
 
 from ._linalg import (
     ct,
+    frobenius_norms,
     frozen,
     herm,
     is_hermitian,
@@ -248,13 +249,13 @@ def build_weight(family, p, m: int) -> WMatrix:
     DimensionMismatch, BadParams
         If P is not a finite square matrix, or m < 1.
     NotPositiveDefinite
-        If P is not Hermitian positive definite.
+        If P is not Hermitian, or zpotrf finds it not positive definite.
     """
     tag = as_tag(family)
     p = square(p, "P")
     if not is_hermitian(p):
         raise NotPositiveDefinite("P must be Hermitian")
-    if p.size and min_eig(p) <= 0.0:
+    if p.size and zpotrf(p, lower=1)[1]:
         raise NotPositiveDefinite("P must be positive definite")
     n, m = _dimensions(p.shape[0], m)
     return WMatrix(family=tag, n=n, m=m, entries=_weight_entries(tag, p, m), p_used=p)
@@ -317,8 +318,9 @@ def verify_kyp(r: Realization, p, family, tol_psd: float | None = None) -> Certi
     min_eig_q >= -tol_psd; REFUTED if the Cholesky factorization of P fails
     or min_eig_q < -1000*tol_psd (which refutes only this certificate, not
     membership); INCONCLUSIVE otherwise. The default tol_psd is
-    1e-9 * (1 + ||Q~||_2); q is the unscaled Q. A P that is not a finite
-    n x n matrix, or a tol_psd that is negative or not finite, raises
+    1e-9 * (1 + min(||Q~||_2, |v|^T |Q~| |v|)), v the unit eigenvector of
+    lambda_min(Q~) and |.| entrywise; q is the unscaled Q. A P that is not a
+    finite n x n matrix, or a tol_psd that is negative or not finite, raises
     DimensionMismatch or BadParams.
     """
     tag = as_tag(family)
@@ -332,6 +334,9 @@ def verify_kyp(r: Realization, p, family, tol_psd: float | None = None) -> Certi
     mq = float(lam[0])
     if tol is None:
         tol = PSD_TOL_SCALE * (1.0 + max(-mq, float(lam[-1])))
+        if mq < 0.0:  # the size of Q~ along the eigenvector of lambda_min, if smaller
+            v = np.abs(np.linalg.eigh(q_bal)[1][:, 0])
+            tol = min(tol, PSD_TOL_SCALE * (1.0 + float(v @ np.abs(q_bal) @ v)))
     admissible = p_hermitian and not info and mp > 0.0
     if not admissible or mq < -REFUTE_FACTOR * tol:
         status = CertificateStatus.REFUTED
@@ -426,11 +431,14 @@ def _witness_points(r: Realization, tag: FamilyTag) -> np.ndarray:
 # Q(P) >= diag(2e-3 |alpha| P, 0) for A (decay-rate LMIs: Boyd, El Ghaoui,
 # Feron & Balakrishnan 1994, sec. 5.1), a margin of 2e-3 |alpha| in balance.
 #
-# KYP equalities: Q(P) = diag(0, Rx) asks P B = Sx and P A = Qx - A* P, so
-# P A^(k+1) B = Qx A^k B - A* (P A^k B) and P K = W on the Krylov matrix
-# K = [B, A B, ..., A^(n-1) B]: P = W K^+. This is exact for lossless members
-# (Q = 0) and for the P B = C* that a singular D + D* forces in p, where Rx is
-# singular and the rung cannot run.
+# Deflated rung: once P B = Sx, Q(P) = diag(Qx - P A - A* P, Rx), so with
+# Rx >= 0 the state block decides. With the SVD B = U [S V*; 0] of rank k,
+# P B = Sx fixes the first k columns of U* P U; with A~ = U* A U and L the
+# state block of U* Q(P) U at P22 = 0, the state block is a KYP form in P22,
+# for (A~22, A~21) with Popov blocks (L22, L21, L11). The rung runs on it;
+# where it finds no X, the form is deflated again, and at k = n P is fixed:
+# the structure algorithm of generalized Riccati theory (Ionescu, Oara &
+# Weiss 1999).
 _RICCATI_EPS = 1e-6
 
 #: the second pass: A - _DECAY_SHIFT alpha I, and its _AXIS_RTOL
@@ -462,31 +470,31 @@ def _popov_blocks(r: Realization, w_io: np.ndarray) -> tuple[np.ndarray, np.ndar
     return mx[:n, :n], mx[:n, n:], mx[n:, n:], spectral_norm(mx)
 
 
-def _hamiltonian(r: Realization, w_io: np.ndarray, eps: float = 0.0) -> tuple[np.ndarray | None, np.ndarray, float]:
-    """(H, Rx, s) for the Popov function of r with Qx - eps s I in place of
-    Qx, s = 1 + ||M||_2; H is None when Rx is singular or H is not finite."""
-    qx, sx, rx, norm_m = _popov_blocks(r, w_io)
+def _hamiltonian(a: np.ndarray, b: np.ndarray, popov: tuple, eps: float = 0.0) -> np.ndarray | None:
+    """H for (A, B), popov = (Qx, Sx, Rx, ||M||_2) and Qx - eps s I for Qx,
+    s = 1 + ||M||_2; None when Rx is singular or H is not finite."""
+    qx, sx, rx, norm_m = popov
     if sigma_min(rx) <= POLE_RTOL * norm_m:
-        return None, rx, 1.0 + norm_m
-    n = r.n
+        return None
+    n = a.shape[0]
     h = np.empty((2 * n, 2 * n), dtype=complex)
     with np.errstate(over="ignore", invalid="ignore"):  # huge entries: H is not finite
-        ri_s, ri_b = np.linalg.solve(rx, ct(sx)), np.linalg.solve(rx, ct(r.B))
-        h[:n, :n] = r.A - r.B @ ri_s
-        h[:n, n:] = -r.B @ ri_b
+        ri_s, ri_b = np.linalg.solve(rx, ct(sx)), np.linalg.solve(rx, ct(b))
+        h[:n, :n] = a - b @ ri_s
+        h[:n, n:] = -b @ ri_b
         h[n:, :n] = sx @ ri_s - (qx - eps * (1.0 + norm_m) * np.eye(n))
         h[n:, n:] = -ct(h[:n, :n])
-    return (h if np.all(np.isfinite(h)) else None), rx, 1.0 + norm_m
+    return h if np.all(np.isfinite(h)) else None
 
 
 def _axis_crossings(r: Realization, w_io: np.ndarray) -> np.ndarray:
     """The real w with i w an eigenvalue of the Hamiltonian H of Phi(F(i w));
     empty when Rx is singular or H has no eigenvalue on the axis."""
-    ham = _hamiltonian(r, w_io)[0]
+    ham = _hamiltonian(r.A, r.B, _popov_blocks(r, w_io))
     if ham is None:
         return np.zeros(0)
     lam = np.linalg.eigvals(ham)
-    return lam[np.abs(lam.real) <= _AXIS_RTOL * np.linalg.norm(ham)].imag
+    return lam[np.abs(lam.real) <= _AXIS_RTOL * frobenius_norms(ham[None])[0]].imag
 
 
 def _ordered_schur(h: np.ndarray) -> tuple[np.ndarray, np.ndarray, int] | None:
@@ -502,21 +510,22 @@ def _ordered_schur(h: np.ndarray) -> tuple[np.ndarray, np.ndarray, int] | None:
     return None if info else (t, u, k)
 
 
-def _riccati_x(g: Realization, tag: FamilyTag, eps: float, axis_rtol: float) -> tuple[np.ndarray | None, str]:
-    """(X, why): the stabilizing X of the Riccati equation of g with
-    Qx - eps s I for Qx, or None and why there is none."""
-    ham, rx, s = _hamiltonian(g, _io_weight(tag, g.m), eps)
-    if not min_eig(rx) > POLE_RTOL * s:
+def _riccati_x(a: np.ndarray, b: np.ndarray, popov: tuple, eps: float, axis_rtol: float) -> tuple[np.ndarray | None, str]:
+    """(X, why): the stabilizing X of the Riccati equation of `_hamiltonian`'s
+    arguments, or None and why there is none."""
+    if not min_eig(popov[2]) > POLE_RTOL * (1.0 + popov[3]):
         return None, "Rx not positive definite"
+    ham = _hamiltonian(a, b, popov, eps)
     if ham is None:  # Rx passed the stricter test above, so H overflowed
         return None, "H not finite"
     ordered = _ordered_schur(ham)
     if ordered is None:
         return None, "Schur reordering failed"
     t, u, sdim = ordered
-    if sdim != g.n or np.abs(np.diag(t).real).min() <= axis_rtol * np.linalg.norm(ham):
+    n = a.shape[0]
+    if sdim != n or np.abs(np.diag(t).real).min() <= axis_rtol * frobenius_norms(ham[None])[0]:
         return None, "axis eigenvalue"
-    u1, u2 = u[:g.n, :g.n], u[g.n:, :g.n]
+    u1, u2 = u[:n, :n], u[n:, :n]
     if not sigma_min(u1) > POLE_RTOL:  # ||U1||_2 <= 1: U is unitary
         return None, "U1 singular"
     return herm(np.linalg.solve(u1.T, u2.T).T), "verify_kyp rejected P"
@@ -529,14 +538,14 @@ def _riccati_certificate(r: Realization, tag: FamilyTag, tol_psd: float | None) 
     if form is None:
         return [], "I + A singular"
     g, scale = form
-    x, why = _riccati_x(g, tag, _RICCATI_EPS, _AXIS_RTOL)
+    popov = _popov_blocks(g, _io_weight(tag, g.m))
+    x, why = _riccati_x(g.A, g.B, popov, _RICCATI_EPS, _AXIS_RTOL)
     judged = [] if x is None else [verify_kyp(r, -scale * x, tag, tol_psd)]
     if judged and judged[0].verified:
         return judged, f"certified by the Riccati rung at eps={_RICCATI_EPS:g}"
     alpha = g.poles().real.max()
     if alpha < 0.0:
-        shifted = Realization(n=g.n, m=g.m, A=g.A - _DECAY_SHIFT * alpha * np.eye(g.n), B=g.B, C=g.C, D=g.D)
-        x = _riccati_x(shifted, tag, 0.0, _SHIFTED_AXIS_RTOL)[0]
+        x = _riccati_x(g.A - _DECAY_SHIFT * alpha * np.eye(g.n), g.B, popov, 0.0, _SHIFTED_AXIS_RTOL)[0]
         if x is not None:
             judged.append(verify_kyp(r, -scale * x, tag, tol_psd))
             if judged[-1].verified:
@@ -544,9 +553,34 @@ def _riccati_certificate(r: Realization, tag: FamilyTag, tol_psd: float | None) 
     return judged, why
 
 
-def _equality_p(r: Realization, tag: FamilyTag) -> np.ndarray | None:
-    """P = W K^+ from the KYP equalities on the Krylov space of (A, B), each
-    block column scaled to unit norm; None when the recursion overflows."""
+def _deflate(a: np.ndarray, b: np.ndarray, popov: tuple) -> np.ndarray | None:
+    """P with P B = Sx and its free block from the rung or a deflation of the
+    reduced form; None for an indefinite Rx, B = 0 or a non-finite form."""
+    qx, sx, rx, norm_m = popov
+    u, sv, vh = np.linalg.svd(b)
+    k = int(np.count_nonzero(sv > 1e-12 * sv.max(initial=0.0)))
+    if not k or min_eig(rx) < -PSD_TOL_SCALE * (1.0 + norm_m):
+        return None
+    x = ct(u) @ sx @ ct(vh[:k]) / sv[:k]
+    p = np.zeros_like(u)
+    p[:k, :k], p[k:, :k], p[:k, k:] = herm(x[:k]), x[k:], ct(x[k:])
+    if k < a.shape[0]:
+        at = ct(u) @ a @ u
+        lx = herm(ct(u) @ qx @ u - p @ at - ct(at) @ p)
+        if not np.isfinite(lx).all():
+            return None
+        reduced = (at[k:, k:], at[k:, :k], (lx[k:, k:], lx[k:, :k], lx[:k, :k], spectral_norm(lx)))
+        y = _riccati_x(*reduced, _RICCATI_EPS, _AXIS_RTOL)[0]
+        p22 = _deflate(*reduced) if y is None else -y
+        if p22 is None:
+            return None
+        p[k:, k:] = p22
+    return u @ p @ ct(u)
+
+
+def _deflated_p(r: Realization, tag: FamilyTag) -> np.ndarray | None:
+    """The deflated rung's P (comment above `_RICCATI_EPS`); None when it
+    forms none."""
     if tag.family.is_discrete:
         # F(conj(u) z), realized by (u A, B, u C, D) with |u| = 1, has the
         # certificates of F; u sends the middle of the widest gap between the
@@ -559,18 +593,9 @@ def _equality_p(r: Realization, tag: FamilyTag) -> np.ndarray | None:
     if form is None:
         return None
     g, scale = form
-    qx, sx = _popov_blocks(g, _io_weight(tag, r.m))[:2]
-    k, w = [g.B], [sx]
     with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(r.n - 1):
-            ak = g.A @ k[-1]
-            c = 1.0 / (np.linalg.norm(ak) or 1.0)
-            w.append(c * (qx @ k[-1] - ct(g.A) @ w[-1]))
-            k.append(c * ak)
-        k, w = np.hstack(k), np.hstack(w)
-    if not (np.all(np.isfinite(k)) and np.all(np.isfinite(w))):
-        return None
-    return scale * herm(ct(np.linalg.lstsq(ct(k), ct(w), rcond=None)[0]))
+        p = _deflate(g.A, g.B, _popov_blocks(g, _io_weight(tag, g.m)))
+    return None if p is None or not np.isfinite(p).all() else scale * herm(p)
 
 
 def _crossing_points(r: Realization, tag: FamilyTag) -> np.ndarray:
@@ -643,8 +668,8 @@ def solve_p(r: Realization, family, *, tol_psd: float | None = None) -> Certific
     The candidates, each judged only by `verify_kyp`, are: the stabilizing
     solution of the tightened KYP Riccati equation (when Rx = Phi(D) > 0,
     Phi(F(-1)) for dp/db), and for a stable A that of A shifted towards the
-    axis; the P meeting the KYP equalities Q(P) = diag(0, Rx) on the Krylov
-    space of (A, B); and the identity (comment above `_RICCATI_EPS`). The
+    axis; when Rx >= 0, the P with P B = Sx that the same rung completes on
+    the deflated KYP form; and the identity (comment above `_RICCATI_EPS`). The
     first verified Certificate is returned. Else a witness screen evaluates
     the family's frequency-domain form Phi(F(z)) at infinity, a few boundary
     points and, if those show nothing, at the zero crossings of Phi on the
@@ -675,8 +700,8 @@ def solve_p(r: Realization, family, *, tol_psd: float | None = None) -> Certific
     if judged and judged[-1].verified:
         _log.debug("solve_p %s n=%d m=%d: %s", tag.label, n, m, why)
         return judged[-1]
-    for name, p in (("the KYP equalities", _equality_p(r, tag)), ("the identity", np.eye(n, dtype=complex))):
-        if p is None:  # the Krylov recursion overflowed
+    for name, p in (("the deflated rung", _deflated_p(r, tag)), ("the identity", np.eye(n, dtype=complex))):
+        if p is None:
             continue
         judged.append(verify_kyp(r, p, tag, tol_psd))
         if judged[-1].verified:

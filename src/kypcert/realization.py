@@ -25,7 +25,6 @@ from .exceptions import (
 
 __all__ = [
     "Realization",
-    "TransferSample",
     "evaluate",
     "is_minimal",
     "change_coordinates",
@@ -150,16 +149,8 @@ class Realization:
         return f"Realization(n={self.n}, m={self.m})"
 
 
-@dataclass(frozen=True)
-class TransferSample:
-    """A single evaluation F(z) of the transfer function."""
-
-    z: complex
-    value: np.ndarray
-
-
-def evaluate(r: Realization, z: complex) -> TransferSample:
-    """Evaluate F(z) = C (zI - A)^-1 B + D.
+def evaluate(r: Realization, z: complex) -> np.ndarray:
+    """F(z) = C (zI - A)^-1 B + D, an m x m array.
 
     This is `_evaluate_points` on the one point z, which it judges by the
     exact rule alone, without the eigenvalue screen. z must be finite;
@@ -181,7 +172,7 @@ def evaluate(r: Realization, z: complex) -> TransferSample:
     values, keep = _evaluate_points(r, np.array([z]))
     if not keep[0]:
         raise PoleAt(z)
-    return TransferSample(z=z, value=values[0])
+    return values[0]
 
 
 def _schur(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -110,14 +110,14 @@ def riccati_off(monkeypatch):
 def transfer_max_err(r1: Realization, r2: Realization, points) -> float:
     """Max entrywise deviation between two transfer functions on a point set."""
     return max(
-        float(np.abs(evaluate(r1, z).value - evaluate(r2, z).value).max()) for z in points
+        float(np.abs(evaluate(r1, z) - evaluate(r2, z)).max()) for z in points
     )
 
 
 def sampled_max_err(r: Realization, fn, points) -> float:
     """Max deviation between a realization and a closed-form matrix function."""
     return max(
-        float(np.abs(evaluate(r, z).value - np.atleast_2d(fn(z))).max()) for z in points
+        float(np.abs(evaluate(r, z) - np.atleast_2d(fn(z))).max()) for z in points
     )
 
 

@@ -103,10 +103,10 @@ def test_criterion_03_inversion_example():
     )
     db = kc.membership_oracle(g, Family.DISCRETE_BOUNDED_REAL, witness)
     ok &= db.verdict == "fail"
-    ok &= abs(abs(kc.evaluate(g, 3.0).value[0, 0]) - 10.0 / 3.0) < 1e-12
+    ok &= abs(abs(kc.evaluate(g, 3.0)[0, 0]) - 10.0 / 3.0) < 1e-12
     anti = kc.anti_db_oracle(g, witness)
     ok &= anti.verdict == "fail"
-    ok &= abs(kc.evaluate(g, -2.0).value[0, 0]) < 1e-12
+    ok &= abs(kc.evaluate(g, -2.0)[0, 0]) < 1e-12
     _report(3, "scalar inversion example end to end", bool(ok))
 
 
@@ -165,7 +165,7 @@ def test_criterion_05_lossless_fixtures():
             used = 0
             for z in grid16.boundary_points:
                 try:
-                    v = kc.evaluate(r, z).value
+                    v = kc.evaluate(r, z)
                 except kc.PoleAt:
                     continue
                 used += 1
@@ -173,7 +173,7 @@ def test_criterion_05_lossless_fixtures():
             ok &= skew_worst <= 1e-9 and used >= 14
         ok &= float(np.abs(kc.invert_array(f1).array - f2.array).max()) <= 1e-12
         prod_worst = max(
-            float(np.abs(kc.evaluate(f3, z).value @ kc.evaluate(f1, z).value - np.eye(2)).max())
+            float(np.abs(kc.evaluate(f3, z) @ kc.evaluate(f1, z) - np.eye(2)).max())
             for z in pts
         )
         ok &= prod_worst <= 1e-8
@@ -273,7 +273,7 @@ def test_criterion_08_cayley_bilinear_coherence():
         out = kc.bilinear_substitute(r)
         disk_worst = min(
             float(np.linalg.eigvalsh(v + v.conj().T)[0])
-            for v in (kc.evaluate(out, 1.0 / z).value for z in ext.interior_points)
+            for v in (kc.evaluate(out, 1.0 / z) for z in ext.interior_points)
         )
         ok &= disk_worst >= -1e-8
     # sampled substitution identity at 16 points
@@ -285,8 +285,8 @@ def test_criterion_08_cayley_bilinear_coherence():
         r = kc.fixture(name)
         out = kc.bilinear_substitute(r)
         for z in pts:
-            lhs = kc.evaluate(out, z).value
-            rhs = kc.evaluate(r, mob(z)).value
+            lhs = kc.evaluate(out, z)
+            rhs = kc.evaluate(r, mob(z))
             worst_id = max(worst_id, float(np.abs(lhs - rhs).max()))
     ok &= worst_id < 1e-9
     _report(8, "Cayley/bilinear coherence", bool(ok),

@@ -4,7 +4,7 @@ import sys
 
 import numpy as np
 import pytest
-from helpers import DOUBLED_STATE_TIER, OVERFLOWING_Q, lossless_member, resonance, write_isometry_family
+from helpers import DOUBLED_STATE_TIER, OVERFLOWING_Q, lossless_member, rand_hpd, resonance, write_isometry_family
 
 from kypcert import Family, cayley_function, evaluate, fixture, load_realization, save_matrix, save_realization
 from kypcert.cli import main
@@ -112,12 +112,15 @@ def test_check_refutes_a_violation_beside_a_large_channel(capsys, tmp_path):
     assert rep["verdict"] == "refuted-by-witness"
     assert rep["oracle"]["verdict"] == "fail"
     assert rep["oracle"]["worst_margin"] == pytest.approx(-2e-3)
-    # the witness rescoring keeps it failing under --solve; verify_kyp's own
-    # tolerance, 1e-9 (1 + ||Q~||_2) = 2e-3, admits the empty P, so that
-    # check does not end on a pass either
-    code, rep = run_cli(capsys, "check", "--family", "p", "--solve", "--deterministic", str(path))
-    assert code != 0 and rep["verdict"] != "pass"
-    assert rep["oracle"]["verdict"] == "fail"
+    # verify_kyp judges Q~ = diag(2e6, -2e-3) at its size along the
+    # eigenvector of -2e-3 too, so under --solve no P is verified and the
+    # oracle's witness refutes, with the constant and with a state added
+    n1 = Realization(n=1, m=2, A=[[-1.0]], B=[[1.0, 0.0]], C=[[1.0], [0.0]], D=np.diag([1e6, -1e-3]))
+    save_realization(tmp_path / "spread1.json", n1)
+    for name in ("spread.json", "spread1.json"):
+        code, rep = run_cli(capsys, "check", "--family", "p", "--solve", "--deterministic", str(tmp_path / name))
+        assert code == 2 and rep["verdict"] == "refuted-by-witness"
+        assert rep["oracle"]["verdict"] == "fail" and rep["solver"]["status"] == "not-found"
 
 
 def test_check_hyper_eta(capsys, tmp_path):
@@ -172,6 +175,32 @@ def test_wmat_p_matrix_with_its_size_as_n(capsys, tmp_path):
     assert rep["entries"][0][4] == [-2.0, 0.0]
 
 
+def test_wmat_takes_a_p_in_badly_scaled_coordinates(capsys, tmp_path):
+    # P = diag(d) P0 diag(d) with d spread over ten decades: zpotrf factors
+    # it, though eigvalsh puts its smallest eigenvalue at -1.5e-5
+    rng = np.random.default_rng(21)
+    d = rng.permutation(np.geomspace(1e-5, 1e5, 3))
+    p = d[:, None] * rand_hpd(rng, 3) * d[None, :]
+    p_path = tmp_path / "P.json"
+    save_matrix(p_path, p)
+    code, rep = run_cli(capsys, "wmat", "--family", "p", "--p-matrix", str(p_path), "--n", "3", "--m", "1",
+                        "--deterministic")
+    assert code == 0 and rep["entries"][0][4] == [-p[0, 0].real, -p[0, 0].imag]
+
+
+def test_check_solve_certifies_two_poles_in_moved_coordinates(capsys, tmp_path):
+    # 1/(s+1) + 2/(s+2), D = 0, in coordinates T = [[1, 10], [0, 1]]: only
+    # the deflated rung certifies it
+    from kypcert import Realization, change_coordinates
+
+    r = Realization(n=2, m=1, A=np.diag([-1.0, -2.0]), B=[[1.0], [1.0]], C=[[1.0, 2.0]], D=[[0.0]])
+    path = tmp_path / "two.json"
+    save_realization(path, change_coordinates(r, np.array([[1.0, 10.0], [0.0, 1.0]])))
+    code, rep = run_cli(capsys, "check", "--family", "p", "--solve", "--deterministic", str(path))
+    assert code == 0 and rep["verdict"] == "pass"
+    assert rep["certificate"]["status"] == "verified"
+
+
 def test_fixtures_command_round_trip(capsys, tmp_path):
     out = tmp_path / "F2.json"
     code, rep = run_cli(capsys, "fixtures", "--name", "F2", "--a", "2", "--b", "-1",
@@ -197,7 +226,7 @@ def test_transform_invert_fn_and_cayley(capsys, tmp_path):
                       "--deterministic")
     assert code == 0
     inv = load_realization(out)
-    prod = evaluate(inv, 2.0).value @ evaluate(fixture("F1"), 2.0).value
+    prod = evaluate(inv, 2.0) @ evaluate(fixture("F1"), 2.0)
     assert np.abs(prod - np.eye(2)).max() < 1e-10
     code, _ = run_cli(capsys, "transform", "--op", "cayley-fn", str(src), "-o", str(out),
                       "--deterministic")
@@ -223,7 +252,7 @@ def test_transform_coords_and_balance(capsys, tmp_path, f_file):
     assert code == 0
     assert rep["certificate"]["status"] == "verified"
     back = load_realization(out)
-    assert abs(evaluate(back, 1.0).value[0, 0] - 1.0 / 6.0) < 1e-10
+    assert abs(evaluate(back, 1.0)[0, 0] - 1.0 / 6.0) < 1e-10
     # balance without the certificate inputs is a usage error
     code, _ = run_cli(capsys, "transform", "--op", "balance", str(moved_path),
                       "-o", str(out), "--deterministic")
@@ -414,7 +443,7 @@ def test_resonance_is_refuted_at_the_solver_witness(capsys, tmp_path):
     assert rep["oracle"]["verdict"] == "fail" and rep["oracle"]["samples_used"] == used + 1
     assert rep["oracle"]["worst_point"] == rep["solver"]["witness"]
     z = complex(*rep["oracle"]["worst_point"])
-    margin = 1.0 - abs(evaluate(resonance(), z).value[0, 0])
+    margin = 1.0 - abs(evaluate(resonance(), z)[0, 0])
     assert margin < -1e-8 and margin == pytest.approx(rep["oracle"]["worst_margin"], abs=1e-12)
 
 
@@ -429,7 +458,7 @@ def test_eta_check_scores_the_solver_witness(capsys, tmp_path):
     code, rep = run_cli(capsys, *argv, "--solve")
     assert code == 2 and rep["oracle"]["family"] == "hyper-bounded(eta=3)"
     z = complex(*rep["oracle"]["worst_point"])
-    assert abs(evaluate(resonance(gain=1.0, zeta=1e-3), z).value[0, 0]) > np.sqrt(0.5)
+    assert abs(evaluate(resonance(gain=1.0, zeta=1e-3), z)[0, 0]) > np.sqrt(0.5)
 
 
 def test_solver_witness_at_infinity_is_standard_json(capsys, tmp_path):

@@ -93,7 +93,7 @@ def test_fixture_g_fails_discrete_bounded_with_witness():
     rep = membership_oracle(fixture("g"), Family.DISCRETE_BOUNDED_REAL, grid)
     assert rep.verdict == "fail"
     assert rep.worst_margin < -1.0  # |g| exceeds 1 by a wide margin somewhere
-    val = abs(evaluate(fixture("g"), 3.0).value[0, 0])
+    val = abs(evaluate(fixture("g"), 3.0)[0, 0])
     assert abs(val - 10.0 / 3.0) < 1e-12
 
 
@@ -391,9 +391,9 @@ def test_cayley_function_matches_pointwise_cayley():
     r = fixture("F1", a=2.0, b=-1.0)
     out = cayley_function(r)
     for z in (1.0 + 0.5j, 2.0, 0.3 + 1j):
-        fz = evaluate(r, z).value
+        fz = evaluate(r, z)
         expected = (np.eye(2) - fz) @ np.linalg.inv(np.eye(2) + fz)
-        assert np.abs(evaluate(out, z).value - expected).max() < 1e-10
+        assert np.abs(evaluate(out, z) - expected).max() < 1e-10
 
 
 def test_cayley_function_singular_i_plus_d():
@@ -416,12 +416,12 @@ def test_bilinear_sampled_identity():
         r = fixture(name)
         out = bilinear_substitute(r)
         for z in (0.0, 0.3 + 0.1j, -0.5 + 0.2j, 2.0 + 2j, -3.0 + 1j):
-            lhs = evaluate(out, z).value
-            rhs = evaluate(r, mob(z)).value
+            lhs = evaluate(out, z)
+            rhs = evaluate(r, mob(z))
             assert np.abs(lhs - rhs).max() < 1e-9
     # the derived spot check: G(0) = F(1)
     out = bilinear_substitute(fixture("f"))
-    assert np.abs(evaluate(out, 0.0).value - evaluate(fixture("f"), 1.0).value).max() < 1e-9
+    assert np.abs(evaluate(out, 0.0) - evaluate(fixture("f"), 1.0)).max() < 1e-9
 
 
 def test_bilinear_output_positive_on_disk():
@@ -434,7 +434,7 @@ def test_bilinear_output_positive_on_disk():
         out = bilinear_substitute(fixture(name))
         worst = np.inf
         for z in ext.interior_points:
-            v = evaluate(out, 1.0 / z).value
+            v = evaluate(out, 1.0 / z)
             worst = min(worst, np.linalg.eigvalsh(v + v.conj().T)[0])
         assert worst >= -1e-8, name
 
@@ -482,7 +482,7 @@ def test_function_level_matrix_convexity():
     checked = 0
     for z in rhp.points:
         try:
-            samples = [evaluate(r, z).value for r in members]
+            samples = [evaluate(r, z) for r in members]
         except PoleAt:
             continue
         combo = matrix_convex_combine(samples, iso)
@@ -495,6 +495,6 @@ def test_function_level_matrix_convexity():
                for _ in range(3)]
     iso = random_isometry_tuple([2, 2, 2], 2, rng)
     for z in ext.points:
-        samples = [evaluate(r, z).value for r in members]
+        samples = [evaluate(r, z) for r in members]
         combo = matrix_convex_combine(samples, iso)
         assert np.linalg.norm(combo, 2) <= 1.0 + 1e-9

@@ -18,7 +18,7 @@ PARAM_PAIRS = [(1.0, 1.0), (2.0, -1.0), (0.5, 3.0)]
 
 def test_fixture_f_closed_form():
     r = fixture("f")
-    assert abs(evaluate(r, 1.0).value[0, 0] - 1.0 / 6.0) < 1e-14
+    assert abs(evaluate(r, 1.0)[0, 0] - 1.0 / 6.0) < 1e-14
     assert sampled_max_err(r, f_closed, GRID) < 1e-9
 
 
@@ -53,7 +53,7 @@ def test_fixture_f3_times_f1_is_identity(a, b):
     f1 = fixture("F1", a=a, b=b)
     f3 = fixture("F3", a=a, b=b)
     for z in GRID:
-        prod = evaluate(f3, z).value @ evaluate(f1, z).value
+        prod = evaluate(f3, z) @ evaluate(f1, z)
         assert np.abs(prod - np.eye(2)).max() < 1e-10
 
 

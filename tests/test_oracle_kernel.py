@@ -56,7 +56,7 @@ def ref_samples(r, points):
     out = []
     for z in points:
         try:
-            out.append((complex(z), evaluate(r, z).value))
+            out.append((complex(z), evaluate(r, z)))
         except PoleAt:
             out.append((complex(z), None))
     return out
@@ -365,7 +365,7 @@ def test_screen_keeps_what_evaluate_keeps(seed, n, log_cond, log_offset):
     values, keep = _evaluate_points(r, points)
     for z, kept, value in zip(points, keep, values):
         try:
-            f = evaluate(r, z).value
+            f = evaluate(r, z)
         except PoleAt:
             assert not kept, z
         else:
@@ -432,14 +432,14 @@ def test_evaluate_is_the_kernel_on_one_point_without_the_screen(monkeypatch):
     """`evaluate` judges its point by the exact rule alone; a call with two
     or more points still screens."""
     r, (rhp, _) = cases()["random-n8-m1"]
-    want = [evaluate(r, z).value for z in rhp.points[:3]]
+    want = [evaluate(r, z) for z in rhp.points[:3]]
 
     def no_screen(*args):
         raise AssertionError("the screen ran")
 
     monkeypatch.setattr(realization, "_pole_screen", no_screen)
     for z, value in zip(rhp.points[:3], want):
-        assert evaluate(r, z).value.tobytes() == value.tobytes()
+        assert evaluate(r, z).tobytes() == value.tobytes()
     with pytest.raises(PoleAt):
         evaluate(r, np.linalg.eigvals(r.A)[0])
     with pytest.raises(AssertionError, match="the screen ran"):

@@ -1,6 +1,6 @@
 """Q(P) in closed form: the P-free Popov blocks M = [Qx Sx; Sx* Rx] of
 `qmi._popov_blocks` plus the linear part L(P), checked against `assemble_q`.
-The rung and the KYP-equality candidate both read Q(P) this way."""
+The rung and the deflated rung both read Q(P) this way."""
 
 import numpy as np
 import pytest

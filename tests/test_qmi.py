@@ -118,6 +118,18 @@ def test_weight_requires_positive_definite():
         build_weight(Family.POSITIVE_REAL, np.array([[0.0, 1.0], [0.0, 0.0]]), 1)
 
 
+def test_weight_takes_every_p_that_cholesky_factors():
+    # P = diag(d) P0 diag(d), d a permutation of geomspace(1e-5, 1e5, n): a
+    # certificate in badly scaled coordinates, which eigvalsh can put below 0
+    rng = np.random.default_rng(0)
+    for i in range(600):
+        n = 2 + i % 5
+        d = rng.permutation(np.geomspace(1e-5, 1e5, n))
+        p0 = np.eye(n) if i % 2 else rand_hpd(rng, n)
+        p = d[:, None] * p0 * d[None, :]
+        assert build_weight(Family.POSITIVE_REAL, p, 1).p_used.shape == (n, n)
+
+
 def test_eta_validation():
     with pytest.raises(EtaOutOfRange):
         FamilyTag(Family.BOUNDED_REAL, eta=1.0)
@@ -421,6 +433,19 @@ def test_default_tolerance_gives_the_status_of_the_svd_rule():
     assert seen == set(CertificateStatus)
 
 
+def test_a_large_channel_excuses_no_violation_in_another():
+    # F(inf) = D = diag(10^k, -delta) is not positive real; the default
+    # tolerance was 1e-9 (1 + ||Q~||_2), which admitted -2 delta for large k
+    r = Realization(n=1, m=2, A=[[-1.0]], B=[[1.0, 0.0]], C=[[1.0], [0.0]], D=np.diag([1e6, -1e-3]))
+    assert verify_kyp(r, np.eye(1), Family.POSITIVE_REAL).status is CertificateStatus.REFUTED
+    for k in range(9):
+        for delta in (1e-6, 1e-5, 1e-3):
+            d = np.diag([10.0**k, -delta])
+            for r in (Realization.constant(d), Realization(n=1, m=2, A=[[-1.0]], B=[[1.0, 0.0]],
+                                                           C=[[1.0], [0.0]], D=d)):
+                assert isinstance(solve_p(r, Family.POSITIVE_REAL), NotFound), (k, delta, r.n)
+
+
 def test_a_tiny_p_verifies_no_non_member():
     # F(s) = 2 / (s + 1) is not bounded real, yet Q(1e-12) lies within 1e-10
     # of the PSD cone; the same holds for a resonance with gain 1.0625
@@ -589,5 +614,5 @@ def test_lossless_fixture_transfer_against_cayley_pair():
     f1 = fixture("F1")
     cf = cayley_function(f1)
     for y in (0.5, 1.5, -2.0):
-        v = evaluate(cf, 1j * y).value
+        v = evaluate(cf, 1j * y)
         assert np.abs(v.conj().T @ v - np.eye(2)).max() < 1e-10

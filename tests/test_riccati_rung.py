@@ -41,7 +41,15 @@ from kypcert import (
 )
 from kypcert import qmi, save_realization
 from kypcert.cli import FAMILY_CODES, main
-from kypcert.qmi import _RICCATI_EPS, _continuous, _hamiltonian, _io_weight, _ordered_schur, _riccati_certificate
+from kypcert.qmi import (
+    _RICCATI_EPS,
+    _continuous,
+    _hamiltonian,
+    _io_weight,
+    _ordered_schur,
+    _popov_blocks,
+    _riccati_certificate,
+)
 
 TAGS = [FamilyTag(fam) for fam in Family] + [FamilyTag(Family.BOUNDED_REAL, eta=3.0)]
 
@@ -252,9 +260,10 @@ def test_ordered_schur_form_is_scipys_lhp_sorted_schur_form(tag, n):
     hams = []
     for m in (1, 2, 3):
         g = _continuous(moved_member(rng, tag, n, m), tag)[0]
-        hams.append(_hamiltonian(g, _io_weight(tag, g.m), _RICCATI_EPS)[0])
+        hams.append(_hamiltonian(g.A, g.B, _popov_blocks(g, _io_weight(tag, g.m)), _RICCATI_EPS))
     if tag.family is Family.BOUNDED_REAL and n == 2:
-        hams.append(_hamiltonian(resonance(1.001, 1e-3, 0.1), _io_weight(tag, 1), _RICCATI_EPS)[0])
+        r = resonance(1.001, 1e-3, 0.1)
+        hams.append(_hamiltonian(r.A, r.B, _popov_blocks(r, _io_weight(tag, 1)), _RICCATI_EPS))
     for h in hams:
         t, u, k = _ordered_schur(h)
         t_ref, u_ref, k_ref = scipy.linalg.schur(h, output="complex", sort="lhp")
@@ -269,14 +278,16 @@ def test_non_finite_hamiltonian_skips_the_rung():
 
 @pytest.mark.parametrize("fam", [Family.POSITIVE_REAL, Family.BOUNDED_REAL], ids=lambda f: f.value)
 def test_huge_entries_give_a_typed_result_without_warnings(fam):
-    # B B* overflows in the Hamiltonian and F F* in the witness screen
-    r = Realization(n=1, m=1, A=[[-1.0]], B=[[1e200]], C=[[1.0]], D=[[1.0]])
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        res = solve_p(r, fam)
-    assert isinstance(res, (Certificate, NotFound))
-    if isinstance(res, Certificate):
-        assert verify_kyp(r, res.p, fam).verified
+    # B B* overflows in the Hamiltonian and F F* in the witness screen at
+    # B = 1e200; at B = 1e150, H is finite but its norm overflows
+    for b in (1e200, 1e150):
+        r = Realization(n=1, m=1, A=[[-1.0]], B=[[b]], C=[[1.0]], D=[[1.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = solve_p(r, fam)
+        assert isinstance(res, (Certificate, NotFound))
+        if isinstance(res, Certificate):
+            assert verify_kyp(r, res.p, fam).verified
 
 
 @pytest.mark.parametrize("fam,r", OVERFLOWING_Q, ids=[fam.value for fam, _ in OVERFLOWING_Q])
@@ -329,7 +340,7 @@ def test_a_rejected_shifted_p_is_judged_and_counted():
     judged, why = _riccati_certificate(r, FamilyTag(Family.BOUNDED_REAL), None)
     assert why == "axis eigenvalue" and [c.status for c in judged] == [CertificateStatus.INCONCLUSIVE]
     res = solve_p(r, Family.BOUNDED_REAL)
-    # judged: the shifted P, the equalities and the identity
+    # judged: the shifted P, the deflated rung's P and the identity
     assert isinstance(res, NotFound) and res.stop == "no-certificate" and res.iterations == 3
     assert res.best_p.tobytes() == judged[0].p.tobytes() and res.min_eig_q == judged[0].min_eig_q
 
@@ -353,10 +364,10 @@ def _unstable(b):
 
 @pytest.mark.parametrize("r,fam,message", [
     (fixture("f"), Family.BOUNDED_REAL, "certified by the Riccati rung at eps=1e-06"),
-    (fixture("f"), Family.POSITIVE_REAL, "Rx not positive definite; certified by the KYP equalities"),
-    (fixture("g"), Family.POSITIVE_REAL, "axis eigenvalue; certified by the KYP equalities"),
+    (fixture("f"), Family.POSITIVE_REAL, "Rx not positive definite; certified by the deflated rung"),
+    (fixture("g"), Family.POSITIVE_REAL, "axis eigenvalue; certified by the deflated rung"),
     (Realization(n=2, m=1, A=np.diag([-1.0, -2.0]), B=np.ones((2, 1)), C=np.ones((1, 2)), D=[[0.0]]),
-     Family.POSITIVE_REAL, "Rx not positive definite; certified by the identity"),
+     Family.POSITIVE_REAL, "Rx not positive definite; certified by the deflated rung"),
     (resonance(), Family.BOUNDED_REAL, "axis eigenvalue; no certificate"),
     (_unstable(0.5), Family.POSITIVE_REAL, "verify_kyp rejected P; no certificate"),
     (_unstable(0.0), Family.POSITIVE_REAL, "U1 singular; no certificate"),

@@ -28,7 +28,7 @@ def test_round_trip_fixture_f(tmp_path):
     save_realization(path, fixture("f"), metadata={"name": "f"})
     back = load_realization(path)
     assert np.abs(back.array - fixture("f").array).max() == 0.0
-    assert abs(evaluate(back, 1.0).value[0, 0] - 1.0 / 6.0) < 1e-14
+    assert abs(evaluate(back, 1.0)[0, 0] - 1.0 / 6.0) < 1e-14
 
 
 def test_round_trip_is_bit_faithful_and_canonical(tmp_path):
