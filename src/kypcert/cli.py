@@ -51,6 +51,7 @@ from .qmi import (
     Family,
     FamilyTag,
     NotFound,
+    _find_witness,
     balance,
     build_balanced_weight,
     build_weight,
@@ -109,16 +110,12 @@ def _read(report: dict, path: str, loader):
     return value
 
 
-def _complex_pair(z: complex) -> list[float]:
-    return [float(z.real), float(z.imag)]
-
-
 def _report_point(z: complex | None):
     """A point as [re, im]; complex infinity as "infinity", so the JSON
     stays standard."""
     if z is None:
         return None
-    return _complex_pair(z) if np.isfinite(z) else "infinity"
+    return [float(z.real), float(z.imag)] if np.isfinite(z) else "infinity"
 
 
 def _report_oracle(rep: MembershipReport) -> dict:
@@ -131,7 +128,7 @@ def _report_oracle(rep: MembershipReport) -> dict:
         "tol": rep.tol,
     }
     if rep.worst_point is not None:
-        out["worst_point"] = _complex_pair(rep.worst_point)
+        out["worst_point"] = _report_point(rep.worst_point)
     return out
 
 
@@ -173,9 +170,12 @@ def cmd_check(args, report) -> int:
         kind = "LP" if tag.family is Family.POSITIVE_REAL else "LB"
         report["lossless_oracle"] = _report_oracle(_lossless_report(kind, grid, evaluated, args.tol_oracle))
 
-    cert = None
+    cert = witness = None
     if args.p_matrix:
         cert = verify_kyp(r, _read(report, args.p_matrix, load_matrix), tag, args.tol_psd)
+        if cert.verified and cert.min_eig_q < 0.0 and oracle.passed:
+            # verified within the tolerance only: ask the witness screen too
+            witness = _find_witness(r, tag, args.tol_psd)
     elif args.solve:
         found = solve_p(r, tag, tol_psd=args.tol_psd)
         if isinstance(found, NotFound):
@@ -187,12 +187,14 @@ def cmd_check(args, report) -> int:
                 "witness": _report_point(found.witness),
                 "note": "not a proof of non-membership",
             }
-            if oracle.passed and found.witness is not None and np.isfinite(found.witness):
-                # the grid missed what the solver found: score its point too
-                margin, scale = _family_margin(tag)(_evaluate_points(r, [found.witness])[0])
-                oracle = _with_sample(oracle, found.witness, float(margin[0]), float(scale[0]))
+            witness = found.witness
         else:
             cert = found
+    if oracle.passed and witness is not None:
+        # the grid missed what the screen found: score its point too, F(inf) = D
+        values = _evaluate_points(r, [witness])[0] if np.isfinite(witness) else r.D[None]
+        margin, scale = _family_margin(tag)(values)
+        oracle = _with_sample(oracle, witness, float(margin[0]), float(scale[0]))
     report["oracle"] = _report_oracle(oracle)
     if cert is not None:
         report["certificate"] = _report_certificate(cert)
@@ -289,7 +291,7 @@ def cmd_eval(args, report) -> int:
         z = complex(float(re_s), float(im_s))
     except ValueError:
         raise BadParams(f"--at expects 're,im', got {args.at!r}") from None
-    report["z"] = _complex_pair(z)
+    report["z"] = _report_point(z)
     report["value"] = evaluate(r, z)
     return EXIT_OK
 

@@ -315,8 +315,13 @@ def _lossless_positive_margin(f):
 
 def _lossless_bounded_margin(f):
     """Along the direction v of ||F*F - I||_2 = d, the terms that cancel are
-    ||F v||^2 = 1 +- d and 1, so the scale 2 + d bounds their size."""
-    margins = -spectral_norms(ct(f) @ f - np.eye(f.shape[-1]))
+    ||F v||^2 = 1 +- d and 1, so the scale 2 + d bounds their size. Where
+    F*F or d overflows, the margin is the most negative float."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        g = ct(f) @ f - np.eye(f.shape[-1])
+        keep = np.isfinite(g).all(axis=(-2, -1))
+        margins = np.full(keep.shape, -np.finfo(float).max)
+        margins[keep] = -np.minimum(spectral_norms(g[keep]), np.finfo(float).max)
     return margins, 2.0 - margins
 
 

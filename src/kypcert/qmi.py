@@ -45,7 +45,7 @@ from .exceptions import (
     NumericalFailure,
     SingularIPlusA,
 )
-from .realization import POLE_RTOL, Realization, _dimensions, _evaluate_points, _schur, _similarity
+from .realization import POLE_RTOL, Realization, _dimensions, _evaluate_points, _schur, change_coordinates
 
 __all__ = [
     "Family",
@@ -249,13 +249,13 @@ def build_weight(family, p, m: int) -> WMatrix:
     DimensionMismatch, BadParams
         If P is not a finite square matrix, or m < 1.
     NotPositiveDefinite
-        If P is not Hermitian, or zpotrf finds it not positive definite.
+        If P is not Hermitian, or `_inverse_factor` finds it not positive definite.
     """
     tag = as_tag(family)
     p = square(p, "P")
     if not is_hermitian(p):
         raise NotPositiveDefinite("P must be Hermitian")
-    if p.size and zpotrf(p, lower=1)[1]:
+    if _inverse_factor(p) is None:
         raise NotPositiveDefinite("P must be positive definite")
     n, m = _dimensions(p.shape[0], m)
     return WMatrix(family=tag, n=n, m=m, entries=_weight_entries(tag, p, m), p_used=p)
@@ -294,18 +294,27 @@ def _tolerance(value, name: str = "tol_psd") -> float:
     return tol
 
 
-def _balanced_q(r: Realization, p: np.ndarray, tag: FamilyTag) -> tuple[np.ndarray, np.ndarray, int]:
-    """(Q(P), Q~, info) for a Hermitian P: Q~ = diag(L^-1, I) Q diag(L^-*, I)
-    with P = L L* (zpotrf, ztrtri), Q where the certificate is the identity;
-    zpotrf's info > 0 for a P that is not positive definite, whose Q~ is Q."""
-    q = assemble_q(r, _weight_entries(tag, p, r.m))
+def _inverse_factor(p: np.ndarray) -> np.ndarray | None:
+    """L^-1 for P = L L* (zpotrf, then ztrtri), the one positive-definiteness
+    test and the one frame of a Hermitian P; None when zpotrf finds P not
+    positive definite."""
+    if not p.size:
+        return p
     factor, info = zpotrf(p, lower=1)
+    return None if info else ztrtri(factor, lower=1)[0]
+
+
+def _balanced_q(r: Realization, p: np.ndarray, tag: FamilyTag) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    """(Q(P), Q~, L^-1) for a Hermitian P: Q~ = diag(L^-1, I) Q diag(L^-*, I)
+    with `_inverse_factor`'s L, Q where the certificate is the identity; for
+    a P that is not positive definite, L^-1 is None and Q~ is Q."""
+    q = assemble_q(r, _weight_entries(tag, p, r.m))
+    l_inv = _inverse_factor(p)
     q_bal, n = q.copy(), r.n
-    if n and not info:
-        l_inv = ztrtri(factor, lower=1)[0]
+    if l_inv is not None:
         q_bal[:n] = l_inv @ q[:n]
         q_bal[:, :n] = q_bal[:, :n] @ ct(l_inv)
-    return q, q_bal, info
+    return q, q_bal, l_inv
 
 
 def verify_kyp(r: Realization, p, family, tol_psd: float | None = None) -> Certificate:
@@ -314,10 +323,11 @@ def verify_kyp(r: Realization, p, family, tol_psd: float | None = None) -> Certi
     Q is judged where the certificate is the identity: with P = L L*,
     min_eig_q is lambda_min of Q~ = diag(L^-1, I) Q diag(L^-*, I), the
     spectrum of the balanced form, so no scale of P or of the coordinates
-    moves the status. VERIFIED iff P is positive definite and
-    min_eig_q >= -tol_psd; REFUTED if the Cholesky factorization of P fails
-    or min_eig_q < -1000*tol_psd (which refutes only this certificate, not
-    membership); INCONCLUSIVE otherwise. The default tol_psd is
+    moves the status. VERIFIED iff P is Hermitian, zpotrf factors it and
+    min_eig_q >= -tol_psd; REFUTED if P fails either of the first two, or
+    if min_eig_q < -1000*tol_psd (which refutes only this certificate, not
+    membership); INCONCLUSIVE otherwise. min_eig_p (eigvalsh) is only
+    reported, and may round to <= 0 on a factored P. The default tol_psd is
     1e-9 * (1 + min(||Q~||_2, |v|^T |Q~| |v|)), v the unit eigenvector of
     lambda_min(Q~) and |.| entrywise; q is the unscaled Q. A P that is not a
     finite n x n matrix, or a tol_psd that is negative or not finite, raises
@@ -326,10 +336,9 @@ def verify_kyp(r: Realization, p, family, tol_psd: float | None = None) -> Certi
     tag = as_tag(family)
     tol = None if tol_psd is None else _tolerance(tol_psd)
     p = square(p, "P", r.n)
-    p_hermitian = is_hermitian(p, rtol=1e-10)
     ph = herm(p)
-    mp = float(np.linalg.eigvalsh(ph)[0]) if r.n else math.inf  # empty P is vacuously admissible
-    q, q_bal, info = _balanced_q(r, ph, tag)
+    mp = float(np.linalg.eigvalsh(ph)[0]) if r.n else math.inf  # reported only; +inf for the empty P
+    q, q_bal, l_inv = _balanced_q(r, ph, tag)
     lam = np.linalg.eigvalsh(q_bal)  # Q~ is Hermitian, so ||Q~||_2 = max(-lam_min, lam_max)
     mq = float(lam[0])
     if tol is None:
@@ -337,7 +346,7 @@ def verify_kyp(r: Realization, p, family, tol_psd: float | None = None) -> Certi
         if mq < 0.0:  # the size of Q~ along the eigenvector of lambda_min, if smaller
             v = np.abs(np.linalg.eigh(q_bal)[1][:, 0])
             tol = min(tol, PSD_TOL_SCALE * (1.0 + float(v @ np.abs(q_bal) @ v)))
-    admissible = p_hermitian and not info and mp > 0.0
+    admissible = is_hermitian(p, rtol=1e-10) and l_inv is not None
     if not admissible or mq < -REFUTE_FACTOR * tol:
         status = CertificateStatus.REFUTED
     elif mq >= -tol:
@@ -717,21 +726,19 @@ def solve_p(r: Realization, family, *, tol_psd: float | None = None) -> Certific
 
 
 def balance(r: Realization, cert: Certificate) -> tuple[Realization, Certificate]:
-    """Change coordinates with T = P^(-1/2) so the certificate becomes P = I.
+    """Change coordinates with T = L^-*, P = L L*: the certificate becomes P = I.
 
-    Requires a verified certificate, of any scale; SingularT when
-    cond(T) = sqrt(max eig(P) / min eig(P)) exceeds COND_MAX. The returned
-    certificate is re-verified against the balanced weight; its Q is the
-    congruence diag(T, I)* Q diag(T, I) of the input Q.
+    Requires a verified certificate whose P factors, of any scale; SingularT
+    when cond(T) = cond(L) exceeds COND_MAX. L is `verify_kyp`'s factor, so
+    the returned certificate, re-verified against the balanced weight, has
+    for Q the Q~ that `verify_kyp` judged: diag(T, I)* Q diag(T, I).
     """
-    if cert.status is not CertificateStatus.VERIFIED:
+    l_inv = _inverse_factor(herm(cert.p))
+    if cert.status is not CertificateStatus.VERIFIED or l_inv is None:
         raise CertificateNotVerified("can only balance a verified certificate")
     if r.n == 0:
         return r, cert
-    w, v = np.linalg.eigh(herm(cert.p))
-    w = np.maximum(w, np.finfo(float).tiny)  # eigh may round what zpotrf took to <= 0
-    # T = P^(-1/2), whose condition number the eigenvalues of P give
-    r_bal = _similarity(r, herm((v / np.sqrt(w)) @ v.conj().T), math.sqrt(w[-1] / w[0]))
+    r_bal = change_coordinates(r, ct(l_inv))
     new_cert = verify_kyp(r_bal, np.eye(r.n), cert.family)
     return r_bal, new_cert
 
@@ -749,8 +756,8 @@ def check_lossless(r: Realization, p, family, tol: float = 1e-8) -> bool:
         raise BadFamily("lossless check is defined for the positive/bounded-real weights only")
     tol = _tolerance(tol, "tol")
     p = square(p, "P", r.n)
-    _, q_bal, info = _balanced_q(r, herm(p), tag)
-    return is_hermitian(p, rtol=1e-10) and not info and spectral_norm(q_bal) <= tol
+    _, q_bal, l_inv = _balanced_q(r, herm(p), tag)
+    return is_hermitian(p, rtol=1e-10) and l_inv is not None and spectral_norm(q_bal) <= tol
 
 
 # ---------------------------------------------------------------------------

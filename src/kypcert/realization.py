@@ -340,13 +340,7 @@ def change_coordinates(r: Realization, t) -> Realization:
     if r.n == 0:
         return r
     sv = np.linalg.svd(t, compute_uv=False)
-    return _similarity(r, t, sv[0] / sv[-1] if sv[-1] > 0.0 else np.inf)
-
-
-def _similarity(r: Realization, t: np.ndarray, cond: float) -> Realization:
-    """(T^-1 A T, T^-1 B, C T, D) for a complex n x n T whose condition
-    number is `cond`; SingularT when that exceeds COND_MAX."""
-    if cond > COND_MAX:
+    if (sv[0] / sv[-1] if sv[-1] > 0.0 else np.inf) > COND_MAX:
         raise SingularT("coordinate change matrix is singular or too ill conditioned")
     x = zgesv(t, np.hstack([r.A @ t, r.B]))[2]
     return Realization(n=r.n, m=r.m, A=x[:, : r.n], B=x[:, r.n :], C=r.C @ t, D=r.D)

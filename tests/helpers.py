@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 
 import kypcert.qmi as qmi
-from kypcert import Family, Realization, evaluate
+from kypcert import Family, Realization, bilinear_substitute, evaluate
 from kypcert.serialization import encode_matrix
 
 # -- random inputs -----------------------------------------------------------
@@ -36,6 +36,20 @@ def rand_realization(rng, n, m, scale=1.0) -> Realization:
 def rand_hpd(rng, n, floor=0.5):
     g = rand_complex(rng, (n, n))
     return g @ g.conj().T + floor * np.eye(n)
+
+
+def widely_scaled_certificate(seed, spread=1e5):
+    """(family, r, T, P) for draw `seed`: a balanced member r of one of the
+    four families (seed % 4), n in 2..6, m = 1, and coordinates
+    T = P0^(1/2) diag(d), d a permutation of geomspace(1/spread, spread, n),
+    so that change_coordinates(r, T) has the certificate P = herm(T* T)."""
+    rng = np.random.default_rng(seed)
+    n, family = int(rng.integers(2, 7)), list(Family)[seed % 4]
+    r = qmi.random_certified_realization(family, n, 1, rng)
+    w, v = np.linalg.eigh(rand_hpd(rng, n))
+    t = (v * np.sqrt(w)) @ v.conj().T @ np.diag(rng.permutation(np.geomspace(1.0 / spread, spread, n)))
+    p = t.conj().T @ t
+    return family, r, t, (p + p.conj().T) / 2
 
 
 def rand_coordinates(rng, n, cond_max=10.0, max_draws=1000):
@@ -91,6 +105,13 @@ def resonance(gain: float = 1.05, zeta: float = 1e-4, w: float = 0.37) -> Realiz
     """gain * 2 zeta w s / (s^2 + 2 zeta w s + w^2), which peaks at |F(i w)| = gain."""
     return Realization(n=2, m=1, A=[[0.0, 1.0], [-w * w, -2 * zeta * w]], B=[[0.0], [1.0]],
                        C=[[0.0, gain * 2 * zeta * w]], D=[[0.0]])
+
+
+def discrete(r: Realization) -> Realization:
+    """F(z) = G((z - 1) / (z + 1)) for the G that r realizes: three bilinear
+    substitutions, since z -> (1 + z) / (1 - z) has order 4. The rung's own
+    substitution of F gives back G."""
+    return bilinear_substitute(bilinear_substitute(bilinear_substitute(r)))
 
 
 #: (family, realization) pairs whose Q(P) overflows for every P: |C|^2 in b,

@@ -4,10 +4,32 @@ import sys
 
 import numpy as np
 import pytest
-from helpers import DOUBLED_STATE_TIER, OVERFLOWING_Q, lossless_member, rand_hpd, resonance, write_isometry_family
+from helpers import (
+    DOUBLED_STATE_TIER,
+    OVERFLOWING_Q,
+    discrete,
+    lossless_member,
+    rand_hpd,
+    resonance,
+    transfer_max_err,
+    widely_scaled_certificate,
+    write_isometry_family,
+)
 
-from kypcert import Family, cayley_function, evaluate, fixture, load_realization, save_matrix, save_realization
-from kypcert.cli import main
+from kypcert import (
+    Family,
+    FamilyTag,
+    cayley_function,
+    change_coordinates,
+    evaluate,
+    fixture,
+    load_realization,
+    qmi,
+    save_matrix,
+    save_realization,
+    verify_kyp,
+)
+from kypcert.cli import FAMILY_CODES, main
 
 
 def run_cli(capsys, *argv):
@@ -259,6 +281,20 @@ def test_transform_coords_and_balance(capsys, tmp_path, f_file):
     assert code == 1
 
 
+def test_transform_balance_of_a_widely_scaled_certificate(capsys, tmp_path):
+    # cond(P) about 3e20: eigvalsh(P) rounds its least eigenvalue to -1.8e-7
+    # while zpotrf factors P
+    family, r, t, p = widely_scaled_certificate(1)
+    save_realization(tmp_path / "moved.json", change_coordinates(r, t))
+    save_matrix(tmp_path / "p.json", p)
+    flag = next(code for code, fam in FAMILY_CODES.items() if fam is family)
+    code, rep = run_cli(capsys, "transform", "--op", "balance", "--family", flag, "--p-matrix",
+                        str(tmp_path / "p.json"), str(tmp_path / "moved.json"), "-o", str(tmp_path / "out.json"),
+                        "--deterministic")
+    assert code == 0 and rep["certificate"]["status"] == "verified"
+    assert transfer_max_err(load_realization(tmp_path / "out.json"), r, [1j, 2.0 + 1j]) < 1e-9
+
+
 def test_combine_lossless_trio(capsys, tmp_path):
     paths = []
     for name in ("F1", "F2", "F3"):
@@ -464,10 +500,11 @@ def test_eta_check_scores_the_solver_witness(capsys, tmp_path):
 def test_solver_witness_at_infinity_is_standard_json(capsys, tmp_path):
     from kypcert import Realization
 
-    # F(s) = -1 + 200/(s + 100): Re F(inf) = -1, the screen's only witness
+    # F(s) = -1 + 200/(s + 100): Re F(inf) = -1, the screen's only witness;
+    # the 64-point grid reaches only |w| of about 41, where F passes
     path = tmp_path / "inf.json"
     save_realization(path, Realization(n=1, m=1, A=[[-100.0]], B=[[1.0]], C=[[200.0]], D=[[-1.0]]))
-    main(["check", "--family", "p", "--solve", "--deterministic", str(path)])
+    code = main(["check", "--family", "p", "--solve", "--deterministic", str(path)])
     out = capsys.readouterr().out
 
     def reject(token):
@@ -475,7 +512,43 @@ def test_solver_witness_at_infinity_is_standard_json(capsys, tmp_path):
 
     rep = json.loads(out, parse_constant=reject)
     assert rep["solver"]["witness"] == "infinity"
-    assert rep["oracle"]["worst_point"] != "infinity"
+    # the oracle scores the witness with F(inf) = D
+    assert code == 2 and rep["verdict"] == "refuted-by-witness"
+    assert rep["oracle"]["worst_point"] == "infinity" and rep["oracle"]["worst_margin"] == -2.0
+
+
+def test_a_p_matrix_verified_within_the_tolerance_meets_the_witness_screen(capsys, tmp_path):
+    # a db non-member with a resonance peak 1e-6 wide, which the grid misses,
+    # and the P of the rung's shifted pass with its axis test switched off:
+    # verify_kyp verifies it at min_eig_q of about -2.7e-10
+    r = discrete(resonance(1.0001, 1e-6, 10**1.25))
+    tag = FamilyTag(Family.DISCRETE_BOUNDED_REAL)
+    g, k = qmi._continuous(r, tag)
+    popov = qmi._popov_blocks(g, qmi._io_weight(tag, 1))
+    alpha = g.poles().real.max()
+    p = -k * qmi._riccati_x(g.A - 1e-3 * alpha * np.eye(g.n), g.B, popov, 0.0, 0.0)[0]
+    assert verify_kyp(r, p, tag).verified
+    save_realization(tmp_path / "r.json", r)
+    save_matrix(tmp_path / "p.json", p)
+    argv = ["check", "--family", "db", "--deterministic", str(tmp_path / "r.json")]
+    code, rep = run_cli(capsys, *argv)
+    assert code == 0
+    # the screen's witness fails the oracle, which a verified P may never meet
+    code, rep = run_cli(capsys, *argv, "--p-matrix", str(tmp_path / "p.json"))
+    assert code == 1 and rep["verdict"] == "tool-error"
+    assert rep["certificate"]["status"] == "verified" and rep["oracle"]["verdict"] == "fail"
+    code, rep = run_cli(capsys, *argv, "--solve")
+    assert code == 2
+
+
+@pytest.mark.filterwarnings("error")
+def test_lossless_bounded_oracle_on_an_overflowing_f_reports_a_finite_margin(capsys, tmp_path):
+    path = tmp_path / "r.json"
+    save_realization(path, OVERFLOWING_Q[0][1])  # C = 1e200 in b: F*F overflows
+    code, rep = run_cli(capsys, "check", "--family", "b", "--lossless", "--deterministic", str(path))
+    assert code == 2 and capsys.readouterr().err == ""
+    assert rep["lossless_oracle"]["verdict"] == "fail"
+    assert rep["lossless_oracle"]["worst_margin"] == -np.finfo(float).max
 
 
 def test_solver_witness_is_null_without_a_witness(capsys, tmp_path):

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from helpers import (
     rand_unitary,
     resonance,
     transfer_max_err,
+    widely_scaled_certificate,
 )
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -527,9 +529,31 @@ def test_balance_preserves_psd():
     assert new_cert.min_eig_q >= -1e-9 * (1 + np.linalg.norm(new_cert.q, 2))
 
 
+def test_widely_scaled_certificates_verify_and_balance():
+    # P = diag(d) P0 diag(d) with d spread over 1e-5..1e5: cond(P) reaches 1e21,
+    # past what eigvalsh(P) resolves, while zpotrf still factors P and
+    # cond(L^-*) stays near 1e10, below COND_MAX
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for seed in range(300):
+            family, r, t, p = widely_scaled_certificate(seed)
+            moved = change_coordinates(r, t)
+            cert = verify_kyp(moved, p, family)
+            assert cert.verified, seed
+            r_bal, new_cert = balance(moved, cert)
+            assert new_cert.verified, seed
+            # balance changes coordinates by T = L^-*, P = L L*, so T* P T = I
+            t_bal = np.linalg.inv(np.linalg.cholesky(p)).conj().T
+            assert np.abs(t_bal.conj().T @ p @ t_bal - np.eye(r.n)).max() < 1e-9, seed
+            expected = change_coordinates(moved, t_bal).array
+            assert np.abs(r_bal.array - expected).max() < 1e-9 * np.abs(expected).max(), seed
+            assert transfer_max_err(r_bal, r, [1j, 2.0 + 1j, -0.5j, 3.0]) < 1e-9, seed
+
+
 @pytest.mark.parametrize("cond_t", [1.0, 1e3, 1e11, 5e11, 2e12, 1e13])
 def test_balance_rejects_t_exactly_when_change_coordinates_would(cond_t):
-    # P diagonal, so that eigh and the SVD of P^(-1/2) are exact
+    # P diagonal, so that the T = L^-* of balance is exactly the P^(-1/2)
+    # that eigh gives here, and the SVD of T is exact
     rng = np.random.default_rng(31)
     n = 4
     r = rand_realization(rng, n, 2)
@@ -554,6 +578,11 @@ def test_balance_requires_verified():
     bad = verify_kyp(f, [[-1.0]], Family.POSITIVE_REAL)
     with pytest.raises(CertificateNotVerified):
         balance(f, bad)
+    # a certificate built by hand as verified, whose P does not factor
+    forged = Certificate(family=bad.family, p=bad.p, q=bad.q, min_eig_q=1.0, min_eig_p=-1.0,
+                         status=CertificateStatus.VERIFIED)
+    with pytest.raises(CertificateNotVerified):
+        balance(f, forged)
 
 
 # -- lossless -----------------------------------------------------------------

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.optimize
-from helpers import OVERFLOWING_Q, resonance, riccati_off
+from helpers import OVERFLOWING_Q, discrete, resonance, riccati_off
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -303,19 +303,12 @@ def test_overflowing_q_raises_a_typed_error(fam, r):
 # -- the shifted pass ---------------------------------------------------------------
 
 
-def _discrete(r):
-    """F(z) = G((z - 1) / (z + 1)) for the G that r realizes: three bilinear
-    substitutions, since z -> (1 + z) / (1 - z) has order 4. The rung's own
-    substitution of F gives back G."""
-    return bilinear_substitute(bilinear_substitute(bilinear_substitute(r)))
-
-
 #: lightly damped members on which the first pass meets axis eigenvalues
 SHIFTED_MEMBERS = [
     (resonance(0.99, 1e-5, 0.37), "b"),
     (resonance(0.9, 1e-4, 1.0), "b"),
     (resonance(0.95, 1e-3, 0.37), "b"),
-    (_discrete(resonance(0.99, 1e-5, 0.37)), "db"),
+    (discrete(resonance(0.99, 1e-5, 0.37)), "db"),
 ]
 
 
@@ -349,7 +342,7 @@ def test_a_rejected_shifted_p_is_judged_and_counted():
 @given(gain=st.floats(1.0001, 1.5), log_zeta=st.floats(-6.0, -1.0), log_w=st.floats(-2.0, 2.0))
 def test_resonances_with_gain_above_one_never_verify(gain, log_zeta, log_w):
     r = resonance(gain, 10.0**log_zeta, 10.0**log_w)
-    for res in (solve_p(r, Family.BOUNDED_REAL), solve_p(_discrete(r), Family.DISCRETE_BOUNDED_REAL)):
+    for res in (solve_p(r, Family.BOUNDED_REAL), solve_p(discrete(r), Family.DISCRETE_BOUNDED_REAL)):
         assert isinstance(res, NotFound) and res.stop == "witness"
 
 
