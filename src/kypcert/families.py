@@ -371,8 +371,6 @@ def bilinear_substitute(r: Realization) -> Realization:
     disk (the Herglotz-side convention; compose with z -> 1/z for exterior
     sampling). Requires I + A nonsingular. Constants are unchanged.
     """
-    if r.n == 0:
-        return r
     ipa = np.eye(r.n) + r.A
     if nearly_singular(ipa, 1e-12):
         raise SingularIPlusA("I + A is singular; bilinear substitution undefined")

@@ -77,6 +77,9 @@ PSD_TOL_SCALE = 1e-9
 #: refuted when min eig(Q) < -1000 * tol
 REFUTE_FACTOR = 1e3
 
+#: a P is admissible when Hermitian within this rtol and zpotrf factors herm(P); a weight's entries use it too
+_HERMITIAN_RTOL = 1e-10
+
 
 class Family(enum.Enum):
     """The four passivity families."""
@@ -150,7 +153,7 @@ class WMatrix:
         entries = np.asarray(self.entries, dtype=complex)
         if entries.shape != (2 * (self.n + self.m),) * 2:
             raise DimensionMismatch("weight entries have the wrong shape")
-        if not is_hermitian(entries):
+        if not is_hermitian(entries, _HERMITIAN_RTOL):
             raise BadParams("weight entries must be Hermitian")
         object.__setattr__(self, "entries", frozen(entries))
         object.__setattr__(self, "p_used", frozen(self.p_used))
@@ -249,14 +252,12 @@ def build_weight(family, p, m: int) -> WMatrix:
     DimensionMismatch, BadParams
         If P is not a finite square matrix, or m < 1.
     NotPositiveDefinite
-        If P is not Hermitian, or `_inverse_factor` finds it not positive definite.
+        Unless P is Hermitian within 1e-10 and zpotrf factors herm(P), as `verify_kyp` reads it.
     """
     tag = as_tag(family)
     p = square(p, "P")
-    if not is_hermitian(p):
-        raise NotPositiveDefinite("P must be Hermitian")
-    if _inverse_factor(p) is None:
-        raise NotPositiveDefinite("P must be positive definite")
+    if not is_hermitian(p, _HERMITIAN_RTOL) or _inverse_factor(herm(p)) is None:
+        raise NotPositiveDefinite("P must be Hermitian positive definite")
     n, m = _dimensions(p.shape[0], m)
     return WMatrix(family=tag, n=n, m=m, entries=_weight_entries(tag, p, m), p_used=p)
 
@@ -346,7 +347,7 @@ def verify_kyp(r: Realization, p, family, tol_psd: float | None = None) -> Certi
         if mq < 0.0:  # the size of Q~ along the eigenvector of lambda_min, if smaller
             v = np.abs(np.linalg.eigh(q_bal)[1][:, 0])
             tol = min(tol, PSD_TOL_SCALE * (1.0 + float(v @ np.abs(q_bal) @ v)))
-    admissible = is_hermitian(p, rtol=1e-10) and l_inv is not None
+    admissible = is_hermitian(p, _HERMITIAN_RTOL) and l_inv is not None
     if not admissible or mq < -REFUTE_FACTOR * tol:
         status = CertificateStatus.REFUTED
     elif mq >= -tol:
@@ -373,10 +374,11 @@ def verify_kyp(r: Realization, p, family, tol_psd: float | None = None) -> Certi
 # that cancel in F = C X + D and in Phi, so the rule sits three decades past
 # the rounding of lambda_min. With a user tol_psd, tau = tol_psd, as for n = 0.
 #
-# The points are infinity, a fixed boundary sweep and the boundary
-# projections of eig(A). When none of them meets the rule, the screen adds
-# the zero crossings of the Popov function Phi(F(i w)) (Boyd, Balakrishnan &
-# Kabamba 1989; Grivet-Talocia 2004). With
+# The points are infinity, a fixed boundary sweep, the boundary projections of
+# eig(A) and small circles around its eigenvalues in the open domain, where a
+# member is analytic and a pole of F makes Phi unbounded below. When none of
+# them meets the rule, the screen adds the zero crossings of the Popov function
+# Phi(F(i w)) (Boyd, Balakrishnan & Kabamba 1989; Grivet-Talocia 2004). With
 #     M = [C D; 0 I]* W_io [C D; 0 I] = [Qx Sx; Sx* Rx]
 # and Rx = Phi(D) invertible, det Phi(F(i w)) = 0 exactly when i w is an
 # eigenvalue of
@@ -409,16 +411,20 @@ def _io_weight(tag: FamilyTag, m: int) -> np.ndarray:
 
 
 def _witness_points(r: Realization, tag: FamilyTag) -> np.ndarray:
-    """Infinity, a boundary sweep at half-step angles, and the boundary
-    projections of eig(A) (i Im lam, or lam / |lam|)."""
+    """Infinity, a boundary sweep at half-step angles, the boundary
+    projections of eig(A) (i Im lam, or lam / |lam|), and 8 points around
+    each lam with sigma(lam) < -1e-8 (1 + |lam|^2), inside the open domain."""
     theta = 2.0 * np.pi * (np.arange(_WITNESS_SWEEP) + 0.5) / _WITNESS_SWEEP
     lam = r.poles()
+    sigma = 1.0 - np.abs(lam) ** 2 if tag.family.is_discrete else -2.0 * lam.real
+    inside = lam[sigma < -1e-8 * (1.0 + np.abs(lam) ** 2), None]
+    circles = inside + 1e-3 * (1.0 + np.abs(inside)) * np.exp(2j * np.pi * np.arange(8) / 8)
     if tag.family.is_discrete:
         lam = lam[lam != 0]
         boundary = [np.exp(1j * theta), lam / np.abs(lam)]
     else:
         boundary = [1j * np.tan(theta / 2.0), 1j * lam.imag]
-    return np.concatenate([[complex(np.inf)], *boundary])
+    return np.concatenate([[complex(np.inf)], *boundary, circles.ravel()])
 
 
 # Certificate candidates: the constructive KYP lemma (Willems 1971; Anderson &
@@ -681,10 +687,10 @@ def solve_p(r: Realization, family, *, tol_psd: float | None = None) -> Certific
     the deflated KYP form; and the identity (comment above `_RICCATI_EPS`). The
     first verified Certificate is returned. Else a witness screen evaluates
     the family's frequency-domain form Phi(F(z)) at infinity, a few boundary
-    points and, if those show nothing, at the zero crossings of Phi on the
-    boundary and the midpoints between them. If lambda_min(Phi) is clearly
-    negative at some point, NotFound has stop = "witness" and that point as
-    `witness`: no P >= 0 can then certify F. Otherwise stop =
+    and interior points and, if those show nothing, at the zero crossings of
+    Phi on the boundary and the midpoints between them. If lambda_min(Phi) is
+    clearly negative at some point, NotFound has stop = "witness" and that
+    point as `witness`: no P >= 0 can then certify F. Otherwise stop =
     "no-certificate", which is NOT a proof of non-membership (the converse
     direction of the KYP lemma needs minimality, and the candidates are not
     exhaustive). A tol_psd that is negative or not finite raises BadParams.
@@ -757,7 +763,7 @@ def check_lossless(r: Realization, p, family, tol: float = 1e-8) -> bool:
     tol = _tolerance(tol, "tol")
     p = square(p, "P", r.n)
     _, q_bal, l_inv = _balanced_q(r, herm(p), tag)
-    return is_hermitian(p, rtol=1e-10) and l_inv is not None and spectral_norm(q_bal) <= tol
+    return is_hermitian(p, _HERMITIAN_RTOL) and l_inv is not None and spectral_norm(q_bal) <= tol
 
 
 # ---------------------------------------------------------------------------
@@ -837,9 +843,12 @@ def random_certified_realization(
     the strictly feasible set by arbitrary strict contractions M:
     [R; I] = (V+ L+^(-1/2) + V- L-^(-1/2) M) Y with Y fixed by the identity
     block, giving Q = Y* (I - M*M) Y > 0. Resamples ill-conditioned or
-    uncertified draws, up to 100 draws.
+    uncertified draws, up to 100 draws. BadParams unless 0 <= contraction < 1.
     """
     tag = as_tag(family)
+    n, m = _dimensions(n, m)
+    if not 0.0 <= contraction < 1.0:
+        raise BadParams(f"contraction must lie in [0, 1), got {contraction}")
     rng = seeded(rng)
     nm = n + m
     w = _weight_entries(tag, np.eye(n), m)
@@ -861,4 +870,4 @@ def random_certified_realization(
         r = Realization.from_array(arr, n, m)
         if verify_kyp(r, np.eye(n), tag).verified:
             return r
-    raise RuntimeError("failed to sample a certified realization")  # pragma: no cover
+    raise NumericalFailure("failed to sample a certified realization")  # pragma: no cover

@@ -141,8 +141,6 @@ class Realization:
 
     def poles(self) -> np.ndarray:
         """Eigenvalues of A (candidate poles of the transfer function)."""
-        if self.n == 0:
-            return np.zeros(0, dtype=complex)
         return np.linalg.eigvals(self.A)
 
     def __repr__(self):  # pragma: no cover - cosmetic
@@ -207,29 +205,21 @@ def _transfer(r: Realization, t: np.ndarray, u: np.ndarray, z: np.ndarray):
 # eigenpairs, zI - A = V (zI - diag(lam)) V^-1 - E V^-1, so
 #     sigma_min(zI - A) >= min|z - lam| / kappa(V) - ||E||_F / sigma_min(V),
 # and ||zI - A||_2 <= |z| + ||A||_2. The eigenpairs come from the Schur form
-# A = U T U*: lam = diag(T) and V = U V_T with V_T the unit upper triangular
-# eigenvectors of T, columns scaled to unit norm. The bound holds for any V:
-# E is the residual against A as computed plus the rounding bound of the
-# product A V, (n + 1) eps ||A||_F ||V||_F. A point whose lower bound exceeds
-# 1e-9 (|z| + ||A||_2) cannot fail `evaluate`'s rule
-# sigma_min < 1e-12 ||zI - A||_2: the three decades between the two cover the
-# rounding of the SVD and of the bound itself. A point not cleared gets the
-# exact rule, so the kept set is the one `evaluate` gives point by point. The
-# comparison is strict, so A = 0 at z = 0 (both sides 0) is not cleared.
+# A = U T U*: LAPACK's eigenpairs (lam, V_T) of T, with unit columns, and
+# V = U V_T. The bound holds for any V: E is the residual against A as
+# computed plus the rounding bound of the product A V, (n + 1) eps ||A||_F
+# ||V||_F. A point whose lower bound exceeds 1e-9 (|z| + ||A||_2) cannot fail
+# `evaluate`'s rule sigma_min < 1e-12 ||zI - A||_2: the three decades cover
+# the rounding of the SVD and of the bound itself. A point not cleared gets
+# the exact rule, so the kept set is the one `evaluate` gives point by point.
+# The comparison is strict: A = 0 at z = 0 (both sides 0) is not cleared.
 def _pole_screen(a: np.ndarray, t: np.ndarray, u: np.ndarray):
     """(lam, kappa(V), delta, ||A||_2) of the screen for the Schur form
-    A = U T U*, or None when the eigenvector matrix V is not finite (equal
-    eigenvalues in a Jordan block) or is singular to working precision."""
-    lam = np.diag(t)
-    vt = np.eye(a.shape[0], dtype=complex)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for j in range(a.shape[0] - 2, -1, -1):
-            num = t[j, j + 1 :] @ vt[j + 1 :, j + 1 :]
-            # a zero numerator gives 0, also between equal eigenvalues
-            vt[j, j + 1 :] = np.divide(num, lam[j + 1 :] - lam[j], out=np.zeros_like(num), where=num != 0)
-        v = u @ (vt / np.linalg.norm(vt, axis=0))
-    if not np.isfinite(v).all():
-        return None
+    A = U T U*, or None when the eigenvector matrix V is singular to working
+    precision (equal eigenvalues in a Jordan block)."""
+    # no convergence guard: zgeev's balancing isolates every eigenvalue of a triangular T, so no QR iteration runs
+    lam, vt = np.linalg.eig(t)
+    v = u @ vt
     sv = np.linalg.svd(v, compute_uv=False)
     if not sv[-1] >= POLE_RTOL * sv[0]:
         return None
@@ -305,8 +295,6 @@ def is_minimal(r: Realization) -> tuple[bool, int, int]:
         realization is minimal iff both ranks equal n; n = 0 is minimal.
     """
     n = r.n
-    if n == 0:
-        return True, 0, 0
     blocks = [r.B]
     obs = [r.C]
     for _ in range(n - 1):
@@ -317,9 +305,7 @@ def is_minimal(r: Realization) -> tuple[bool, int, int]:
 
     def _rank(mat: np.ndarray) -> int:
         sv = np.linalg.svd(mat, compute_uv=False)
-        if sv.size == 0 or sv[0] == 0.0:
-            return 0
-        return int(np.sum(sv > RANK_RTOL * sv[0]))
+        return int(np.sum(sv > RANK_RTOL * sv.max(initial=0.0)))
 
     rc, ro = _rank(ctrb), _rank(obsv)
     return (rc == n and ro == n), rc, ro

@@ -107,6 +107,17 @@ def resonance(gain: float = 1.05, zeta: float = 1e-4, w: float = 0.37) -> Realiz
                        C=[[0.0, gain * 2 * zeta * w]], D=[[0.0]])
 
 
+#: (pole, d, c) of a scalar non-member d + c / (z - pole) per family code: its
+#: pole lies strictly inside the open domain, where the boundary cannot see it
+POLES_INSIDE = {"p": (1.0, 1.0, 0.1), "b": (0.3, 0.5, 0.05), "dp": (1.5, 1.0, 0.1), "db": (1.2j, 0.5, 0.05)}
+
+
+def pole_inside(code: str) -> tuple[Realization, complex]:
+    """(r, pole) for the non-member of POLES_INSIDE[code]."""
+    pole, d, c = POLES_INSIDE[code]
+    return Realization(n=1, m=1, A=[[pole]], B=[[c]], C=[[1.0]], D=[[d]]), complex(pole)
+
+
 def discrete(r: Realization) -> Realization:
     """F(z) = G((z - 1) / (z + 1)) for the G that r realizes: three bilinear
     substitutions, since z -> (1 + z) / (1 - z) has order 4. The rung's own

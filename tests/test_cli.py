@@ -9,6 +9,7 @@ from helpers import (
     OVERFLOWING_Q,
     discrete,
     lossless_member,
+    pole_inside,
     rand_hpd,
     resonance,
     transfer_max_err,
@@ -25,6 +26,7 @@ from kypcert import (
     fixture,
     load_realization,
     qmi,
+    random_certified_realization,
     save_matrix,
     save_realization,
     verify_kyp,
@@ -667,3 +669,27 @@ def test_every_error_exit_prints_one_error_line(capsys, tmp_path, argv):
     assert len(lines) == 1 and lines[0].startswith("error:"), captured.err
     assert "Traceback" not in captured.err
     assert not (tmp_path / "out.json").exists()
+
+
+@pytest.mark.parametrize("code", ["p", "b", "dp", "db"])
+def test_check_solve_refutes_a_pole_inside_the_domain(capsys, tmp_path, code):
+    # the grid passes; the solver's witness lies on the circle around the pole
+    r, pole = pole_inside(code)
+    save_realization(tmp_path / "r.json", r)
+    code_, rep = run_cli(capsys, "check", "--family", code, "--solve", "--deterministic", str(tmp_path / "r.json"))
+    assert code_ == 2 and rep["verdict"] == "refuted-by-witness"
+    witness = complex(*rep["solver"]["witness"])
+    assert np.isclose(abs(witness - pole), 1e-3 * (1.0 + abs(pole)), rtol=1e-9)
+
+
+@pytest.mark.parametrize("skew,exit_code", [(1e-11, 0), (1e-9, 1)])
+def test_wmat_reads_p_by_the_rule_of_verify_kyp(capsys, tmp_path, skew, exit_code):
+    r = random_certified_realization(Family.POSITIVE_REAL, 2, 1, np.random.default_rng(0))
+    p = np.eye(2) + skew * np.outer([1.0, 0.0], [0.0, 1.0])
+    assert verify_kyp(r, p, Family.POSITIVE_REAL).verified == (exit_code == 0)
+    save_matrix(tmp_path / "P.json", p)
+    code, rep = run_cli(capsys, "wmat", "--family", "p", "--p-matrix", str(tmp_path / "P.json"), "--n", "2",
+                        "--m", "1", "--deterministic")
+    assert code == exit_code
+    if not exit_code:
+        assert rep["entries"][0][3] == [-1.0, 0.0]

@@ -645,3 +645,35 @@ def test_lossless_fixture_transfer_against_cayley_pair():
     for y in (0.5, 1.5, -2.0):
         v = evaluate(cf, 1j * y)
         assert np.abs(v.conj().T @ v - np.eye(2)).max() < 1e-10
+
+
+def test_build_weight_reads_p_by_the_rule_of_verify_kyp():
+    # Hermitian within 1e-10 of its scale, and zpotrf factors herm(P)
+    r = random_certified_realization(Family.POSITIVE_REAL, 2, 1, np.random.default_rng(0))
+    near = np.eye(2) + 1e-11 * np.outer([1.0, 0.0], [0.0, 1.0])
+    assert verify_kyp(r, near, Family.POSITIVE_REAL).verified
+    assert check_lossless(r, near, Family.POSITIVE_REAL, 10.0)
+    w = build_weight(Family.POSITIVE_REAL, near, 1)
+    assert np.array_equal(w.p_used, near)  # the entries come from P as given
+    far = np.eye(2) + 1e-9 * np.outer([1.0, 0.0], [0.0, 1.0])
+    assert verify_kyp(r, far, Family.POSITIVE_REAL).status is CertificateStatus.REFUTED
+    for p in (far, np.diag([1.0, -1.0])):
+        with pytest.raises(NotPositiveDefinite, match="P must be Hermitian positive definite"):
+            build_weight(Family.POSITIVE_REAL, p, 1)
+
+
+@pytest.mark.parametrize("contraction", [1.5, 1.0, -0.1, math.nan, math.inf])
+def test_sampler_rejects_a_contraction_outside_the_unit_interval(contraction):
+    with pytest.raises(BadParams):
+        random_certified_realization(Family.POSITIVE_REAL, 2, 1, 0, contraction=contraction)
+
+
+@pytest.mark.parametrize("n,m", [(-1, 1), (2, 0)])
+def test_sampler_rejects_bad_dimensions(n, m):
+    with pytest.raises(DimensionMismatch):
+        random_certified_realization(Family.POSITIVE_REAL, n, m, 0)
+
+
+def test_sampler_takes_the_zero_contraction():
+    r = random_certified_realization(Family.DISCRETE_BOUNDED_REAL, 2, 1, 0, contraction=0.0)
+    assert verify_kyp(r, np.eye(2), Family.DISCRETE_BOUNDED_REAL).verified

@@ -98,6 +98,11 @@ def test_is_minimal_examples():
     assert is_minimal(Realization.constant(np.eye(2))) == (True, 0, 0)
 
 
+def test_constant_has_no_poles():
+    poles = Realization.constant(np.eye(2)).poles()
+    assert poles.shape == (0,) and poles.dtype == complex
+
+
 def test_change_coordinates_identity_and_scalar():
     f = fixture("f")
     same = change_coordinates(f, np.eye(1))

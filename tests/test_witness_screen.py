@@ -6,9 +6,10 @@ with sigma(z) <= 0, so lambda_min(Phi(F(z))) < 0 rules out every P >= 0.
 The screen stops the certificate search after one iteration at a point
 where lambda_min(Phi(F(z))) < -REFUTE_FACTOR * tau(z), tau being a
 rounding-scaled tolerance. Its points are infinity, a boundary sweep, the
-boundary projections of eig(A) and, when those show nothing, the zero
-crossings of the Popov function (imaginary-axis eigenvalues of a
-Hamiltonian) and the midpoints between them.
+boundary projections of eig(A), circles around the eigenvalues of A inside
+the open domain and, when those show nothing, the zero crossings of the
+Popov function (imaginary-axis eigenvalues of a Hamiltonian) and the
+midpoints between them.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 import scipy.linalg
-from helpers import rand_coordinates, rand_realization, resonance
+from helpers import pole_inside, rand_coordinates, rand_realization, resonance
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -484,3 +485,54 @@ def test_stop_reasons(monkeypatch):
     assert res.stop == "no-certificate" and res.iterations == 1 and res.witness is None
     assert res.min_eig_q == min_eig(q_of(g, tag, res.best_p)) < 0.0
     assert res.residual == -res.min_eig_q
+
+
+# -- points inside the domain ---------------------------------------------------
+
+
+@pytest.mark.parametrize("code", ["p", "b", "dp", "db"])
+def test_a_pole_inside_the_domain_stops_on_a_witness(code):
+    # the boundary passes; F is unbounded beside the pole, so a point of the
+    # circle of radius 1e-3 (1 + |pole|) around it refutes
+    r, pole = pole_inside(code)
+    tag = FamilyTag(CODES[code])
+    assert _witness_scores(r, tag, _witness_points(r, tag)[: 1 + qmi._WITNESS_SWEEP + 1]).min() > 0.0
+    res = solve_p(r, tag)
+    assert isinstance(res, NotFound) and res.stop == "witness"
+    assert np.isclose(abs(res.witness - pole), 1e-3 * (1.0 + abs(pole)), rtol=1e-9)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    tag=st.sampled_from(TAGS),
+    n=st.integers(1, 4),
+    m=st.integers(1, 2),
+    hidden=st.sampled_from(["uncontrollable", "unobservable"]),
+)
+def test_a_hidden_mode_inside_the_domain_never_gives_a_witness(seed, tag, n, m, hidden):
+    # F of the padded array is the member's: analytic in the open domain,
+    # so no circle point around the hidden mode meets the rule
+    rng = np.random.default_rng(seed)
+    r = random_certified_realization(tag, n, m, rng)
+    radius = 1.05 + rng.uniform(0.0, 1.0)
+    lam = radius * np.exp(2j * np.pi * rng.uniform()) if tag.family.is_discrete else radius - 1.0 + 1j * rng.normal()
+    a = np.zeros((n + 1, n + 1), dtype=complex)
+    a[:n, :n], a[n, n] = r.A, lam
+    pad, zero = rng.normal(size=(1, m)) + 1j * rng.normal(size=(1, m)), np.zeros((1, m))
+    b = np.vstack([r.B, zero if hidden == "uncontrollable" else pad])
+    c = np.hstack([r.C, (pad if hidden == "uncontrollable" else zero).T])
+    padded = Realization(n=n + 1, m=m, A=a, B=b, C=c, D=r.D)
+    assert _find_witness(padded, tag) is None
+    res = solve_p(padded, tag)
+    assert isinstance(res, NotFound) and res.stop == "no-certificate"
+
+
+@pytest.mark.parametrize("tag", TAGS, ids=lambda t: t.label)
+@pytest.mark.parametrize("name", ["F2", "g"])
+def test_no_circle_around_poles_on_the_boundary_or_outside(name, tag):
+    # F2's poles +-i (one with Re 2.8e-17 after rounding) and g's pole 0 lie
+    # on the boundary or outside the domain: the screen adds no circle there
+    r = fixture(name)
+    projections = r.n - int(tag.family.is_discrete and name == "g")
+    assert _witness_points(r, tag).size == 1 + qmi._WITNESS_SWEEP + projections
