@@ -15,7 +15,10 @@ and excludes ``--balanced``. Every oracle of ``check`` passes a point whose
 margin is at least ``-tol_oracle`` times the size of the terms that cancel in
 it, taken in the margin's own direction v (1 + ||F(z) v||), and
 ``check --lossless`` asks ||Q~||_2 <= tol_oracle of the balanced Q~ of a
-verified P. ``fixtures`` takes ``--a``/``--b``, finite, only for F1-F3.
+verified P. An oracle that keeps no grid point is no evidence: its
+``worst_margin`` is null, and ``check`` is inconclusive unless a verified
+certificate carries the verdict. ``fixtures`` takes ``--a``/``--b``, finite,
+only for F1-F3.
 """
 
 from __future__ import annotations
@@ -122,7 +125,7 @@ def _report_oracle(rep: MembershipReport) -> dict:
     out = {
         "family": rep.family,
         "verdict": rep.verdict,
-        "worst_margin": rep.worst_margin,
+        "worst_margin": rep.worst_margin if rep.samples_used else None,
         "samples_used": rep.samples_used,
         "skipped": rep.skipped,
         "tol": rep.tol,
@@ -211,9 +214,13 @@ def cmd_check(args, report) -> int:
     if not oracle_pass:
         report["verdict"] = "refuted-by-witness"
         return EXIT_REFUTED
-    if (args.solve or args.p_matrix) and not cert_verified:
+    # an oracle that kept no point passed vacuously: it is no evidence
+    unsampled = oracle.samples_used == 0 or args.lossless and report["lossless_oracle"]["samples_used"] == 0
+    if (args.solve or args.p_matrix or unsampled) and not cert_verified:
         report["verdict"] = "inconclusive"
-        if not minimal:
+        if unsampled:
+            report["note"] = "an oracle kept no grid point, all pole-adjacent: no sampling evidence"
+        elif not minimal:
             report["note"] = "realization is not minimal; only sampling evidence is available"
         return EXIT_INCONCLUSIVE
     report["verdict"] = "pass"

@@ -151,10 +151,10 @@ def make_grid(
         raise BadParams("need n_boundary >= 1 and n_interior >= 0")
     seed = int(seed)
     rng = seeded(seed)
-    theta = 2.0 * np.pi * np.arange(n_boundary) / n_boundary
+    k = np.arange(n_boundary)
+    theta = 2.0 * np.pi * k / n_boundary
     if domain is Domain.RIGHT_HALF_PLANE:
-        near_pole = np.isclose(theta, np.pi, atol=1e-12)
-        theta = np.where(near_pole, theta - np.pi / n_boundary, theta)
+        theta = np.where(2 * k == n_boundary, theta - np.pi / n_boundary, theta)
         boundary = 1j * np.tan(theta / 2.0)
     elif domain is Domain.EXTERIOR_DISK:
         boundary = np.exp(1j * theta)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import frozen, nearly_singular, square, zgees, zgesv
+from ._linalg import frozen, nearly_singular, square, zgees, zgesv, ztrtri
 from .exceptions import (
     BadParams,
     DimensionMismatch,
@@ -203,29 +203,30 @@ def _transfer(r: Realization, t: np.ndarray, u: np.ndarray, z: np.ndarray):
 
 # Pole screen of `_evaluate_points`. With A V = V diag(lam) + E for the
 # eigenpairs, zI - A = V (zI - diag(lam)) V^-1 - E V^-1, so
-#     sigma_min(zI - A) >= min|z - lam| / kappa(V) - ||E||_F / sigma_min(V),
-# and ||zI - A||_2 <= |z| + ||A||_2. The eigenpairs come from the Schur form
-# A = U T U*: LAPACK's eigenpairs (lam, V_T) of T, with unit columns, and
-# V = U V_T. The bound holds for any V: E is the residual against A as
-# computed plus the rounding bound of the product A V, (n + 1) eps ||A||_F
-# ||V||_F. A point whose lower bound exceeds 1e-9 (|z| + ||A||_2) cannot fail
-# `evaluate`'s rule sigma_min < 1e-12 ||zI - A||_2: the three decades cover
-# the rounding of the SVD and of the bound itself. A point not cleared gets
-# the exact rule, so the kept set is the one `evaluate` gives point by point.
-# The comparison is strict: A = 0 at z = 0 (both sides 0) is not cleared.
+#     sigma_min(zI - A) >= min|z - lam| / kappa(V) - ||E||_F / sigma_min(V).
+# (lam, V_T) are LAPACK's eigenpairs of T in A = U T U*, V_T upper triangular
+# with unit columns, V = U V_T and W = V_T^-1 (ztrtri): kappa(V) <= ||V_T||_F
+# ||W||_F, sigma_min(V) >= 1 / ||W||_F and ||zI - A||_2 <= |z| + ||A||_F. E is
+# the residual as computed plus the rounding bound of A V, (n + 1) eps ||A||_F
+# ||V||_F. A point whose lower bound exceeds 1e-9 (|z| + ||A||_F) cannot fail
+# `evaluate`'s rule sigma_min < 1e-12 ||zI - A||_2: the three decades cover the
+# rounding of ztrtri, of the bound and of U, unitary to about n eps, which moves
+# V's singular values off V_T's by as much. Points not cleared get the exact
+# rule (the kept set is `evaluate`'s), as does z = 0 for A = 0: 0 > 0 is false.
 def _pole_screen(a: np.ndarray, t: np.ndarray, u: np.ndarray):
-    """(lam, kappa(V), delta, ||A||_2) of the screen for the Schur form
-    A = U T U*, or None when the eigenvector matrix V is singular to working
-    precision (equal eigenvalues in a Jordan block)."""
+    """(lam, the bound on kappa(V), delta, ||A||_F) for A = U T U*, or None when
+    V_T is singular to working precision (a Jordan block) or not triangular."""
     # no convergence guard: zgeev's balancing isolates every eigenvalue of a triangular T, so no QR iteration runs
     lam, vt = np.linalg.eig(t)
-    v = u @ vt
-    sv = np.linalg.svd(v, compute_uv=False)
-    if not sv[-1] >= POLE_RTOL * sv[0]:
+    w, info = ztrtri(vt)
+    with np.errstate(over="ignore"):  # ||W||_F beyond the largest float: kappa = inf
+        kappa = np.linalg.norm(vt) * np.linalg.norm(w)
+    if info or np.tril(vt, -1).any() or not 1.0 / kappa >= POLE_RTOL:
         return None
+    v = u @ vt
     rounding = (a.shape[0] + 1) * np.finfo(float).eps * np.linalg.norm(a) * np.linalg.norm(v)
-    delta = (np.linalg.norm(a @ v - v * lam) + rounding) / sv[-1]
-    return lam, sv[0] / sv[-1], delta, np.linalg.svd(a, compute_uv=False)[0]
+    delta = (np.linalg.norm(a @ v - v * lam) + rounding) * np.linalg.norm(w)
+    return lam, kappa, delta, np.linalg.norm(a)
 
 
 def _evaluate_points(r: Realization, points: np.ndarray, *, states: bool = False):

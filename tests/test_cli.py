@@ -18,13 +18,16 @@ from helpers import (
 )
 
 from kypcert import (
+    Domain,
     Family,
     FamilyTag,
+    Realization,
     cayley_function,
     change_coordinates,
     evaluate,
     fixture,
     load_realization,
+    make_grid,
     qmi,
     random_certified_realization,
     save_matrix,
@@ -693,3 +696,55 @@ def test_wmat_reads_p_by_the_rule_of_verify_kyp(capsys, tmp_path, skew, exit_cod
     assert code == exit_code
     if not exit_code:
         assert rep["entries"][0][3] == [-1.0, 0.0]
+
+
+def _no_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+def _check_json(capsys, *argv):
+    """(exit code, report) of one command, the report read as standard JSON."""
+    code = main(list(argv))
+    return code, json.loads(capsys.readouterr().out, parse_constant=_no_constant)
+
+
+@pytest.fixture()
+def unsampled_file(tmp_path):
+    """A = diag(0, z1), z1 the one interior point of `--grid 1 --seed 0`, so
+    both points of that grid are poles and every oracle keeps none."""
+    z1 = make_grid(Domain.RIGHT_HALF_PLANE, 1, 1, 0).interior_points[0]
+    path = tmp_path / "unsampled.json"
+    save_realization(path, Realization(n=2, m=1, A=np.diag([0.0, z1]), B=[[1.0], [1.0]], C=[[1.0, 1.0]], D=[[1.0]]))
+    return str(path)
+
+
+@pytest.mark.parametrize("lossless", [False, True])
+def test_check_with_no_sample_is_inconclusive(capsys, unsampled_file, lossless):
+    extra = ["--lossless"] if lossless else []
+    code, rep = _check_json(capsys, "check", "--family", "p", "--grid", "1", "--deterministic", *extra, unsampled_file)
+    assert code == 3 and rep["verdict"] == "inconclusive" and "no sampling evidence" in rep["note"]
+    for key in ["oracle", "lossless_oracle"] if lossless else ["oracle"]:
+        # the library's vacuous pass, written with a null margin
+        assert rep[key]["verdict"] == "pass" and rep[key]["samples_used"] == 0
+        assert rep[key]["worst_margin"] is None and "worst_point" not in rep[key]
+
+
+def test_check_solve_with_no_grid_sample_refutes(capsys, unsampled_file):
+    # the pole z1 inside the domain gives the solver a witness, which the oracle then scores
+    code, rep = _check_json(capsys, "check", "--family", "p", "--grid", "1", "--solve", "--deterministic", unsampled_file)
+    assert code == 2 and rep["verdict"] == "refuted-by-witness"
+    assert rep["oracle"]["samples_used"] == 1 and rep["oracle"]["worst_margin"] < 0.0
+
+
+@pytest.mark.parametrize("certify", [False, True])
+def test_lossless_oracle_with_no_sample_needs_a_certificate(capsys, tmp_path, certify):
+    """1/s on `--grid 1`: the only boundary point is its pole, so the lossless
+    oracle keeps none; the verified P = 1 carries the verdict, nothing else does."""
+    save_realization(tmp_path / "r.json", Realization(n=1, m=1, A=[[0.0]], B=[[1.0]], C=[[1.0]], D=[[0.0]]))
+    save_matrix(tmp_path / "P.json", np.eye(1))
+    extra = ["--p-matrix", str(tmp_path / "P.json")] if certify else []
+    code, rep = _check_json(capsys, "check", "--family", "p", "--lossless", "--grid", "1", "--deterministic", *extra,
+                            str(tmp_path / "r.json"))
+    assert rep["lossless_oracle"]["samples_used"] == 0 and rep["lossless_oracle"]["worst_margin"] is None
+    assert rep["oracle"]["samples_used"] == 1
+    assert (code, rep["verdict"]) == ((0, "pass") if certify else (3, "inconclusive"))

@@ -128,3 +128,12 @@ def test_cli_combine_negative_seed_is_an_error_line(capsys, tmp_path, fixture_fi
     assert main(argv) == 1
     assert capsys.readouterr().err == "error: seed must be >= 0, got -2\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize(("n", "moved"), [(262144, 1), (1000001, 0)])
+def test_make_grid_moves_only_the_point_at_pi(n, moved):
+    """theta = pi, the pole of i tan(theta / 2), is the one point moved: one of
+    an even count, none of an odd count, however large the grid."""
+    unmoved = 1j * np.tan(2.0 * np.pi * np.arange(n) / n / 2.0)
+    boundary = make_grid(Domain.RIGHT_HALF_PLANE, n, 0).boundary_points
+    assert np.count_nonzero(boundary != unmoved) == moved

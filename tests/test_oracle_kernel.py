@@ -23,7 +23,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from helpers import lossless_member
+from helpers import lossless_member, rand_unitary
 
 import kypcert.realization as realization
 from kypcert import (
@@ -44,7 +44,7 @@ from kypcert import (
 )
 from kypcert._linalg import min_eig, nearly_singular, sigma_min, spectral_norm
 from kypcert.families import ORACLE_TOL
-from kypcert.realization import POLE_RTOL, _evaluate_points, _pole_screen
+from kypcert.realization import _SCREEN_RTOL, POLE_RTOL, _evaluate_points, _pole_screen
 
 # ---------------------------------------------------------------------------
 # reference: the per-point scan
@@ -370,6 +370,73 @@ def test_screen_keeps_what_evaluate_keeps(seed, n, log_cond, log_offset):
             assert not kept, z
         else:
             assert kept and value.tobytes() == f.tobytes(), z
+
+
+def _screen_input(rng, n, kind, log_cond, log_pert):
+    """A of one of four kinds: random; upper triangular with repeated
+    eigenvalues; diagonal moved by coordinates of condition 10**log_cond; a
+    Jordan block moved by 10**log_pert."""
+    def c(*shape):
+        return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+    if kind == "random":
+        return c(n, n)
+    if kind == "triangular":
+        lam = c(int(rng.integers(1, n + 1)))
+        return np.triu(c(n, n), 1) + np.diag(lam[rng.integers(0, lam.size, n)])
+    if kind == "moved":
+        t = rand_unitary(rng, n) @ np.diag(np.logspace(0, -log_cond, n)) @ rand_unitary(rng, n)
+        return t @ np.diag(c(n)) @ np.linalg.inv(t)
+    return c(1)[0] * np.eye(n) + np.diag(np.ones(n - 1), 1) + 10.0**log_pert * c(n, n)
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 12),
+    kind=st.sampled_from(["random", "triangular", "moved", "jordan"]),
+    log_cond=st.integers(0, 8),
+    log_pert=st.integers(-14, -6),
+)
+def test_screen_bounds_hold(seed, n, kind, log_cond, log_pert):
+    """V_T is upper triangular; the screen's kappa is at least kappa_2(V) and
+    its sigma_min bound at most sigma_min(V), against an SVD of V = U V_T to
+    that SVD's own accuracy, n eps kappa_2(V) relative; and every point it
+    clears, on a grid and at 1e-12 to 1e-2 from the eigenvalues, passes the
+    exact rule."""
+    rng = np.random.default_rng(seed)
+    a = _screen_input(rng, n, kind, log_cond, log_pert)
+    t, u = realization._schur(a)
+    lam, vt = np.linalg.eig(t)
+    assert not np.tril(vt, -1).any()
+    screen = _pole_screen(a, t, u)
+    if screen is None:
+        return
+    _, kappa, delta, norm_a = screen
+    v = u @ vt
+    sv = np.linalg.svd(v, compute_uv=False)
+    eps = np.finfo(float).eps
+    slack = n * eps * sv[0] / sv[-1]
+    assert kappa >= sv[0] / sv[-1] * (1.0 - slack)
+    rounding = (n + 1) * eps * np.linalg.norm(a) * np.linalg.norm(v)
+    sigma_bound = (np.linalg.norm(a @ v - v * lam) + rounding) / delta
+    assert sigma_bound <= sv[-1] * (1.0 + slack)
+    assert norm_a >= np.linalg.norm(a, 2) * (1.0 - n * eps)
+    offsets = 10.0 ** np.arange(-12, -1)[:, None] * (1.0 + np.abs(lam)) * np.exp(2j * np.pi * rng.random((11, n)))
+    points = np.concatenate([make_grid(Domain.RIGHT_HALF_PLANE, 16, 16, seed=1).points, (lam + offsets).ravel()])
+    # the clearing rule of `_evaluate_points`
+    cleared = points[np.abs(points[:, None] - lam).min(axis=1) / kappa - delta > _SCREEN_RTOL * (np.abs(points) + norm_a)]
+    for z in cleared:
+        assert not nearly_singular(z * np.eye(n) - a, POLE_RTOL), z
+
+
+
+def test_screen_is_off_where_the_eigenvector_inverse_overflows():
+    """One eigenvalue twelve times over an upper triangle: V_T^-1 has entries
+    near 1e179, whose squares overflow; the screen is off and warns nothing."""
+    rng = np.random.default_rng(0)
+    a = np.triu(rng.normal(size=(12, 12)) + 1j * rng.normal(size=(12, 12)), 1) + 0.3j * np.eye(12)
+    assert _pole_screen(a, *realization._schur(a)) is None
 
 
 #: c of the backward-error bound ||(zI - A) X - B||_F <= c n eps (||zI - A||_F ||X||_F + ||B||_F)
