@@ -15,10 +15,10 @@ and excludes ``--balanced``. Every oracle of ``check`` passes a point whose
 margin is at least ``-tol_oracle`` times the size of the terms that cancel in
 it, taken in the margin's own direction v (1 + ||F(z) v||), and
 ``check --lossless`` asks ||Q~||_2 <= tol_oracle of the balanced Q~ of a
-verified P. An oracle that keeps no grid point is no evidence: its
-``worst_margin`` is null, and ``check`` is inconclusive unless a verified
-certificate carries the verdict. ``fixtures`` takes ``--a``/``--b``, finite,
-only for F1-F3.
+verified P. An oracle that keeps no grid point, each one pole-adjacent or
+overflowing, is no evidence: its ``worst_margin`` is null, and ``check`` is
+inconclusive unless a verified certificate carries the verdict.
+``fixtures`` takes ``--a``/``--b``, finite, only for F1-F3.
 """
 
 from __future__ import annotations
@@ -219,7 +219,7 @@ def cmd_check(args, report) -> int:
     if (args.solve or args.p_matrix or unsampled) and not cert_verified:
         report["verdict"] = "inconclusive"
         if unsampled:
-            report["note"] = "an oracle kept no grid point, all pole-adjacent: no sampling evidence"
+            report["note"] = "an oracle kept no grid point, all pole-adjacent or overflowing: no sampling evidence"
         elif not minimal:
             report["note"] = "realization is not minimal; only sampling evidence is available"
         return EXIT_INCONCLUSIVE

@@ -203,9 +203,11 @@ def _along(f, h, margins, largest: bool = False):
 def _report(family: str, points, evaluated, margin_fn, tol: float, strict: bool = False) -> MembershipReport:
     """The worst of the (margins, scales) `margin_fn` gives the kept `points`
     of an `_evaluate_points` result, judged by `_passes` (`argmin` takes the
-    first of equal minima, as a strict-`<` scan); BadParams unless 0 <= tol < inf."""
+    first of equal minima, as a strict-`<` scan); a point where F overflows
+    is skipped too. BadParams unless 0 <= tol < inf."""
     tol = _tolerance(tol, "tol")
     values, keep = evaluated
+    keep = keep & np.isfinite(values).all(axis=(-2, -1))
     used = int(keep.sum())
     rep = MembershipReport(family, "pass", None, math.inf, used, points.size - used, tol)
     if not used:
@@ -259,8 +261,8 @@ def membership_oracle(r: Realization, family, grid: DomainGrid, tol: float = ORA
     ||F(z)||_2 and the label ``hyper-bounded(eta=...)``. A point passes when
     its margin is >= -tol (1 + ||F(z) v||), v the unit direction the margin
     is taken in (so ||F(z) v|| = ||F(z)||_2 for the bounded-real margins);
-    the report carries the unscaled worst margin. Pole-adjacent points are
-    skipped and counted.
+    the report carries the unscaled worst margin. Pole-adjacent points, and
+    points where F overflows, are skipped and counted.
     """
     return _membership_report(family, grid, _evaluate_points(r, grid.points), tol)
 

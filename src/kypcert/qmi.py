@@ -204,9 +204,20 @@ def _eta_coefficient(tag: FamilyTag) -> float:
     return (1.0 + tag.eta) / (1.0 - tag.eta)
 
 
-def _tiers(n: int, m: int) -> tuple[slice, slice, slice, slice]:
-    """Slices of the blocks of a 2(n+m) weight, in the order n, m, n, m."""
-    return slice(0, n), slice(n, n + m), slice(n + m, 2 * n + m), slice(2 * n + m, 2 * (n + m))
+def _tier_form(n: int, m: int, state, io, x=None, dtype=complex) -> np.ndarray:
+    """The 2(n+m) matrix of block order n, m, n, m with state[a][b]·X in block
+    (a, b) of the state tiers (blocks 1 and 3) and io[a][b]·I_m in that of the
+    io tiers (blocks 2 and 4), X = x or I_n. Only nonzero entries are written,
+    and ±1 as X or -X, so no product gives a zero a sign."""
+    nm = n + m
+    u = np.zeros((2 * nm, 2 * nm), dtype=dtype)
+    for start, size, pattern, block in ((0, n, state, np.eye(n) if x is None else x), (n, m, io, np.eye(m))):
+        first, second = slice(start, start + size), slice(start + nm, start + nm + size)
+        (c11, c12), (c21, c22) = pattern
+        for c, rows, cols in ((c11, first, first), (c12, first, second), (c21, second, first), (c22, second, second)):
+            if c:
+                u[rows, cols] = block if c == 1 else -block if c == -1 else c * block
+    return u
 
 
 def _weight_entries(tag: FamilyTag, p: np.ndarray, m: int) -> np.ndarray:
@@ -214,23 +225,9 @@ def _weight_entries(tag: FamilyTag, p: np.ndarray, m: int) -> np.ndarray:
     Hermitian P (no definiteness check; block order n, m, n, m). The state
     tier is diag(-P, P) in discrete time, else -P off the diagonal; the io
     tier is diag(c, 1)·I if bounded (c from eta), else I off the diagonal."""
-    n = p.shape[0]
-    w = np.zeros((2 * (n + m), 2 * (n + m)), dtype=complex)
-    i1, i2, i3, i4 = _tiers(n, m)
-    im = np.eye(m)
-    if tag.family.is_discrete:
-        w[i1, i1] = -p
-        w[i3, i3] = p
-    else:
-        w[i1, i3] = -p
-        w[i3, i1] = -p
-    if tag.family.is_bounded:
-        w[i2, i2] = _eta_coefficient(tag) * im
-        w[i4, i4] = im
-    else:
-        w[i2, i4] = im
-        w[i4, i2] = im
-    return w
+    state = ((-1, 0), (0, 1)) if tag.family.is_discrete else ((0, -1), (-1, 0))
+    io = ((_eta_coefficient(tag), 0), (0, 1)) if tag.family.is_bounded else ((0, 1), (1, 0))
+    return _tier_form(p.shape[0], m, state, io, p)
 
 
 def build_weight(family, p, m: int) -> WMatrix:
@@ -774,24 +771,12 @@ def check_lossless(r: Realization, p, family, tol: float = 1e-8) -> bool:
 def weight_rotation_delta_to_beta(n: int, m: int) -> np.ndarray:
     """Symmetric orthogonal U with U* W_dbr(P) U = W_br(P)."""
     s = 1.0 / np.sqrt(2.0)
-    u = np.zeros((2 * (n + m), 2 * (n + m)))
-    i1, i2, i3, i4 = _tiers(n, m)
-    u[i1, i1] = s * np.eye(n)
-    u[i1, i3] = s * np.eye(n)
-    u[i3, i1] = s * np.eye(n)
-    u[i3, i3] = -s * np.eye(n)
-    u[i2, i2] = np.eye(m)
-    u[i4, i4] = np.eye(m)
-    return u
+    return _tier_form(n, m, ((s, s), (s, -s)), ((1, 0), (0, 1)), dtype=float)
 
 
 def weight_transfer_beta_to_gamma(n: int, m: int) -> np.ndarray:
     """Orthogonal U = [0, -I; I, 0] with W_br(P) U = W_dpr(P)."""
-    nm = n + m
-    u = np.zeros((2 * nm, 2 * nm))
-    u[:nm, nm:] = -np.eye(nm)
-    u[nm:, :nm] = np.eye(nm)
-    return u
+    return _tier_form(n, m, ((0, -1), (1, 0)), ((0, -1), (1, 0)), dtype=float)
 
 
 def weight_transfer_delta_to_alpha(n: int, m: int) -> np.ndarray:
@@ -800,13 +785,7 @@ def weight_transfer_delta_to_alpha(n: int, m: int) -> np.ndarray:
     The sign pattern differs between the state tier (n) and the io tier (m);
     a plain [0, -I; I, 0] block swap flips the P block the wrong way.
     """
-    u = np.zeros((2 * (n + m), 2 * (n + m)))
-    i1, i2, i3, i4 = _tiers(n, m)
-    u[i1, i3] = np.eye(n)
-    u[i2, i4] = -np.eye(m)
-    u[i3, i1] = -np.eye(n)
-    u[i4, i2] = np.eye(m)
-    return u
+    return _tier_form(n, m, ((0, 1), (-1, 0)), ((0, -1), (1, 0)), dtype=float)
 
 
 def array_swap(n: int, m: int) -> np.ndarray:
@@ -816,11 +795,7 @@ def array_swap(n: int, m: int) -> np.ndarray:
     array inversion preserve positive-real certificates and flip
     discrete-bounded ones.
     """
-    nm = n + m
-    u = np.zeros((2 * nm, 2 * nm))
-    u[:nm, nm:] = np.eye(nm)
-    u[nm:, :nm] = np.eye(nm)
-    return u
+    return _tier_form(n, m, ((0, 1), (1, 0)), ((0, 1), (1, 0)), dtype=float)
 
 
 # ---------------------------------------------------------------------------

@@ -162,7 +162,7 @@ def evaluate(r: Realization, z: complex) -> np.ndarray:
         If zI - A is singular to working precision
         (sigma_min < 1e-12 * ||zI - A||_2).
     NumericalFailure
-        If the Schur form of A does not converge.
+        If the Schur form of A does not converge, or F(z) overflows.
     """
     z = complex(z)
     if not np.isfinite(z):
@@ -170,6 +170,8 @@ def evaluate(r: Realization, z: complex) -> np.ndarray:
     values, keep = _evaluate_points(r, np.array([z]))
     if not keep[0]:
         raise PoleAt(z)
+    if not np.isfinite(values[0]).all():
+        raise NumericalFailure(f"F overflows at z = {z}: the entries of the realization are too large")
     return values[0]
 
 
@@ -191,14 +193,16 @@ def _transfer(r: Realization, t: np.ndarray, u: np.ndarray, z: np.ndarray):
     one matrix product per point, of the same shape at every point, so the
     values at a point do not depend on the other points. An elementwise
     update across points would: numpy's SIMD loops may multiply complex
-    arrays with fused multiply-adds and a single element without.
+    arrays with fused multiply-adds and a single element without. Huge
+    entries may overflow F to non-finite values, without a warning.
     """
     w = u.conj().T @ r.B
     d = z[:, None] - np.diag(t)
     y = np.empty((z.size, r.n, r.m), dtype=complex)
-    for i in range(r.n - 1, -1, -1):
-        y[:, i] = (w[i] + t[i, i + 1 :] @ y[:, i + 1 :]) / d[:, i, None]
-    return (r.C @ u) @ y + r.D, y
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(r.n - 1, -1, -1):
+            y[:, i] = (w[i] + t[i, i + 1 :] @ y[:, i + 1 :]) / d[:, i, None]
+        return (r.C @ u) @ y + r.D, y
 
 
 # Pole screen of `_evaluate_points`. With A V = V diag(lam) + E for the
@@ -275,7 +279,8 @@ def _evaluate_points(r: Realization, points: np.ndarray, *, states: bool = False
             idx = kept[start : start + step]
             values[idx], y = _transfer(r, t, u, points[idx])
             if states:
-                xs[idx] = u @ y
+                with np.errstate(invalid="ignore"):  # a Y that overflowed
+                    xs[idx] = u @ y
     if _log.isEnabledFor(logging.DEBUG):
         _log.debug(
             "evaluated F at %d points: %d cleared by the eigenvalue screen, "

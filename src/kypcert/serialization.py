@@ -54,37 +54,34 @@ def decode_matrix(obj, rows: int | None = None, cols: int | None = None, field: 
     if not isinstance(obj, list):
         raise ParseError(f"field {field!r}: expected a list of rows")
     # one structural walk, then one fromiter over the cells; a cell the walk drops makes its count short
-    arr, width = None, len(obj[0]) if obj and isinstance(obj[0], list) else 0
+    arr, finite, width = None, False, len(obj[0]) if obj and isinstance(obj[0], list) else 0
     if all(isinstance(row, list) and len(row) == width for row in obj):
         cells = [cell for row in obj for cell in row if isinstance(cell, list) and len(cell) == 2]
         with contextlib.suppress(TypeError, ValueError, OverflowError):
             flat = np.fromiter(chain.from_iterable(cells), float, 2 * len(obj) * width)
-            arr = flat.view(complex).reshape(len(obj), width) if np.isfinite(flat).all() else None
-    if arr is None:
-        # entry by entry, naming the first bad row or entry (fromiter reads None as NaN)
-        out_rows = []
+            arr = flat.view(complex).reshape(len(obj), width)
+            finite = bool(np.isfinite(flat).all())
+    if not finite:
+        # name the first bad row or entry: float() fails where fromiter does, and also on None, which fromiter reads as NaN
         for i, row in enumerate(obj):
             if not isinstance(row, list):
                 raise ParseError(f"field {field!r}, row {i}: expected a list")
-            entries = []
             for j, cell in enumerate(row):
                 if not (isinstance(cell, list) and len(cell) == 2):
                     raise ParseError(f"field {field!r}, entry ({i},{j}): expected [re, im]")
                 try:
-                    entries.append(complex(float(cell[0]), float(cell[1])))
+                    float(cell[0]), float(cell[1])
                 except (TypeError, ValueError, OverflowError) as exc:
                     raise ParseError(f"field {field!r}, entry ({i},{j}): not numeric") from exc
-            if len(entries) != width:  # row 0 is a list here, of length width
-                raise ShapeError(f"field {field!r}: ragged rows ({len(entries)} vs {width})")
-            out_rows.append(entries)
-        arr = np.array(out_rows, dtype=complex) if out_rows else np.zeros((0, 0), dtype=complex)
+            if len(row) != width:  # row 0 is a list here, of length width
+                raise ShapeError(f"field {field!r}: ragged rows ({len(row)} vs {width})")
     if rows is not None and cols is not None:
         # an empty dimension cannot be inferred from JSON, so trust (rows, cols)
         if arr.size == 0 and rows * cols == 0 and arr.shape[0] == rows:
             arr = arr.reshape(rows, cols)
         if arr.shape != (rows, cols):
             raise ShapeError(f"field {field!r} has shape {arr.shape}, expected {(rows, cols)}")
-    if arr.size and not np.all(np.isfinite(arr)):
+    if not finite:
         raise ParseError(f"field {field!r}: non-finite entries")
     return arr
 

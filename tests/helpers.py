@@ -134,6 +134,10 @@ OVERFLOWING_Q = [
 ]
 
 
+#: 1e400/(s + 1), a p member whose F overflows at every point of a grid
+OVERFLOWING_F = Realization(n=1, m=1, A=[[-1.0]], B=[[1e200]], C=[[1e200]], D=[[0.0]])
+
+
 def riccati_off(monkeypatch):
     """Send every certificate search past the Riccati rung of `solve_p`."""
     monkeypatch.setattr(qmi, "_riccati_certificate", lambda r, tag, tol_psd: ([], "off"))

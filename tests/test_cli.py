@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from helpers import (
     DOUBLED_STATE_TIER,
+    OVERFLOWING_F,
     OVERFLOWING_Q,
     discrete,
     lossless_member,
@@ -600,8 +601,8 @@ def test_overflowing_q_is_an_error_not_a_traceback(capsys, tmp_path, fam, r):
 #: every exit-1 error of the CLI; {F2} is a positive-real member, {B} a
 #: bounded-real one (its Cayley transform), {P} its 3 x 3 certificate I,
 #: {latin} a file that is not UTF-8, {deep} JSON nested past the recursion
-#: limit, {bad} a two-block isometry family whose state tier sums to 2 I and
-#: {out} an output path
+#: limit, {bad} a two-block isometry family whose state tier sums to 2 I,
+#: {ovf} a p member whose F and whose Q in b overflow, and {out} an output path
 ERROR_EXITS = {
     "lossless-with-dp": ["check", "--family", "dp", "--lossless", "{F2}"],
     "coords-without-t-matrix": ["transform", "--op", "coords", "{F2}", "-o", "{out}"],
@@ -611,6 +612,8 @@ ERROR_EXITS = {
     "bad-at": ["eval", "--at", "1;0", "{F2}"],
     "eval-at-nan": ["eval", "--at", "nan,0", "{F2}"],
     "eval-at-infinity": ["eval", "--at", "0,inf", "{F2}"],
+    "eval-overflowing-f": ["eval", "--at", "1,0", "{ovf}"],
+    "check-b-solve-overflowing-q": ["check", "--family", "b", "--solve", "--grid", "4", "{ovf}"],
     "combine-non-isometric-family": ["combine", "--family", "p", "--inputs", "{F2},{F2}",
                                      "--isometries", "{bad}", "-o", "{out}"],
     "check-eta-nan": ["check", "--family", "b", "--eta=nan", "{B}"],
@@ -663,7 +666,8 @@ def test_every_error_exit_prints_one_error_line(capsys, tmp_path, argv):
     (tmp_path / "latin.json").write_bytes(b"\xff\xfe{}")
     (tmp_path / "deep.json").write_bytes(b"[" * 200000 + b"]" * 200000)
     write_isometry_family(tmp_path / "bad.json", *DOUBLED_STATE_TIER)
-    paths = {name: str(tmp_path / f"{name}.json") for name in ("F2", "B", "P", "latin", "deep", "bad", "out")}
+    save_realization(tmp_path / "ovf.json", OVERFLOWING_F)
+    paths = {name: str(tmp_path / f"{name}.json") for name in ("F2", "B", "P", "latin", "deep", "bad", "ovf", "out")}
     code = main([arg.format(**paths) for arg in argv] + ["--deterministic"])
     captured = capsys.readouterr()
     assert code == 1
@@ -748,3 +752,24 @@ def test_lossless_oracle_with_no_sample_needs_a_certificate(capsys, tmp_path, ce
     assert rep["lossless_oracle"]["samples_used"] == 0 and rep["lossless_oracle"]["worst_margin"] is None
     assert rep["oracle"]["samples_used"] == 1
     assert (code, rep["verdict"]) == ((0, "pass") if certify else (3, "inconclusive"))
+
+
+@pytest.mark.parametrize("argv,exit_code,verdict", [
+    (["--lossless"], 3, "inconclusive"),
+    ([], 3, "inconclusive"),
+    (["--solve"], 0, "pass"),
+], ids=["lossless", "plain", "solve"])
+def test_check_where_f_overflows_skips_every_point(capsys, tmp_path, argv, exit_code, verdict):
+    """1e400/(s + 1): F overflows at each grid point, which every oracle skips,
+    so the report is standard JSON, stderr is empty, and only the verified
+    P = 1 of --solve is evidence."""
+    save_realization(tmp_path / "r.json", OVERFLOWING_F)
+    code = main(["check", "--family", "p", "--grid", "4", "--deterministic", *argv, str(tmp_path / "r.json")])
+    captured = capsys.readouterr()
+    rep = json.loads(captured.out, parse_constant=_no_constant)
+    assert captured.err == "" and (code, rep["verdict"]) == (exit_code, verdict)
+    assert rep["oracle"]["samples_used"] == 0 and rep["oracle"]["skipped"] == 8
+    if exit_code == 3:
+        assert "overflowing" in rep["note"]
+    else:
+        assert rep["certificate"]["status"] == "verified"

@@ -2,7 +2,7 @@ import dataclasses
 
 import numpy as np
 import pytest
-from helpers import lossless_member, rand_complex, transfer_max_err
+from helpers import OVERFLOWING_F, lossless_member, rand_complex, transfer_max_err
 
 from kypcert import (
     BadParams,
@@ -297,6 +297,13 @@ def test_lossless_bounded_tolerance_scales_with_f(delta):
         r = cayley_function(skew_lossless(8, 2, seed, delta))
         rep = lossless_boundary_oracle(r, "LB", make_grid(Domain.RIGHT_HALF_PLANE, 64, 64, seed))
         assert rep.passed == (delta == 0.0), seed
+
+
+@pytest.mark.filterwarnings("error")
+def test_a_point_where_f_overflows_is_skipped():
+    # 1e400/(s + 1) overflows at every grid point: no margin of NaN, no sample
+    rep = membership_oracle(OVERFLOWING_F, Family.POSITIVE_REAL, make_grid(Domain.RIGHT_HALF_PLANE, 4, 4, 0))
+    assert rep.passed and (rep.samples_used, rep.skipped) == (0, 8) and rep.worst_point is None
 
 
 @pytest.mark.filterwarnings("error")

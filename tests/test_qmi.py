@@ -172,25 +172,59 @@ def test_weight_spectrum_law():
 @pytest.mark.parametrize("tag", ["p", "b", "b-eta3", "dp", "db"])
 def test_weight_entries_follow_the_block_table(tag):
     # block order (n, m, n, m); the state tier comes from the time axis and
-    # the io tier from the positive/bounded axis, written out per family
-    p = rand_hpd(np.random.default_rng(5), 2)
-    z2, z21, z12, z1, i1 = np.zeros((2, 2)), np.zeros((2, 1)), np.zeros((1, 2)), np.zeros((1, 1)), np.eye(1)
-    family, rows = {
-        "p": (Family.POSITIVE_REAL,
-              [[z2, z21, -p, z21], [z12, z1, z12, i1], [-p, z21, z2, z21], [z12, i1, z12, z1]]),
-        "b": (Family.BOUNDED_REAL,
-              [[z2, z21, -p, z21], [z12, -i1, z12, z1], [-p, z21, z2, z21], [z12, z1, z12, i1]]),
-        # (1 + eta) / (1 - eta) = -2 at eta = 3
-        "b-eta3": (FamilyTag(Family.BOUNDED_REAL, eta=3.0),
-                   [[z2, z21, -p, z21], [z12, -2 * i1, z12, z1], [-p, z21, z2, z21], [z12, z1, z12, i1]]),
-        "dp": (Family.DISCRETE_POSITIVE_REAL,
-               [[-p, z21, z2, z21], [z12, z1, z12, i1], [z2, z21, p, z21], [z12, i1, z12, z1]]),
-        "db": (Family.DISCRETE_BOUNDED_REAL,
-               [[-p, z21, z2, z21], [z12, -i1, z12, z1], [z2, z21, p, z21], [z12, z1, z12, i1]]),
-    }[tag]
-    expected = np.block(rows)
-    assert expected.shape == (6, 6)
-    assert np.array_equal(build_weight(family, p, 1).entries, expected)
+    # the io tier from the positive/bounded axis, written out per family.
+    # Compared byte for byte: -I_m carries -0.0 off its diagonal, and wmat
+    # prints the sign of a zero. At n = 0 only the io tier is left.
+    m = 2
+    for n in (0, 2):
+        p = rand_hpd(np.random.default_rng(5), n)
+        zn, znm, zmn, zm, im = np.zeros((n, n)), np.zeros((n, m)), np.zeros((m, n)), np.zeros((m, m)), np.eye(m)
+        family, rows = {
+            "p": (Family.POSITIVE_REAL,
+                  [[zn, znm, -p, znm], [zmn, zm, zmn, im], [-p, znm, zn, znm], [zmn, im, zmn, zm]]),
+            "b": (Family.BOUNDED_REAL,
+                  [[zn, znm, -p, znm], [zmn, -im, zmn, zm], [-p, znm, zn, znm], [zmn, zm, zmn, im]]),
+            # (1 + eta) / (1 - eta) = -2 at eta = 3
+            "b-eta3": (FamilyTag(Family.BOUNDED_REAL, eta=3.0),
+                       [[zn, znm, -p, znm], [zmn, -2 * im, zmn, zm], [-p, znm, zn, znm], [zmn, zm, zmn, im]]),
+            "dp": (Family.DISCRETE_POSITIVE_REAL,
+                   [[-p, znm, zn, znm], [zmn, zm, zmn, im], [zn, znm, p, znm], [zmn, im, zmn, zm]]),
+            "db": (Family.DISCRETE_BOUNDED_REAL,
+                   [[-p, znm, zn, znm], [zmn, -im, zmn, zm], [zn, znm, p, znm], [zmn, zm, zmn, im]]),
+        }[tag]
+        expected = np.block(rows).astype(complex)
+        assert expected.shape == (2 * (n + m),) * 2
+        assert build_weight(family, p, m).entries.tobytes() == expected.tobytes(), n
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+@pytest.mark.parametrize("n", range(5))
+def test_weight_transfers_hold_exactly(n, m):
+    # the three identities of acceptance criterion 01 and the swap law, with
+    # no tolerance: a signed permutation moves entries without rounding, and
+    # the rotation is R D^-1/2 with R of entries 0 and +-1, D = 2 on the state
+    # tiers and 1 on the io tiers, so R* W_dbr(P) R = W_br(2P) holds in
+    # integers for an integer P
+    rng = np.random.default_rng(10 * n + m)
+    p = rand_hpd(rng, n)
+    wd, wb, wa, wg = (build_weight(f, p, m).entries for f in (
+        Family.DISCRETE_BOUNDED_REAL, Family.BOUNDED_REAL, Family.POSITIVE_REAL, Family.DISCRETE_POSITIVE_REAL))
+    u2, ua, us = weight_transfer_beta_to_gamma(n, m), weight_transfer_delta_to_alpha(n, m), array_swap(n, m)
+    for u in (u2, ua, us):
+        assert u.dtype == float and np.array_equal(u.T @ u, np.eye(2 * (n + m)))
+    assert np.array_equal(wb @ u2, wg)
+    assert np.array_equal(wd @ ua, wa)
+    assert np.array_equal(us.T @ wa @ us, wa) and np.array_equal(us.T @ wd @ us, -wd)
+    u1 = weight_rotation_delta_to_beta(n, m)
+    d = np.ones(2 * (n + m))
+    d[np.r_[:n, n + m : 2 * n + m]] = 2.0
+    r = np.sign(u1)
+    assert u1.dtype == float and np.array_equal(u1, r / np.sqrt(d)) and np.array_equal(u1, u1.T)
+    assert np.array_equal(r.T @ r, np.diag(d))
+    g = rng.integers(-3, 4, (n, n))
+    p_int = g @ g.T + np.eye(n)
+    wd_int = build_weight(Family.DISCRETE_BOUNDED_REAL, p_int, m).entries
+    assert np.array_equal(r.T @ wd_int @ r, build_weight(Family.BOUNDED_REAL, 2 * p_int, m).entries)
 
 
 # -- quadratic form assembly ---------------------------------------------------

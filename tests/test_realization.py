@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from helpers import (
+    OVERFLOWING_F,
     f3_closed,
     f_closed,
     g_closed,
@@ -17,6 +18,7 @@ from kypcert import (
     Domain,
     Family,
     FamilyTag,
+    NumericalFailure,
     PassivityError,
     PoleAt,
     Realization,
@@ -77,6 +79,12 @@ def test_evaluate_pole_raises():
         evaluate(fixture("f"), -0.5)
     with pytest.raises(PoleAt):
         evaluate(fixture("g"), 0.0)
+
+
+@pytest.mark.filterwarnings("error")
+def test_evaluate_raises_where_f_overflows():
+    with pytest.raises(NumericalFailure, match="overflows"):
+        evaluate(OVERFLOWING_F, 1.0)
 
 
 @pytest.mark.parametrize("z", [complex("nan"), complex("inf"), complex("-inf"), complex(0, float("inf"))],

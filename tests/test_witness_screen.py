@@ -279,6 +279,17 @@ def test_pole_adjacent_points_are_dropped():
         assert _witness_scores(r, FamilyTag(Family.BOUNDED_REAL), [1e-300j])[0] == np.inf
 
 
+@pytest.mark.filterwarnings("error")
+def test_points_where_the_states_overflow_are_dropped():
+    # 1 + 1e308/(s - 1): on the circle around the pole inside the domain,
+    # (zI - A)^-1 B overflows; those points score +inf, with no warning
+    r = Realization(n=1, m=1, A=[[1.0]], B=[[1e308]], C=[[1.0]], D=[[1.0]])
+    tag = FamilyTag(Family.POSITIVE_REAL)
+    points = _witness_points(r, tag)
+    circle = np.isclose(np.abs(points - 1.0), 2e-3)
+    assert circle.sum() == 8 and np.all(_witness_scores(r, tag, points)[circle] == np.inf)
+
+
 # -- crossings of the Popov function --------------------------------------------------
 
 

@@ -113,3 +113,25 @@ def refuse(name):
 
 json.loads(open("report.json").read(), parse_constant=refuse)
 PY
+# 1e400/(s + 1), a p member: F overflows at every grid point, so every oracle
+# skips them all (exit 3, standard JSON, no warning), and eval refuses it
+python -c "from kypcert import Realization, save_realization; save_realization('overflow.json', Realization(n=1, m=1, A=[[-1.0]], B=[[1e200]], C=[[1e200]], D=[[0.0]]))"
+code=0
+kypcert check --family p --grid 4 --deterministic overflow.json > report.json 2> err.txt || code=$?
+test "$code" -eq 3
+test ! -s err.txt
+python - <<'PY'
+import json
+
+
+def refuse(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+json.loads(open("report.json").read(), parse_constant=refuse)
+PY
+code=0
+kypcert eval --at 1,0 --deterministic overflow.json 2> err.txt || code=$?
+test "$code" -eq 1
+test "$(wc -l < err.txt)" -eq 1
+grep -q '^error:' err.txt
