@@ -543,26 +543,24 @@ def _riccati_x(a: np.ndarray, b: np.ndarray, popov: tuple, eps: float, axis_rtol
     return herm(np.linalg.solve(u1.T, u2.T).T), "verify_kyp rejected P"
 
 
-def _riccati_certificate(r: Realization, tag: FamilyTag, tol_psd: float | None) -> tuple[list[Certificate], str]:
-    """`verify_kyp` on each P of the two passes, the last one verified when
-    the rung certified; and why, in the first pass's words."""
+def _candidates(r: Realization, tag: FamilyTag):
+    """(name, P or None) for each candidate of `solve_p`, built only when
+    asked for: the rung's first pass, named by `_riccati_x`'s reason; for a
+    stable A its shifted pass; the deflated rung; the identity."""
     form = _continuous(r, tag)
     if form is None:
-        return [], "I + A singular"
-    g, scale = form
-    popov = _popov_blocks(g, _io_weight(tag, g.m))
-    x, why = _riccati_x(g.A, g.B, popov, _RICCATI_EPS, _AXIS_RTOL)
-    judged = [] if x is None else [verify_kyp(r, -scale * x, tag, tol_psd)]
-    if judged and judged[0].verified:
-        return judged, f"certified by the Riccati rung at eps={_RICCATI_EPS:g}"
-    alpha = g.poles().real.max()
-    if alpha < 0.0:
-        x = _riccati_x(g.A - _DECAY_SHIFT * alpha * np.eye(g.n), g.B, popov, 0.0, _SHIFTED_AXIS_RTOL)[0]
-        if x is not None:
-            judged.append(verify_kyp(r, -scale * x, tag, tol_psd))
-            if judged[-1].verified:
-                return judged, f"{why}; certified by the shifted rung"
-    return judged, why
+        yield "I + A singular", None
+    else:
+        g, scale = form
+        popov = _popov_blocks(g, _io_weight(tag, g.m))
+        x, why = _riccati_x(g.A, g.B, popov, _RICCATI_EPS, _AXIS_RTOL)
+        yield why, None if x is None else -scale * x
+        alpha = g.poles().real.max()
+        if alpha < 0.0:
+            x = _riccati_x(g.A - _DECAY_SHIFT * alpha * np.eye(g.n), g.B, popov, 0.0, _SHIFTED_AXIS_RTOL)[0]
+            yield "the shifted rung", None if x is None else -scale * x
+    yield "the deflated rung", _deflated_p(r, tag)
+    yield "the identity", np.eye(r.n, dtype=complex)
 
 
 def _deflate(a: np.ndarray, b: np.ndarray, popov: tuple) -> np.ndarray | None:
@@ -675,14 +673,15 @@ def _find_witness(r: Realization, tag: FamilyTag, tol_psd: float | None = None) 
 
 
 def solve_p(r: Realization, family, *, tol_psd: float | None = None) -> Certificate | NotFound:
-    """Search for a certificate P among a fixed list of candidates.
+    """Search for a certificate P along one ordered list of candidates.
 
-    The candidates, each judged only by `verify_kyp`, are: the stabilizing
-    solution of the tightened KYP Riccati equation (when Rx = Phi(D) > 0,
-    Phi(F(-1)) for dp/db), and for a stable A that of A shifted towards the
-    axis; when Rx >= 0, the P with P B = Sx that the same rung completes on
-    the deflated KYP form; and the identity (comment above `_RICCATI_EPS`). The
-    first verified Certificate is returned. Else a witness screen evaluates
+    The candidates, in this order and each judged only by `verify_kyp`, are:
+    the stabilizing solution of the tightened KYP Riccati equation (when
+    Rx = Phi(D) > 0, Phi(F(-1)) for dp/db); for a stable A, that of A shifted
+    towards the axis; when Rx >= 0, the P with P B = Sx that the same rung
+    completes on the deflated KYP form; and the identity (`_candidates`,
+    comment above `_RICCATI_EPS`). The first verified Certificate is returned
+    and no later candidate is built. Else a witness screen evaluates
     the family's frequency-domain form Phi(F(z)) at infinity, a few boundary
     and interior points and, if those show nothing, at the zero crossings of
     Phi on the boundary and the midpoints between them. If lambda_min(Phi) is
@@ -708,18 +707,18 @@ def solve_p(r: Realization, family, *, tol_psd: float | None = None) -> Certific
             residual=max(0.0, -cert.min_eig_q), iterations=1,
             stop="witness" if refuted else "no-certificate", witness=complex(np.inf) if refuted else None,
         )
-    judged, why = _riccati_certificate(r, tag, tol_psd)
-    if judged and judged[-1].verified:
-        _log.debug("solve_p %s n=%d m=%d: %s", tag.label, n, m, why)
+    judged, why, outcome = [], None, "no certificate"
+    for name, p in _candidates(r, tag):
+        if p is not None:
+            judged.append(verify_kyp(r, p, tag, tol_psd))
+            if judged[-1].verified:
+                outcome = f"certified by {name}" if why else f"certified by the Riccati rung at eps={_RICCATI_EPS:g}"
+                break
+        why = why or name
+    # the first pass's reason leads the line, unless that pass certified
+    _log.debug("solve_p %s n=%d m=%d: %s", tag.label, n, m, f"{why}; {outcome}" if why else outcome)
+    if judged[-1].verified:
         return judged[-1]
-    for name, p in (("the deflated rung", _deflated_p(r, tag)), ("the identity", np.eye(n, dtype=complex))):
-        if p is None:
-            continue
-        judged.append(verify_kyp(r, p, tag, tol_psd))
-        if judged[-1].verified:
-            _log.debug("solve_p %s n=%d m=%d: %s; certified by %s", tag.label, n, m, why, name)
-            return judged[-1]
-    _log.debug("solve_p %s n=%d m=%d: %s; no certificate", tag.label, n, m, why)
     best = max(judged, key=lambda c: (c.min_eig_p > 0.0, c.min_eig_q))
     witness = _find_witness(r, tag, tol_psd)
     return NotFound(

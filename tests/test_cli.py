@@ -229,6 +229,16 @@ def test_check_solve_certifies_two_poles_in_moved_coordinates(capsys, tmp_path):
     assert rep["certificate"]["status"] == "verified"
 
 
+def test_check_solve_certifies_a_pole_at_minus_one_in_dp(capsys, tmp_path):
+    # the lossless (z - 1)/(z + 1): I + A is singular, so the rung does not
+    # run, and the deflated rung's rotation certifies it with P = [[2]]
+    path = tmp_path / "r.json"
+    save_realization(path, Realization(n=1, m=1, A=[[-1.0]], B=[[1.0]], C=[[-2.0]], D=[[1.0]]))
+    code, rep = run_cli(capsys, "check", "--family", "dp", "--solve", "--deterministic", str(path))
+    assert code == 0 and rep["certificate"]["status"] == "verified"
+    assert rep["certificate"]["p"][0][0] == pytest.approx([2.0, 0.0])
+
+
 def test_fixtures_command_round_trip(capsys, tmp_path):
     out = tmp_path / "F2.json"
     code, rep = run_cli(capsys, "fixtures", "--name", "F2", "--a", "2", "--b", "-1",

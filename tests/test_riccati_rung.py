@@ -9,6 +9,7 @@ rung, so near-boundary non-members never get a certificate from it.
 
 from __future__ import annotations
 
+import itertools
 import logging
 import math
 import warnings
@@ -48,7 +49,6 @@ from kypcert.qmi import (
     _io_weight,
     _ordered_schur,
     _popov_blocks,
-    _riccati_certificate,
 )
 
 TAGS = [FamilyTag(fam) for fam in Family] + [FamilyTag(Family.BOUNDED_REAL, eta=3.0)]
@@ -57,6 +57,20 @@ TAGS = [FamilyTag(fam) for fam in Family] + [FamilyTag(Family.BOUNDED_REAL, eta=
 def unitary(rng, n):
     q, r = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
     return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def rung_entries(r, tag):
+    """The (name, P or None) entries of `solve_p`'s candidate list before the
+    deflated rung: the rung's first pass and, for a stable A, its shifted
+    pass."""
+    return itertools.takewhile(lambda entry: entry[0] != "the deflated rung", qmi._candidates(r, tag))
+
+
+def debug_lines(caplog, r, fam):
+    """solve_p's result on r and the DEBUG lines it logged."""
+    with caplog.at_level(logging.DEBUG, logger="kypcert"):
+        res = solve_p(r, fam)
+    return res, [rec.getMessage() for rec in caplog.records if rec.name == "kypcert.qmi"]
 
 
 def moved_member(rng, tag, n, m, contraction=0.7, cond=10.0):
@@ -128,9 +142,9 @@ def near_boundary(r, tag, t):
 def test_near_boundary_non_members_get_no_rung_certificate(seed, tag, n, m, log_t, contraction):
     rng = np.random.default_rng(seed)
     r = near_boundary(moved_member(rng, tag, n, m, contraction), tag, 10.0**log_t)
-    judged, why = _riccati_certificate(r, tag, None)
-    assert judged == []
-    assert why.startswith(("axis eigenvalue", "Rx not positive definite")), why
+    entries = list(rung_entries(r, tag))
+    assert all(p is None for _, p in entries)
+    assert entries[0][0].startswith(("axis eigenvalue", "Rx not positive definite")), entries[0][0]
     # nor from any later candidate
     assert isinstance(solve_p(r, tag), NotFound)
 
@@ -140,7 +154,7 @@ def test_pinned_resonance_gets_no_rung_certificate():
     # eigenvalues
     r = resonance(1.001, 1e-3, 0.1)
     tag = FamilyTag(Family.BOUNDED_REAL)
-    assert _riccati_certificate(r, tag, None) == ([], "axis eigenvalue")
+    assert list(rung_entries(r, tag)) == [("axis eigenvalue", None), ("the shifted rung", None)]
     res = solve_p(r, tag)
     assert isinstance(res, NotFound) and res.stop == "witness"
 
@@ -159,18 +173,16 @@ def test_pinned_resonance_gets_no_rung_certificate():
 )
 def test_moved_members_get_a_rung_certificate(seed, tag, n, m, contraction, log_cond):
     r = moved_member(np.random.default_rng(seed), tag, n, m, contraction, 10.0**log_cond)
-    judged, why = _riccati_certificate(r, tag, None)
-    assert judged and judged[-1].verified, why
-    assert verify_kyp(r, judged[-1].p, tag).verified
+    assert any(verify_kyp(r, p, tag).verified for _, p in rung_entries(r, tag) if p is not None)
 
 
 @pytest.mark.parametrize("tag", TAGS, ids=lambda t: t.label)
-def test_rung_p_is_the_riccati_solution(tag):
+def test_rung_p_is_the_riccati_solution(caplog, tag):
     """P against scipy's Riccati solver, on r for p/b and on the bilinear
     substitute for dp/db, where P = P_G / 2."""
     r = moved_member(np.random.default_rng(3), tag, 6, 2)
-    [cert], why = _riccati_certificate(r, tag, None)
-    assert why == "certified by the Riccati rung at eps=1e-06"
+    cert, lines = debug_lines(caplog, r, tag)
+    assert lines == [f"solve_p {tag.label} n=6 m=2: certified by the Riccati rung at eps=1e-06"]
     g = bilinear_substitute(r) if tag.family.is_discrete else r
     cd = np.block([[g.C, g.D], [np.zeros((g.m, g.n)), np.eye(g.m)]])
     mx = cd.conj().T @ _io_weight(tag, g.m) @ cd
@@ -210,7 +222,8 @@ def test_preservation_accepts_moved_trios(fam):
                                       ("g", Family.BOUNDED_REAL)])
 def test_singular_or_indefinite_rx_skips_the_rung(monkeypatch, name, fam):
     r = fixture(name)
-    assert _riccati_certificate(r, FamilyTag(fam), None) == ([], "Rx not positive definite")
+    entries = list(rung_entries(r, FamilyTag(fam)))
+    assert entries[0][0] == "Rx not positive definite" and all(p is None for _, p in entries)
     on = solve_p(r, fam)
     riccati_off(monkeypatch)
     off = solve_p(r, fam)
@@ -221,21 +234,31 @@ def test_singular_or_indefinite_rx_skips_the_rung(monkeypatch, name, fam):
         assert on.best_p.tobytes() == off.best_p.tobytes() and on.stop == off.stop
 
 
-@pytest.mark.parametrize("r,fam", [
+#: two members and a non-member, for a Schur reordering that fails
+REORDERED = [
     (moved_member(np.random.default_rng(5), FamilyTag(Family.BOUNDED_REAL), 6, 2), Family.BOUNDED_REAL),
     (moved_member(np.random.default_rng(6), FamilyTag(Family.DISCRETE_POSITIVE_REAL), 6, 2),
      Family.DISCRETE_POSITIVE_REAL),
     (resonance(1.001, 1e-3, 0.1), Family.BOUNDED_REAL),
-], ids=["member-b", "member-dp", "resonance"])
-def test_failed_schur_reordering_falls_through(monkeypatch, caplog, r, fam):
-    """LAPACK's reordering returns info = 1 when eigenvalues next to the axis
-    cannot be separated; solve_p then goes on exactly as without the rung."""
+]
+
+
+def fail_schur_reordering(monkeypatch):
+    """Make LAPACK's reordering return info = 1, as it does when eigenvalues
+    next to the axis cannot be separated."""
     ztrsen = qmi.ztrsen
 
     def failing(*args, **kwargs):
         return (*ztrsen(*args, **kwargs)[:-1], 1)
 
     monkeypatch.setattr(qmi, "ztrsen", failing)
+
+
+@pytest.mark.parametrize("r,fam", REORDERED, ids=["member-b", "member-dp", "resonance"])
+def test_failed_schur_reordering_falls_through(monkeypatch, caplog, r, fam):
+    """LAPACK's reordering returns info = 1 when eigenvalues next to the axis
+    cannot be separated; solve_p then goes on exactly as without the rung."""
+    fail_schur_reordering(monkeypatch)
     with caplog.at_level(logging.DEBUG, logger="kypcert"):
         failed = solve_p(r, fam)
     lines = [rec.getMessage() for rec in caplog.records if rec.name == "kypcert.qmi"]
@@ -249,6 +272,15 @@ def test_failed_schur_reordering_falls_through(monkeypatch, caplog, r, fam):
     else:
         assert failed.best_p.tobytes() == off.best_p.tobytes() and failed.stop == off.stop
         assert failed.witness == off.witness
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 7: a failed Schur reordering has no fallback")
+@pytest.mark.parametrize("r,fam", REORDERED[:2], ids=["member-b", "member-dp"])
+def test_members_are_certified_when_the_schur_reordering_fails(monkeypatch, r, fam):
+    # today both end on NotFound with stop "no-certificate" after judging only
+    # the identity; a fallback for the reordering makes this test fail loudly
+    fail_schur_reordering(monkeypatch)
+    assert isinstance(solve_p(r, fam), Certificate)
 
 
 ORDERED_SCHUR_CASES = [(FamilyTag(fam), n) for fam in Family for n in (1, 2, 4, 8, 16, 24)]
@@ -273,7 +305,8 @@ def test_ordered_schur_form_is_scipys_lhp_sorted_schur_form(tag, n):
 
 def test_non_finite_hamiltonian_skips_the_rung():
     r = Realization(n=1, m=1, A=[[-1.0]], B=[[1e200]], C=[[1.0]], D=[[1.0]])
-    assert _riccati_certificate(r, FamilyTag(Family.POSITIVE_REAL), None) == ([], "H not finite")
+    entries = list(rung_entries(r, FamilyTag(Family.POSITIVE_REAL)))
+    assert entries[0][0] == "H not finite" and all(p is None for _, p in entries)
 
 
 @pytest.mark.parametrize("fam", [Family.POSITIVE_REAL, Family.BOUNDED_REAL], ids=lambda f: f.value)
@@ -313,12 +346,12 @@ SHIFTED_MEMBERS = [
 
 
 @pytest.mark.parametrize("r,code", SHIFTED_MEMBERS, ids=["b-1e-5", "b-1e-4", "b-1e-3", "db-1e-5"])
-def test_lightly_damped_members_are_verified_by_the_shifted_pass(tmp_path, capsys, r, code):
+def test_lightly_damped_members_are_verified_by_the_shifted_pass(tmp_path, capsys, caplog, r, code):
     fam = FAMILY_CODES[code]
-    judged, why = _riccati_certificate(r, FamilyTag(fam), None)
-    assert why == "axis eigenvalue; certified by the shifted rung"
-    cert = solve_p(r, fam)
-    assert isinstance(cert, Certificate) and cert.p.tobytes() == judged[-1].p.tobytes()
+    cert, lines = debug_lines(caplog, r, fam)
+    assert lines == [f"solve_p {fam.value} n={r.n} m={r.m}: axis eigenvalue; certified by the shifted rung"]
+    shifted = dict(rung_entries(r, FamilyTag(fam)))["the shifted rung"]
+    assert isinstance(cert, Certificate) and cert.p.tobytes() == verify_kyp(r, shifted, fam).p.tobytes()
     assert verify_kyp(r, cert.p, fam).verified and balance(r, cert)[1].verified
     path = str(tmp_path / "r.json")
     save_realization(path, r)
@@ -330,12 +363,14 @@ def test_a_rejected_shifted_p_is_judged_and_counted():
     # zeta w = 2.3e-7: the shifted pass's margin 2e-3 zeta w lies below the
     # rounding of Q, so verify_kyp leaves its P inconclusive
     r = resonance(0.7, 1e-5, 0.023)
-    judged, why = _riccati_certificate(r, FamilyTag(Family.BOUNDED_REAL), None)
-    assert why == "axis eigenvalue" and [c.status for c in judged] == [CertificateStatus.INCONCLUSIVE]
+    [(why, first), (name, p)] = rung_entries(r, FamilyTag(Family.BOUNDED_REAL))
+    shifted = verify_kyp(r, p, Family.BOUNDED_REAL)
+    assert (why, first, name) == ("axis eigenvalue", None, "the shifted rung")
+    assert shifted.status is CertificateStatus.INCONCLUSIVE
     res = solve_p(r, Family.BOUNDED_REAL)
     # judged: the shifted P, the deflated rung's P and the identity
     assert isinstance(res, NotFound) and res.stop == "no-certificate" and res.iterations == 3
-    assert res.best_p.tobytes() == judged[0].p.tobytes() and res.min_eig_q == judged[0].min_eig_q
+    assert res.best_p.tobytes() == shifted.p.tobytes() and res.min_eig_q == shifted.min_eig_q
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -364,7 +399,11 @@ def _unstable(b):
     (resonance(), Family.BOUNDED_REAL, "axis eigenvalue; no certificate"),
     (_unstable(0.5), Family.POSITIVE_REAL, "verify_kyp rejected P; no certificate"),
     (_unstable(0.0), Family.POSITIVE_REAL, "U1 singular; no certificate"),
-], ids=["certified", "rx", "axis", "identity", "none", "rejected", "u1"])
+    # the lossless (z - 1)/(z + 1): its pole at -1 leaves no bilinear
+    # substitute, and the deflated rung's rotation moves it away
+    (Realization(n=1, m=1, A=[[-1.0]], B=[[1.0]], C=[[-2.0]], D=[[1.0]]), Family.DISCRETE_POSITIVE_REAL,
+     "I + A singular; certified by the deflated rung"),
+], ids=["certified", "rx", "axis", "identity", "none", "rejected", "u1", "i-plus-a-singular"])
 def test_one_debug_line_names_the_rung_or_the_reason(caplog, r, fam, message):
     with caplog.at_level(logging.DEBUG, logger="kypcert"):
         solve_p(r, fam)
@@ -388,3 +427,26 @@ def test_debug_line_without_a_rung(caplog):
     lines = [rec.getMessage() for rec in caplog.records if rec.name == "kypcert.qmi"]
     assert lines == ["solve_p positive-real n=0 m=1: Q = Phi(D) is verified",
                      "solve_p positive-real n=0 m=1: Q = Phi(D) is refuted"]
+
+
+# -- the candidate list -------------------------------------------------------------
+
+
+def test_the_candidates_come_in_one_order():
+    r = resonance(0.7, 1e-5, 0.023)
+    entries = list(qmi._candidates(r, FamilyTag(Family.BOUNDED_REAL)))
+    assert [name for name, _ in entries] == ["axis eigenvalue", "the shifted rung", "the deflated rung", "the identity"]
+    assert entries[0][1] is None
+    # judged: the three entries with a P
+    assert solve_p(r, Family.BOUNDED_REAL).iterations == 3
+
+
+@pytest.mark.parametrize("fam,calls", [(Family.BOUNDED_REAL, 0), (Family.POSITIVE_REAL, 1)],
+                         ids=["first-pass", "deflated-rung"])
+def test_no_candidate_is_built_after_a_certificate(monkeypatch, fam, calls):
+    # f in b is certified by the rung's first pass, f in p by the deflated rung
+    built = []
+    deflated_p = qmi._deflated_p
+    monkeypatch.setattr(qmi, "_deflated_p", lambda r, tag: built.append(tag) or deflated_p(r, tag))
+    assert solve_p(fixture("f"), fam).verified
+    assert len(built) == calls

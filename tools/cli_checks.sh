@@ -59,6 +59,11 @@ grep -q '^error:' err.txt
 # the deflated rung certifies it
 python -c "import numpy as np; from kypcert import Realization, change_coordinates, save_realization; save_realization('two.json', change_coordinates(Realization(n=2, m=1, A=np.diag([-1.0, -2.0]), B=[[1.0], [1.0]], C=[[1.0, 2.0]], D=[[0.0]]), np.array([[1.0, 10.0], [0.0, 1.0]])))"
 kypcert check --family p --solve --deterministic two.json
+# the lossless (z - 1)/(z + 1) in dp: I + A is singular, so the rung does not
+# run, and the deflated rung's rotation certifies it
+python -c "from kypcert import Realization, save_realization; save_realization('minus1.json', Realization(n=1, m=1, A=[[-1.0]], B=[[1.0]], C=[[-2.0]], D=[[1.0]]))"
+kypcert check --family dp --solve --deterministic minus1.json > report.json
+grep -q '"status": "verified"' report.json
 # a violation of -2e-3 beside a channel of 2e6: verify_kyp does not excuse it
 python -c "import numpy as np; from kypcert import Realization, save_realization; save_realization('spread.json', Realization.constant(np.diag([1e6, -1e-3])))"
 code=0
