@@ -5,9 +5,10 @@ prints a JSON report to stdout. Exit codes: 0 = pass, 1 = usage/IO/tool
 error, 2 = refuted by a concrete witness, 3 = inconclusive. A usage, input or
 IO error prints one ``error:`` line to stderr and nothing to stdout; only
 check's ``tool-error`` verdict exits 1 with a report. ``--eta`` must lie in
-(1, inf], and ``--tol-psd`` and ``--tol-oracle`` must be finite and
-non-negative. Every option is read by its command or refused: ``check``
-takes both tolerances, ``transform`` and ``combine`` only ``--tol-psd``.
+(1, inf], finite only with ``--family b`` or ``db``. ``--tol-psd`` and
+``--tol-oracle`` must be finite and non-negative. Every option is read by
+its command or refused: ``check`` takes both tolerances, ``transform`` and
+``combine`` only ``--tol-psd``.
 ``transform`` takes ``--family``, ``--eta``, ``--p-matrix`` and
 ``--tol-psd`` only with ``--op balance``, and ``--t-matrix`` only with
 ``--op coords``; ``wmat --p-matrix`` needs ``--n`` equal to the size of P
@@ -353,7 +354,7 @@ class _Parser(argparse.ArgumentParser):
 
 def _add_family(p: argparse.ArgumentParser, required: bool) -> None:
     p.add_argument("--family", required=required, choices=sorted(FAMILY_CODES))
-    p.add_argument("--eta", type=float, help="hyper-bounded parameter in (1, inf]")
+    p.add_argument("--eta", type=float, help="hyper-bounded parameter in (1, inf], finite only for b and db")
 
 
 def _add_tol_psd(p: argparse.ArgumentParser) -> None:

@@ -54,7 +54,7 @@ class NotPositiveDefinite(PassivityError):
 
 
 class EtaOutOfRange(PassivityError):
-    """Hyper-bounded parameter eta is outside (1, inf]."""
+    """Hyper-bounded parameter eta is not a number in (1, inf], or is finite outside b and db."""
 
 
 class CertificateNotVerified(PassivityError):

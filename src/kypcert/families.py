@@ -256,9 +256,9 @@ def membership_oracle(r: Realization, family, grid: DomainGrid, tol: float = ORA
     """Sampled membership test for one of the four families.
 
     The pointwise margin is min eig(F(z) + F(z)*) for the positive-real
-    families and 1 - ||F(z)||_2 for the bounded-real ones; a bounded-real tag
+    families and 1 - ||F(z)||_2 for the bounded-real ones; a b or db tag
     with a finite eta gets the hyper-bounded margin sqrt((eta-1)/(eta+1)) -
-    ||F(z)||_2 and the label ``hyper-bounded(eta=...)``. A point passes when
+    ||F(z)||_2. The report carries the tag's label. A point passes when
     its margin is >= -tol (1 + ||F(z) v||), v the unit direction the margin
     is taken in (so ||F(z) v|| = ||F(z)||_2 for the bounded-real margins);
     the report carries the unscaled worst margin. Pole-adjacent points, and
@@ -284,16 +284,9 @@ def anti_db_oracle(r: Realization, grid: DomainGrid, tol: float = ORACLE_TOL) ->
 
 
 def hyper_bounded_oracle(r: Realization, eta: float, grid: DomainGrid, tol: float = ORACLE_TOL) -> MembershipReport:
-    """Hyper-bounded test: sup ||F|| <= sqrt((eta-1)/(eta+1)) over the grid.
-
-    eta = inf reduces to the plain bounded-real oracle. A right-half-plane
-    grid tests the continuous variant; an exterior-disk grid tests the
-    discrete one (which has no KYP weight here, the oracle is the only
-    exposed check for it).
-    """
-    tag = FamilyTag(Family.BOUNDED_REAL, eta)
-    kind = "hyper-bounded" if grid.domain is Domain.RIGHT_HALF_PLANE else "hyper-discrete-bounded"
-    return _report(f"{kind}(eta={tag.eta:g})", grid.points, _evaluate_points(r, grid.points), _family_margin(tag), tol)
+    """Hyper-bounded test: `membership_oracle` on the b or db tag of this eta, picked by the grid's domain."""
+    family = Family.DISCRETE_BOUNDED_REAL if grid.domain is Domain.EXTERIOR_DISK else Family.BOUNDED_REAL
+    return membership_oracle(r, FamilyTag(family, eta), grid, tol)
 
 
 def lossless_boundary_oracle(r: Realization, kind: str, grid: DomainGrid, tol: float = ORACLE_TOL) -> MembershipReport:

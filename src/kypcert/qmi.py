@@ -102,35 +102,38 @@ class Family(enum.Enum):
 class FamilyTag:
     """A family plus the optional hyper-bounded parameter eta in (1, inf].
 
-    Finite eta selects the refined bounded-real weight and is only defined for
-    ``Family.BOUNDED_REAL``.
+    A finite eta selects the hyper-bounded weight of b or db, labelled
+    ``hyper-bounded(eta=...)`` or ``hyper-discrete-bounded(eta=...)``.
+    BadFamily unless family is a Family; EtaOutOfRange unless eta is a number
+    in (1, inf], and finite only on a bounded family.
     """
 
     family: Family
     eta: float = math.inf
 
     def __post_init__(self):
-        eta = float(self.eta)
+        if not isinstance(self.family, Family):
+            raise BadFamily(f"not a passivity family: {self.family!r}")
+        try:
+            eta = float(self.eta)
+        except (TypeError, ValueError):
+            raise EtaOutOfRange(f"eta must be a number in (1, inf], got {self.eta!r}") from None
         if not eta > 1.0:
             raise EtaOutOfRange(f"eta must lie in (1, inf], got {eta}")
-        if math.isfinite(eta) and self.family is not Family.BOUNDED_REAL:
-            raise EtaOutOfRange("finite eta is only defined for the bounded-real weight")
+        if math.isfinite(eta) and not self.family.is_bounded:
+            raise EtaOutOfRange("finite eta is only defined for the bounded-real weights")
         object.__setattr__(self, "eta", eta)
 
     @property
     def label(self) -> str:
         if math.isfinite(self.eta):
-            return f"hyper-bounded(eta={self.eta:g})"
+            return f"hyper-{'discrete-' if self.family.is_discrete else ''}bounded(eta={self.eta:g})"
         return self.family.value
 
 
 def as_tag(family) -> FamilyTag:
-    """Coerce a Family or FamilyTag to a FamilyTag."""
-    if isinstance(family, FamilyTag):
-        return family
-    if isinstance(family, Family):
-        return FamilyTag(family=family)
-    raise BadFamily(f"not a passivity family: {family!r}")
+    """Coerce a Family or FamilyTag to a FamilyTag (BadFamily otherwise)."""
+    return family if isinstance(family, FamilyTag) else FamilyTag(family)
 
 
 class CertificateStatus(enum.Enum):
@@ -236,7 +239,7 @@ def build_weight(family, p, m: int) -> WMatrix:
     Parameters
     ----------
     family : Family or FamilyTag
-        Target family; a finite eta on a bounded-real tag selects the refined
+        Target family; a finite eta on a b or db tag selects the refined
         hyper-bounded weight (its (2,2) block is (1+eta)/(1-eta) * I instead
         of -I; eta = inf reproduces the plain bounded-real weight).
     p : array_like
@@ -286,7 +289,10 @@ def assemble_q(r: Realization, w) -> np.ndarray:
 
 def _tolerance(value, name: str = "tol_psd") -> float:
     """A user tolerance as a float; BadParams unless finite and >= 0."""
-    tol = float(value)
+    try:
+        tol = float(value)
+    except (TypeError, ValueError):
+        raise BadParams(f"{name} must be a finite non-negative number, got {value!r}") from None
     if not (math.isfinite(tol) and tol >= 0.0):
         raise BadParams(f"{name} must be finite and non-negative, got {tol}")
     return tol

@@ -151,7 +151,7 @@ def test_check_refutes_a_violation_beside_a_large_channel(capsys, tmp_path):
         assert rep["oracle"]["verdict"] == "fail" and rep["solver"]["status"] == "not-found"
 
 
-def test_check_hyper_eta(capsys, tmp_path):
+def test_check_hyper_eta(capsys, tmp_path, f_file):
     from kypcert import Realization
 
     path = tmp_path / "half.json"
@@ -162,6 +162,23 @@ def test_check_hyper_eta(capsys, tmp_path):
     assert rep["oracle"]["family"].startswith("hyper-bounded")
     code, rep = run_cli(capsys, "check", "--family", "b", "--eta", "1.05", "--deterministic", str(path))
     assert code == 2  # sqrt(0.05/2.05) < 0.5, so the bound is violated
+    # f = 1/(2(2z + 1)) peaks at 1/2 over the exterior, at z = -1: within
+    # sqrt(1/2) at eta = 3, past sqrt(0.2/2.2) = 0.30 at eta = 1.2
+    code, rep = run_cli(capsys, "check", "--family", "db", "--eta", "3", "--solve", "--deterministic", f_file)
+    assert code == 0 and rep["certificate"]["status"] == "verified"
+    assert rep["family"] == rep["oracle"]["family"] == rep["certificate"]["family"] == "hyper-discrete-bounded(eta=3)"
+    code, rep = run_cli(capsys, "check", "--family", "db", "--eta", "1.2", "--solve", "--deterministic", f_file)
+    assert code == 2 and rep["solver"]["stop"] == "witness" and rep["solver"]["witness"] == [-1.0, 0.0]
+
+
+def test_db_eta_balance_and_combine(capsys, tmp_path, f_file):
+    save_matrix(tmp_path / "p.json", np.eye(1))
+    code, rep = run_cli(capsys, "transform", "--op", "balance", "--family", "db", "--eta", "3", "--p-matrix",
+                        str(tmp_path / "p.json"), f_file, "-o", str(tmp_path / "bal.json"), "--deterministic")
+    assert code == 0 and rep["certificate"]["family"] == "hyper-discrete-bounded(eta=3)"
+    code, rep = run_cli(capsys, "combine", "--family", "db", "--eta", "3", "--inputs", f"{f_file},{f_file}",
+                        "--random", "2", "-o", str(tmp_path / "comb.json"), "--deterministic")
+    assert code == 0 and rep["combined"]["status"] == "verified"
 
 
 def test_deterministic_reports_are_byte_identical(capsys, f_file):
@@ -192,6 +209,9 @@ def test_wmat_balanced(capsys):
     assert code == 0
     diag = [row[i][0] for i, row in enumerate(rep["entries"])]
     assert diag == [-1.0, -1.0, 1.0, 1.0]
+    code, rep = run_cli(capsys, "wmat", "--family", "db", "--eta", "3", "--balanced", "--n", "1", "--m", "1",
+                        "--deterministic")
+    assert code == 0 and [row[i][0] for i, row in enumerate(rep["entries"])] == [-1.0, -2.0, 1.0, 1.0]
 
 
 def test_wmat_p_matrix_with_its_size_as_n(capsys, tmp_path):
@@ -627,6 +647,7 @@ ERROR_EXITS = {
     "combine-non-isometric-family": ["combine", "--family", "p", "--inputs", "{F2},{F2}",
                                      "--isometries", "{bad}", "-o", "{out}"],
     "check-eta-nan": ["check", "--family", "b", "--eta=nan", "{B}"],
+    "check-eta-with-dp": ["check", "--family", "dp", "--eta", "3", "{B}"],
     "check-eta-minus-inf": ["check", "--family", "b", "--eta=-inf", "{B}"],
     "combine-eta-nan": ["combine", "--family", "b", "--eta=nan", "--inputs", "{B}", "-o", "{out}"],
     "combine-eta-minus-inf": ["combine", "--family", "b", "--eta=-inf", "--inputs", "{B}", "-o", "{out}"],

@@ -190,20 +190,20 @@ def test_hyper_bounded_eta_validation_and_infinite_case():
     rep_inf = hyper_bounded_oracle(r, np.inf, grid)
     rep_member = membership_oracle(r, Family.BOUNDED_REAL, grid)
     assert rep_inf.passed and abs(rep_inf.worst_margin - rep_member.worst_margin) < 1e-14
+    assert rep_inf == rep_member  # eta = inf is the plain oracle, its label included
 
 
 @pytest.mark.parametrize("eta", [1.05, 3.0, np.inf])
 def test_membership_oracle_honours_the_eta_of_its_tag(eta):
-    grid = make_grid(Domain.RIGHT_HALF_PLANE, 16, 16, 12)
-    members = [Realization.constant(0.9 * np.eye(1)),
-               random_certified_realization(Family.BOUNDED_REAL, 2, 2, np.random.default_rng(12))]
-    for r in members:
-        via_tag = membership_oracle(r, FamilyTag(Family.BOUNDED_REAL, eta), grid)
-        direct = hyper_bounded_oracle(r, eta, grid)
-        for field in dataclasses.fields(direct):
-            if field.name != "family":
-                assert getattr(via_tag, field.name) == getattr(direct, field.name), field.name
-        assert via_tag.family == ("bounded-real" if np.isinf(eta) else direct.family)
+    for family in (Family.BOUNDED_REAL, Family.DISCRETE_BOUNDED_REAL):
+        grid = make_grid(family_domain(family), 16, 16, 12)
+        members = [Realization.constant(0.9 * np.eye(1)),
+                   random_certified_realization(family, 2, 2, np.random.default_rng(12))]
+        for r in members:
+            via_tag = membership_oracle(r, FamilyTag(family, eta), grid)
+            direct = hyper_bounded_oracle(r, eta, grid)
+            for field in dataclasses.fields(direct):
+                assert getattr(via_tag, field.name) == getattr(direct, field.name), (family, field.name)
 
 
 def test_membership_oracle_refutes_a_constant_above_the_eta_bound():

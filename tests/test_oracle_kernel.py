@@ -244,7 +244,7 @@ CALLS = [
     ("hyper-discrete-bounded", "disk", lambda r, g: hyper_bounded_oracle(r, 3.0, g),
      lambda s, r, g: ref_hyper(s, 3.0, "hyper-discrete-bounded")),
     ("hyper-inf", "rhp", lambda r, g: hyper_bounded_oracle(r, math.inf, g),
-     lambda s, r, g: ref_hyper(s, math.inf, "hyper-bounded")),
+     lambda s, r, g: ref_membership(s, Family.BOUNDED_REAL)),
     ("LP", "rhp", lambda r, g: lossless_boundary_oracle(r, "LP", g),
      lambda s, r, g: ref_lossless(s, g.boundary_points.size, "LP", r.m)),
     ("LB", "rhp", lambda r, g: lossless_boundary_oracle(r, "LB", g),

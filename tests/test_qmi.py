@@ -139,6 +139,28 @@ def test_eta_validation():
         FamilyTag(Family.POSITIVE_REAL, eta=3.0)
 
 
+#: each call reads a family, an eta or a tolerance it cannot use
+BAD_INPUTS = {
+    "family-string": (BadFamily, lambda f: FamilyTag("b")),
+    "family-string-verify": (BadFamily, lambda f: verify_kyp(f, [[1.0]], "b")),
+    "eta-string": (EtaOutOfRange, lambda f: FamilyTag(Family.BOUNDED_REAL, "x")),
+    "eta-none": (EtaOutOfRange, lambda f: FamilyTag(Family.BOUNDED_REAL, None)),
+    "eta-finite-dp": (EtaOutOfRange, lambda f: FamilyTag(Family.DISCRETE_POSITIVE_REAL, 3.0)),
+    "solve-tol-string": (BadParams, lambda f: solve_p(f, Family.POSITIVE_REAL, tol_psd="x")),
+    "verify-tol-string": (BadParams, lambda f: verify_kyp(f, [[1.0]], Family.POSITIVE_REAL, "x")),
+    "lossless-tol-string": (BadParams, lambda f: check_lossless(f, [[1.0]], Family.POSITIVE_REAL, tol="x")),
+    "oracle-tol-none": (BadParams, lambda f: membership_oracle(
+        f, Family.POSITIVE_REAL, make_grid(Domain.RIGHT_HALF_PLANE, 8, 8, 0), tol=None)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_INPUTS))
+def test_a_bad_family_eta_or_tolerance_raises_a_typed_error(case):
+    error, call = BAD_INPUTS[case]
+    with pytest.raises(error):
+        call(fixture("f"))
+
+
 def test_weight_relation_identities():
     rng = np.random.default_rng(1)
     for _ in range(10):
@@ -169,7 +191,7 @@ def test_weight_spectrum_law():
         assert np.abs(got - expected).max() < 1e-8
 
 
-@pytest.mark.parametrize("tag", ["p", "b", "b-eta3", "dp", "db"])
+@pytest.mark.parametrize("tag", ["p", "b", "b-eta3", "dp", "db", "db-eta3"])
 def test_weight_entries_follow_the_block_table(tag):
     # block order (n, m, n, m); the state tier comes from the time axis and
     # the io tier from the positive/bounded axis, written out per family.
@@ -191,6 +213,8 @@ def test_weight_entries_follow_the_block_table(tag):
                    [[-p, znm, zn, znm], [zmn, zm, zmn, im], [zn, znm, p, znm], [zmn, im, zmn, zm]]),
             "db": (Family.DISCRETE_BOUNDED_REAL,
                    [[-p, znm, zn, znm], [zmn, -im, zmn, zm], [zn, znm, p, znm], [zmn, zm, zmn, im]]),
+            "db-eta3": (FamilyTag(Family.DISCRETE_BOUNDED_REAL, eta=3.0),
+                        [[-p, znm, zn, znm], [zmn, -2 * im, zmn, zm], [zn, znm, p, znm], [zmn, zm, zmn, im]]),
         }[tag]
         expected = np.block(rows).astype(complex)
         assert expected.shape == (2 * (n + m),) * 2
@@ -204,7 +228,8 @@ def test_weight_transfers_hold_exactly(n, m):
     # no tolerance: a signed permutation moves entries without rounding, and
     # the rotation is R D^-1/2 with R of entries 0 and +-1, D = 2 on the state
     # tiers and 1 on the io tiers, so R* W_dbr(P) R = W_br(2P) holds in
-    # integers for an integer P
+    # integers for an integer P; the rotation's io tier is I, so the same
+    # holds for the hyper-bounded weights of one eta (-2 I at eta = 3)
     rng = np.random.default_rng(10 * n + m)
     p = rand_hpd(rng, n)
     wd, wb, wa, wg = (build_weight(f, p, m).entries for f in (
@@ -225,6 +250,8 @@ def test_weight_transfers_hold_exactly(n, m):
     p_int = g @ g.T + np.eye(n)
     wd_int = build_weight(Family.DISCRETE_BOUNDED_REAL, p_int, m).entries
     assert np.array_equal(r.T @ wd_int @ r, build_weight(Family.BOUNDED_REAL, 2 * p_int, m).entries)
+    wd_eta = build_weight(FamilyTag(Family.DISCRETE_BOUNDED_REAL, eta=3.0), p_int, m).entries
+    assert np.array_equal(r.T @ wd_eta @ r, build_weight(FamilyTag(Family.BOUNDED_REAL, eta=3.0), 2 * p_int, m).entries)
 
 
 # -- quadratic form assembly ---------------------------------------------------
@@ -264,16 +291,21 @@ def test_assemble_q_matches_block_oracles():
 
 
 def test_assemble_q_eta_matches_refined_formula():
+    # the continuous and the discrete linear part, each less (eta+1)/(eta-1) [C D]*[C D]
     rng = np.random.default_rng(5)
     r = rand_realization(rng, 2, 2)
     p = rand_hpd(rng, 2)
     eta = 3.0
-    q = assemble_q(r, build_weight(FamilyTag(Family.BOUNDED_REAL, eta=eta), p, 2))
     cd = np.hstack([r.C, r.D])
-    lin = np.block([[-p @ r.A - r.A.conj().T @ p, -p @ r.B],
-                    [-r.B.conj().T @ p, np.eye(2)]])
-    expected = lin - (eta + 1.0) / (eta - 1.0) * cd.conj().T @ cd
-    assert np.abs(q - expected).max() < 1e-12
+    a_h, b_h = r.A.conj().T, r.B.conj().T
+    for family, lin in (
+        (Family.BOUNDED_REAL, np.block([[-p @ r.A - a_h @ p, -p @ r.B], [-b_h @ p, np.eye(2)]])),
+        (Family.DISCRETE_BOUNDED_REAL,
+         np.block([[p - a_h @ p @ r.A, -a_h @ p @ r.B], [-b_h @ p @ r.A, np.eye(2) - b_h @ p @ r.B]])),
+    ):
+        q = assemble_q(r, build_weight(FamilyTag(family, eta=eta), p, 2))
+        expected = lin - (eta + 1.0) / (eta - 1.0) * cd.conj().T @ cd
+        assert np.abs(q - expected).max() < 1e-12, family
 
 
 # -- verify_kyp ---------------------------------------------------------------
@@ -354,6 +386,28 @@ def test_eta_monotonicity_same_p():
     assert verify_kyp(r, np.eye(2), tag_small).verified
     for eta_big in (3.0, 10.0, 1e4, np.inf):
         assert verify_kyp(r, np.eye(2), FamilyTag(Family.BOUNDED_REAL, eta=eta_big)).verified
+
+
+@pytest.mark.parametrize("eta", [1.5, 3.0, 11.0])
+def test_db_eta_verdicts_follow_the_construction(eta):
+    # members: P = I certifies each draw before the move; non-members: the
+    # same arrays with ||D||_2 = 1.01 rho, and F(inf) = D lies in the closure
+    # of the exterior of the disk, where the hyper bound is rho
+    tag = FamilyTag(Family.DISCRETE_BOUNDED_REAL, eta)
+    rho = math.sqrt((eta - 1.0) / (eta + 1.0))
+    rng = np.random.default_rng(int(eta * 10))
+    grid = make_grid(Domain.EXTERIOR_DISK, 64, 64, 3)
+    for i in range(12):
+        n, m = 1 + i % 4, 1 + i % 2
+        r = change_coordinates(random_certified_realization(tag, n, m, rng), rand_coordinates(rng, n))
+        cert = solve_p(r, tag)
+        assert isinstance(cert, Certificate) and cert.verified, i
+        assert membership_oracle(r, tag, grid).passed, i
+        d = r.D * (1.01 * rho / np.linalg.norm(r.D, 2))
+        bad = Realization(n=n, m=m, A=r.A, B=r.B, C=r.C, D=d)
+        out = solve_p(bad, tag)
+        assert isinstance(out, NotFound) and out.stop == "witness", i
+        assert not membership_oracle(bad, tag, grid).passed, i
 
 
 # -- solve_p ------------------------------------------------------------------

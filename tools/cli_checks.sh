@@ -18,6 +18,11 @@ kypcert eval --at 0.5,1 --deterministic F2.json
 # a discrete family: the bilinear step, the Riccati rung and its Schur ordering
 kypcert fixtures --name f -o f.json
 kypcert check --family db --solve --deterministic f.json
+# the discrete hyper-bounded family: sup |f| over the exterior is 1/2, within
+# sqrt(1/2) at eta = 3, and the KYP certificate carries its label
+kypcert check --family db --eta 3 --solve --deterministic f.json > report.json
+grep -q '"family": "hyper-discrete-bounded(eta=3)"' report.json
+grep -q '"status": "verified"' report.json
 # a lightly damped member that only the rung's shifted second pass certifies
 python -c "from kypcert import Realization, save_realization; w, z, g = 0.37, 1e-5, 0.99; save_realization('res.json', Realization(n=2, m=1, A=[[0, 1], [-w * w, -2 * z * w]], B=[[0], [1]], C=[[0, g * 2 * z * w]], D=[[0]]))"
 kypcert check --family b --solve --deterministic res.json
@@ -25,6 +30,12 @@ kypcert check --family b --solve --deterministic res.json
 code=0
 kypcert check --family b --eta=nan --deterministic F2.json 2> err.txt || code=$?
 test "$code" -eq 1
+grep -q '^error:' err.txt
+# a finite eta on a positive family
+code=0
+kypcert check --family dp --eta 3 --deterministic f.json 2> err.txt || code=$?
+test "$code" -eq 1
+test "$(wc -l < err.txt)" -eq 1
 grep -q '^error:' err.txt
 # an option that the command does not read
 code=0
