@@ -57,9 +57,11 @@ from .families import (
     Domain,
     DomainGrid,
     MembershipReport,
+    Verdict,
     anti_db_oracle,
     bilinear_substitute,
     cayley_function,
+    check,
     family_domain,
     hyper_bounded_oracle,
     lossless_boundary_oracle,

@@ -40,12 +40,9 @@ from .families import (
     DEFAULT_GRID,
     ORACLE_TOL,
     MembershipReport,
-    _family_margin,
-    _lossless_report,
-    _membership_report,
-    _with_sample,
     bilinear_substitute,
     cayley_function,
+    check,
     family_domain,
     make_grid,
 )
@@ -55,22 +52,13 @@ from .qmi import (
     Family,
     FamilyTag,
     NotFound,
-    _find_witness,
     balance,
     build_balanced_weight,
     build_weight,
-    check_lossless,
-    solve_p,
+    solve_p,  # noqa: F401  (bound for perfbench/test_perfbench.py, which reads cli.solve_p)
     verify_kyp,
 )
-from .realization import (
-    _evaluate_points,
-    change_coordinates,
-    evaluate,
-    invert_array,
-    invert_function,
-    is_minimal,
-)
+from .realization import change_coordinates, evaluate, invert_array, invert_function
 from .serialization import (
     _dumps,
     file_digest,
@@ -85,6 +73,10 @@ EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_REFUTED = 2
 EXIT_INCONCLUSIVE = 3
+
+#: the exit code of each verdict of `families.check`
+CHECK_EXITS = {"pass": EXIT_OK, "refuted-by-witness": EXIT_REFUTED, "inconclusive": EXIT_INCONCLUSIVE,
+               "tool-error": EXIT_ERROR}
 
 FAMILY_CODES = {
     "p": Family.POSITIVE_REAL,
@@ -154,78 +146,29 @@ def cmd_check(args, report) -> int:
     r = _read(report, args.file, load_realization)
     tag = _tag(args)
     grid = make_grid(family_domain(tag), args.grid, args.grid, args.seed)
-    report["family"] = tag.label
-    minimal, rank_c, rank_o = is_minimal(r)
-    report["minimal"] = {"minimal": minimal, "rank_ctrb": rank_c, "rank_obsv": rank_o}
-    report["grid"] = {
-        "domain": grid.domain.value,
-        "boundary": int(grid.boundary_points.size),
-        "interior": int(grid.interior_points.size),
-        "seed": grid.seed,
-    }
-
-    # one evaluation of F over the grid serves every oracle of this check
-    evaluated = _evaluate_points(r, grid.points)
-    oracle = _membership_report(tag, grid, evaluated, args.tol_oracle)
-
-    if args.lossless:
-        if tag.family not in (Family.POSITIVE_REAL, Family.BOUNDED_REAL):
-            raise BadParams("--lossless needs --family p or b")
-        kind = "LP" if tag.family is Family.POSITIVE_REAL else "LB"
-        report["lossless_oracle"] = _report_oracle(_lossless_report(kind, grid, evaluated, args.tol_oracle))
-
-    cert = witness = None
-    if args.p_matrix:
-        cert = verify_kyp(r, _read(report, args.p_matrix, load_matrix), tag, args.tol_psd)
-        if cert.verified and cert.min_eig_q < 0.0 and oracle.passed:
-            # verified within the tolerance only: ask the witness screen too
-            witness = _find_witness(r, tag, args.tol_psd)
-    elif args.solve:
-        found = solve_p(r, tag, tol_psd=args.tol_psd)
-        if isinstance(found, NotFound):
-            report["solver"] = {
-                "status": "not-found",
-                "iterations": found.iterations,
-                "residual": found.residual,
-                "stop": found.stop,
-                "witness": _report_point(found.witness),
-                "note": "not a proof of non-membership",
-            }
-            witness = found.witness
-        else:
-            cert = found
-    if oracle.passed and witness is not None:
-        # the grid missed what the screen found: score its point too, F(inf) = D
-        values = _evaluate_points(r, [witness])[0] if np.isfinite(witness) else r.D[None]
-        margin, scale = _family_margin(tag)(values)
-        oracle = _with_sample(oracle, witness, float(margin[0]), float(scale[0]))
-    report["oracle"] = _report_oracle(oracle)
-    if cert is not None:
-        report["certificate"] = _report_certificate(cert)
-        if args.lossless and cert.verified:
-            report["lossless_qmi"] = bool(check_lossless(r, cert.p, tag, args.tol_oracle))
-
-    oracle_pass = oracle.passed and (not args.lossless or report["lossless_oracle"]["verdict"] == "pass")
-    cert_verified = cert is not None and cert.verified
-    if cert_verified and not oracle_pass:
-        # The algebraic certificate and the sampling oracle may never disagree.
-        report["verdict"] = "tool-error"
-        report["note"] = "verified certificate but failing oracle: internal inconsistency"
-        return EXIT_ERROR
-    if not oracle_pass:
-        report["verdict"] = "refuted-by-witness"
-        return EXIT_REFUTED
-    # an oracle that kept no point passed vacuously: it is no evidence
-    unsampled = oracle.samples_used == 0 or args.lossless and report["lossless_oracle"]["samples_used"] == 0
-    if (args.solve or args.p_matrix or unsampled) and not cert_verified:
-        report["verdict"] = "inconclusive"
-        if unsampled:
-            report["note"] = "an oracle kept no grid point, all pole-adjacent or overflowing: no sampling evidence"
-        elif not minimal:
-            report["note"] = "realization is not minimal; only sampling evidence is available"
-        return EXIT_INCONCLUSIVE
-    report["verdict"] = "pass"
-    return EXIT_OK
+    if args.lossless and tag.family.is_discrete:  # before --p-matrix is read: a bad flag is reported first
+        raise BadParams("--lossless needs --family p or b")
+    p = _read(report, args.p_matrix, load_matrix) if args.p_matrix else None
+    v = check(r, tag, grid, p=p, solve=args.solve, lossless=args.lossless, tol_psd=args.tol_psd,
+              tol_oracle=args.tol_oracle)
+    report.update(family=tag.label, verdict=v.verdict, oracle=_report_oracle(v.oracle),
+                  minimal=dict(zip(("minimal", "rank_ctrb", "rank_obsv"), v.minimal)),
+                  grid={"domain": grid.domain.value, "boundary": int(grid.boundary_points.size),
+                        "interior": int(grid.interior_points.size), "seed": grid.seed})
+    if v.lossless_oracle is not None:
+        report["lossless_oracle"] = _report_oracle(v.lossless_oracle)
+    if isinstance(v.certificate, NotFound):
+        found = v.certificate
+        report["solver"] = {"status": "not-found", "iterations": found.iterations, "residual": found.residual,
+                            "stop": found.stop, "witness": _report_point(found.witness),
+                            "note": "not a proof of non-membership"}
+    elif v.certificate is not None:
+        report["certificate"] = _report_certificate(v.certificate)
+    if v.lossless_qmi is not None:
+        report["lossless_qmi"] = v.lossless_qmi
+    if v.note is not None:
+        report["note"] = v.note
+    return CHECK_EXITS[v.verdict]
 
 
 #: the transforms that need no input besides the realization

@@ -1,5 +1,6 @@
 """Sampled-domain membership oracles for the four passivity families and
-their lossless / hyper / anti variants, plus function-level transforms.
+their lossless / hyper / anti variants, function-level transforms, and
+`check`, which weighs an oracle, a certificate and a witness into a verdict.
 
 Sampling is evidence, not proof: a ``fail`` verdict carries a concrete
 counterexample point, while a ``pass`` is a verdict-with-margin only.
@@ -9,6 +10,7 @@ from __future__ import annotations
 
 import enum
 import math
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -20,13 +22,16 @@ from .exceptions import (
     SingularIPlusA,
     SingularIPlusD,
 )
-from .qmi import Family, FamilyTag, _tolerance, as_tag
-from .realization import _BLOCK_ENTRIES, Realization, _evaluate_points
+from .qmi import (Certificate, Family, FamilyTag, NotFound, _find_witness, _tolerance, as_tag, check_lossless,
+                  solve_p, verify_kyp)
+from .realization import _BLOCK_ENTRIES, Realization, _evaluate_points, is_minimal
 
 __all__ = [
     "Domain",
     "DomainGrid",
     "MembershipReport",
+    "Verdict",
+    "check",
     "family_domain",
     "make_grid",
     "membership_oracle",
@@ -146,10 +151,14 @@ def make_grid(
     algorithm in R", arXiv:1706.02808, 2017), mapped into the open domain.
     They are computed in the package (`_halton`) and equal, bit for bit,
     those of ``scipy.stats.qmc.Halton(d=2, scramble=True, seed=seed)``.
+    Sizes and seed must be integers (not bools); else BadParams.
     """
+    for name, value in ("n_boundary", n_boundary), ("n_interior", n_interior), ("seed", seed):
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise BadParams(f"{name} must be an integer, got {value!r}")
+    n_boundary, n_interior, seed = int(n_boundary), int(n_interior), int(seed)
     if n_boundary < 1 or n_interior < 0:
         raise BadParams("need n_boundary >= 1 and n_interior >= 0")
-    seed = int(seed)
     rng = seeded(seed)
     k = np.arange(n_boundary)
     theta = 2.0 * np.pi * k / n_boundary
@@ -248,6 +257,8 @@ def _with_sample(rep: MembershipReport, z: complex, margin: float, scale: float)
 
 
 def _check_domain(grid: DomainGrid, expected: Domain, what: str):
+    if not isinstance(grid, DomainGrid):
+        raise BadParams(f"grid must be a DomainGrid, got {type(grid).__name__}")
     if grid.domain is not expected:
         raise DomainMismatch(f"{what} needs a {expected.value} grid, got {grid.domain.value}")
 
@@ -264,14 +275,9 @@ def membership_oracle(r: Realization, family, grid: DomainGrid, tol: float = ORA
     the report carries the unscaled worst margin. Pole-adjacent points, and
     points where F overflows, are skipped and counted.
     """
-    return _membership_report(family, grid, _evaluate_points(r, grid.points), tol)
-
-
-def _membership_report(family, grid: DomainGrid, evaluated, tol: float) -> MembershipReport:
-    """`membership_oracle` from `_evaluate_points` over `grid.points`."""
     tag = as_tag(family)
     _check_domain(grid, family_domain(tag), f"{tag.family.value} oracle")
-    return _report(tag.label, grid.points, evaluated, _family_margin(tag), tol)
+    return _report(tag.label, grid.points, _evaluate_points(r, grid.points), _family_margin(tag), tol)
 
 
 def anti_db_oracle(r: Realization, grid: DomainGrid, tol: float = ORACLE_TOL) -> MembershipReport:
@@ -285,7 +291,8 @@ def anti_db_oracle(r: Realization, grid: DomainGrid, tol: float = ORACLE_TOL) ->
 
 def hyper_bounded_oracle(r: Realization, eta: float, grid: DomainGrid, tol: float = ORACLE_TOL) -> MembershipReport:
     """Hyper-bounded test: `membership_oracle` on the b or db tag of this eta, picked by the grid's domain."""
-    family = Family.DISCRETE_BOUNDED_REAL if grid.domain is Domain.EXTERIOR_DISK else Family.BOUNDED_REAL
+    disk = isinstance(grid, DomainGrid) and grid.domain is Domain.EXTERIOR_DISK
+    family = Family.DISCRETE_BOUNDED_REAL if disk else Family.BOUNDED_REAL
     return membership_oracle(r, FamilyTag(family, eta), grid, tol)
 
 
@@ -299,6 +306,7 @@ def lossless_boundary_oracle(r: Realization, kind: str, grid: DomainGrid, tol: f
     on the same grid; the worst margin is the parent's when that fails with a
     lower margin.
     """
+    _check_domain(grid, Domain.RIGHT_HALF_PLANE, "lossless boundary oracle")
     return _lossless_report(kind, grid, _evaluate_points(r, grid.points), tol)
 
 
@@ -321,13 +329,13 @@ def _lossless_bounded_margin(f):
 
 
 def _lossless_report(kind: str, grid: DomainGrid, evaluated, tol: float) -> MembershipReport:
-    """`lossless_boundary_oracle` from `_evaluate_points` over `grid.points`;
-    one evaluation serves both the boundary margin and the parent family's."""
+    """`lossless_boundary_oracle` from `_evaluate_points` over the points of
+    a right-half-plane `grid`; one evaluation serves both the boundary margin
+    and the parent family's."""
     kinds = {"LP": (_lossless_positive_margin, Family.POSITIVE_REAL, "lossless-positive"),
              "LB": (_lossless_bounded_margin, Family.BOUNDED_REAL, "lossless-bounded")}
     if kind not in kinds:
         raise BadParams(f"kind must be 'LP' or 'LB', got {kind!r}")
-    _check_domain(grid, Domain.RIGHT_HALF_PLANE, "lossless boundary oracle")
     margin, parent, label = kinds[kind]
     nb = grid.boundary_points.size
     rep = _report(label, grid.points[:nb], [x[:nb] for x in evaluated], margin, tol)
@@ -336,6 +344,78 @@ def _lossless_report(kind: str, grid: DomainGrid, evaluated, tol: float) -> Memb
         return rep
     worst = parent_rep if parent_rep.worst_margin < rep.worst_margin else rep
     return replace(rep, verdict="fail", worst_point=worst.worst_point, worst_margin=worst.worst_margin)
+
+
+@dataclass(frozen=True)
+class Verdict:
+    """What `check` decided, "pass", "refuted-by-witness", "inconclusive" or
+    "tool-error", and its evidence: `certificate` is the Certificate of `p`
+    or `solve`, or the NotFound of `solve`; `lossless_qmi` is `check_lossless`
+    of a verified P under `lossless`; `minimal` is `is_minimal(r)`; `witness`
+    is the witness screen's point, which `oracle` scores too; `note` says why
+    a verdict is inconclusive or a tool error."""
+
+    verdict: str
+    oracle: MembershipReport
+    lossless_oracle: MembershipReport | None
+    certificate: Certificate | NotFound | None
+    lossless_qmi: bool | None
+    minimal: tuple[bool, int, int]
+    witness: complex | None
+    note: str | None
+
+
+def check(r: Realization, family, grid: DomainGrid, *, p=None, solve: bool = False, lossless: bool = False,
+          tol_psd: float | None = None, tol_oracle: float = ORACLE_TOL) -> Verdict:
+    """The verdict of ``kypcert check``, each keyword its option.
+
+    The evidence: the family's oracle on `grid`, and with `lossless` the
+    lossless boundary oracle (p or b only), from one evaluation of F; then
+    `verify_kyp` of `p`, or else with `solve` `solve_p`. A P verified only
+    within the tolerance (min_eig_q < 0) meets the witness screen as well.
+    When the oracles pass, a witness point is scored as one more sample,
+    with F(inf) = D. The rule: a verified certificate whose oracle fails is
+    a "tool-error"; else a failing oracle is "refuted-by-witness"; else,
+    with `p` or `solve` but no verified certificate, or with an oracle that
+    kept no point, "inconclusive"; else "pass".
+    """
+    tag = as_tag(family)
+    _check_domain(grid, family_domain(tag), f"{tag.family.value} oracle")
+    if lossless and tag.family.is_discrete:
+        raise BadParams(f"lossless needs a p or b family, got {tag.label}")
+    minimal = is_minimal(r)
+    evaluated = _evaluate_points(r, grid.points)
+    oracle = _report(tag.label, grid.points, evaluated, _family_margin(tag), tol_oracle)
+    kind = "LB" if tag.family.is_bounded else "LP"
+    boundary = _lossless_report(kind, grid, evaluated, tol_oracle) if lossless else None
+    cert = witness = None
+    if p is not None:
+        cert = verify_kyp(r, p, tag, tol_psd)
+        if cert.verified and cert.min_eig_q < 0.0 and oracle.passed:
+            witness = _find_witness(r, tag, tol_psd)
+    elif solve:
+        cert = solve_p(r, tag, tol_psd=tol_psd)
+        witness = cert.witness if isinstance(cert, NotFound) else None
+    if oracle.passed and witness is not None:
+        values = _evaluate_points(r, [witness])[0] if np.isfinite(witness) else r.D[None]
+        margin, scale = _family_margin(tag)(values)
+        oracle = _with_sample(oracle, witness, float(margin[0]), float(scale[0]))
+    verified = isinstance(cert, Certificate) and cert.verified
+    lossless_qmi = bool(check_lossless(r, cert.p, tag, tol_oracle)) if lossless and verified else None
+    passed = oracle.passed and (boundary is None or boundary.passed)
+    unsampled = oracle.samples_used == 0 or boundary is not None and boundary.samples_used == 0
+    verdict, note = "pass", None
+    if verified and not passed:
+        verdict, note = "tool-error", "verified certificate but failing oracle: internal inconsistency"
+    elif not passed:
+        verdict = "refuted-by-witness"
+    elif (solve or p is not None or unsampled) and not verified:
+        verdict = "inconclusive"
+        if unsampled:
+            note = "an oracle kept no grid point, all pole-adjacent or overflowing: no sampling evidence"
+        elif not minimal[0]:
+            note = "realization is not minimal; only sampling evidence is available"
+    return Verdict(verdict, oracle, boundary, cert, lossless_qmi, minimal, witness, note)
 
 
 def cayley_function(r: Realization) -> Realization:

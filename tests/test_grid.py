@@ -83,6 +83,25 @@ def test_every_seeded_function_rejects_a_negative_seed(call, seed):
         call(seed)
 
 
+@pytest.mark.parametrize(("args", "name"), [
+    ((8.5, 8), "n_boundary"),
+    ((True, 4), "n_boundary"),
+    (("8", 8), "n_boundary"),
+    ((None, 8), "n_boundary"),
+    ((8, 2.5), "n_interior"),
+    ((8, 8, "x"), "seed"),
+], ids=["float-boundary", "bool-boundary", "str-boundary", "none-boundary", "float-interior", "str-seed"])
+def test_grid_sizes_and_seed_must_be_integers(args, name):
+    with pytest.raises(BadParams, match=f"^{name} must be an integer, got "):
+        make_grid(Domain.RIGHT_HALF_PLANE, *args)
+
+
+def test_grid_takes_numpy_integers():
+    grid = make_grid(Domain.EXTERIOR_DISK, np.int64(8), np.int32(4), np.int64(3))
+    assert type(grid.seed) is int and grid.seed == 3
+    assert grid.points.tobytes() == make_grid(Domain.EXTERIOR_DISK, 8, 4, 3).points.tobytes()
+
+
 @pytest.fixture()
 def fixture_files(tmp_path):
     paths = []

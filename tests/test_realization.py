@@ -26,11 +26,14 @@ from kypcert import (
     SingularArray,
     SingularD,
     SingularT,
+    anti_db_oracle,
     cascade,
     cayley,
     change_coordinates,
+    check,
     evaluate,
     fixture,
+    hyper_bounded_oracle,
     in_lyapunov,
     invert_array,
     invert_function,
@@ -38,6 +41,7 @@ from kypcert import (
     lossless_boundary_oracle,
     make_grid,
     matrix_convex_combine,
+    membership_oracle,
     random_certified_realization,
     random_in_lyapunov,
     random_isometry_tuple,
@@ -256,6 +260,11 @@ BAD_INPUTS = {
     "negative isometry seed": lambda: random_isometry_tuple([2, 2], 2, -1),
     "negative cone seed": lambda: random_in_lyapunov(np.eye(2), -1),
     "negative realization seed": lambda: random_certified_realization(Family.POSITIVE_REAL, 2, 1, -1),
+    "membership oracle without a grid": lambda: membership_oracle(fixture("f"), Family.POSITIVE_REAL, None),
+    "lossless oracle without a grid": lambda: lossless_boundary_oracle(fixture("f"), "LP", None),
+    "anti-db oracle without a grid": lambda: anti_db_oracle(fixture("f"), None),
+    "hyper-bounded oracle without a grid": lambda: hyper_bounded_oracle(fixture("f"), 3.0, None),
+    "check without a grid": lambda: check(fixture("f"), Family.POSITIVE_REAL, None, solve=True),
 }
 
 #: the type each input rule raises, for the sites that `_linalg.square` and
@@ -271,6 +280,11 @@ BAD_INPUT_TYPES = {
     "negative isometry seed": BadParams,
     "negative cone seed": BadParams,
     "negative realization seed": BadParams,
+    "membership oracle without a grid": BadParams,
+    "lossless oracle without a grid": BadParams,
+    "anti-db oracle without a grid": BadParams,
+    "hyper-bounded oracle without a grid": BadParams,
+    "check without a grid": BadParams,
 }
 
 

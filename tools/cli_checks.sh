@@ -1,13 +1,18 @@
 #!/usr/bin/env bash
 # The checks of the `kypcert` console script, run as a user runs it: each
 # runs one command and asserts its exit code, its stderr or its report.
-# Needs `kypcert` on PATH (after `python -m pip install .`); the inputs are
-# written to a temporary directory, removed on exit, and tests/helpers.py is
-# read from this checkout.
+# Needs `kypcert` on PATH (after `python -m pip install .`). Without an
+# install, define it as an exported shell function first:
 #
+#     kypcert() { python -m kypcert.cli "$@"; }; export -f kypcert
 #     bash tools/cli_checks.sh
+#
+# src/ and tests/ of this checkout go on PYTHONPATH, so the package, the
+# `python -c` lines and tests/helpers.py are read from here. The inputs are
+# written to a temporary directory, removed on exit.
 set -euo pipefail
-export PYTHONPATH="$(cd "$(dirname "$0")/../tests" && pwd)${PYTHONPATH:+:$PYTHONPATH}"
+root="$(cd "$(dirname "$0")/.." && pwd)"
+export PYTHONPATH="$root/src:$root/tests${PYTHONPATH:+:$PYTHONPATH}"
 work="$(mktemp -d)"
 trap 'rm -rf "$work"' EXIT
 cd "$work"
@@ -18,6 +23,13 @@ kypcert eval --at 0.5,1 --deterministic F2.json
 # a discrete family: the bilinear step, the Riccati rung and its Schur ordering
 kypcert fixtures --name f -o f.json
 kypcert check --family db --solve --deterministic f.json
+# the library's verdict is the console script's: g is no db member
+kypcert fixtures --name g -o g.json
+python -c "from kypcert import Domain, Family, check, fixture, make_grid; v = check(fixture('g'), Family.DISCRETE_BOUNDED_REAL, make_grid(Domain.EXTERIOR_DISK), solve=True); assert v.verdict == 'refuted-by-witness', v.verdict"
+code=0
+kypcert check --family db --solve --deterministic g.json > report.json || code=$?
+test "$code" -eq 2
+grep -q '"verdict": "refuted-by-witness"' report.json
 # the discrete hyper-bounded family: sup |f| over the exterior is 1/2, within
 # sqrt(1/2) at eta = 3, and the KYP certificate carries its label
 kypcert check --family db --eta 3 --solve --deterministic f.json > report.json
